@@ -24,6 +24,7 @@ from .solver import (
     solve_column_dense,
     solve_column_fast,
     solve_column_linear_ladder,
+    solve_columns_fast,
 )
 from .sparsify import adc_bits_required
 
@@ -284,15 +285,20 @@ def solver_validation_suite(
                 device = DeviceModel.sram8t(i_on=i_on, v_nominal=v_nominal,
                                             v_knee=v_nominal / 2)
             wire = WireModel.preset(preset)
+            # same draw order as one problem at a time, solved as one batch
+            stored = np.empty((trials, n), dtype=np.int64)
+            gates = np.empty((trials, n), dtype=np.int64)
+            for t in range(trials):
+                stored[t] = rng.integers(0, 2, n)
+                gates[t] = rng.integers(0, 2, n)
+            fast = solve_columns_fast(stored, gates, device, wire, v_nominal,
+                                      tol=solver_tol, max_iter=2000)
             errs = np.empty(trials)
             for t in range(trials):
-                stored = rng.integers(0, 2, n)
-                gates = rng.integers(0, 2, n)
-                p = ColumnProblem(n, stored, gates, device, wire, v_nominal)
-                a = solve_column_fast(p, tol=solver_tol, max_iter=2000)
+                p = ColumnProblem(n, stored[t], gates[t], device, wire, v_nominal)
                 b = solve_column_dense(p, tol=solver_tol)
                 ref = max(abs(b.i_out), device.i_off * n, 1e-15)
-                errs[t] = abs(a.i_out - b.i_out) / ref
+                errs[t] = abs(fast.i_out[t] - b.i_out) / ref
             corner = {
                 "preset": preset,
                 "i_on": i_on,

@@ -67,8 +67,7 @@ SCHEMA = {
     "solver": {
         "method": ("str", "fast", "fast | dense"),
         "tol": ("float", 1e-6, "relative convergence tolerance"),
-        "max_iter": ("int", 200, "iteration cap"),
-        "damping": ("float", 0.5, "fixed-point damping factor in (0,1]"),
+        "max_iter": ("int", 200, "Newton iteration cap"),
         "topology": ("str", "opposite", "opposite | same sense-pad end"),
     },
     "run": {
@@ -248,7 +247,6 @@ def build_engine_config(cfg: dict) -> EngineConfig:
         solver=cfg["solver"]["method"],
         solver_tol=cfg["solver"]["tol"],
         solver_max_iter=cfg["solver"]["max_iter"],
-        solver_damping=cfg["solver"]["damping"],
         topology=cfg["solver"]["topology"],
         seed=cfg["run"]["seed"],
         best_effort=cfg["run"]["best_effort"],

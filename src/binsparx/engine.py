@@ -73,7 +73,6 @@ class EngineConfig:
     solver: str = "fast"
     solver_tol: float = 1e-6
     solver_max_iter: int = 200
-    solver_damping: float = 0.5
     topology: str = "opposite"
     seed: int = 0
     best_effort: bool = False
@@ -232,7 +231,7 @@ class Engine:
             return outs, conv
         res = solve_columns_fast(
             stored, gates, cfg.device, cfg.wire, self.v_drive, cfg.topology,
-            tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, damping=cfg.solver_damping,
+            tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
         )
         return res.i_out, res.converged
 

@@ -11,16 +11,17 @@ pads at row 0.
 Segment currents follow from charge conservation: the bitline segment
 arriving at row k carries the sum of cell currents at rows >= k, and the
 sense-line segment leaving row k toward the pad carries the sum of cell
-currents already collected on that side.  Three solvers share this wiring:
+currents already collected on that side.  Two solvers share this wiring:
 
-* ``solve_column_fast`` - damped fixed-point iteration on the cell-current
-  vector.  Cheap (O(n) per sweep via cumulative sums) and batched.
+* ``solve_columns_fast`` (and its one-column wrapper ``solve_column_fast``)
+  - batched Newton iteration on the cell-current vector.  Each step
+  linearizes every cell at its bias and solves that linear ladder exactly
+  with an O(n) backward/forward sweep over the rows, then backtracks
+  (halves the step) for any column whose residual would not fall.
+  ``solve_column_linear_ladder`` is one such sweep for ohmic cells.
 * ``solve_column_dense`` - full nodal analysis with 2n unknown node
-  voltages and Newton-Raphson on the nonlinear cell currents.  Slower;
-  used to validate the fast path.
-* ``solve_column_linear_ladder`` - closed-form ladder solution by affine
-  transfer-matrix cascade, valid only for linear (ohmic) cells; used to
-  validate the dense path.
+  voltages and Newton-Raphson on the nonlinear cell currents.  Slower and
+  independent of the sweep; used to validate the fast path.
 
 Each column is solved independently: activations drive access-transistor
 gates, which draw no steady-state row current, so rows do not couple.
@@ -47,6 +48,11 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("opposite", "same")
+
+# backtracking floor: below this step fraction a Newton step is taken anyway
+_MIN_STEP = 2.0**-10
+# batch width from which row-by-row cumulative sums beat np.cumsum(axis=0)
+_ROW_SUM_MIN_WIDTH = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +90,10 @@ class ColumnProblem:
 class ColumnSolveResult:
     """Converged (or flagged) state of one column solve.
 
-    ``residual`` is the exit value of the solver's convergence metric: the
-    max relative cell-current update for the fast solver, the max KCL
-    violation normalized by i_on for the dense solver.
+    ``residual`` is the exit value of the solver's convergence metric:
+    max |f(v(i)) - i| / i_on over the cells for the fast solver (f: the
+    device model, v(i): the cell voltages that currents i produce), the
+    max KCL violation normalized by i_on for the dense solver.
     """
 
     i_out: float
@@ -122,22 +129,158 @@ class FastBatchResult:
         )
 
 
+def _cumsum_rows(a: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """``np.cumsum(a, axis=0)``, summed from the last row when ``reverse``.
+
+    On wide batches numpy's strided accumulate is several times slower than
+    adding whole rows, so those go row by row.  Both add in the same order,
+    so the result is the same bit for bit either way.
+    """
+    if reverse:
+        return _cumsum_rows(a[::-1])[::-1]
+    if a.shape[1] < _ROW_SUM_MIN_WIDTH:
+        return np.cumsum(a, axis=0)
+    out = np.empty_like(a)
+    out[0] = a[0]
+    for k in range(1, a.shape[0]):
+        np.add(out[k - 1], a[k], out=out[k])
+    return out
+
+
 def _line_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float, topology: str):
-    """Node voltages on both lines given per-cell currents (B, n)."""
-    r_bl = wire.r_bl_per_cell
-    r_sl = wire.r_sl_per_cell
-    total = i_cell.sum(axis=1, keepdims=True)
+    """Node voltages on both lines given cell currents, rows on axis 0: (n, B)."""
     # suffix[k] = sum of currents at rows >= k: what the BL still delivers at k
-    suffix = np.cumsum(i_cell[:, ::-1], axis=1)[:, ::-1]
-    bl_cum = np.cumsum(suffix, axis=1)
-    v_bl = v_drive - wire.r_driver * total - r_bl * bl_cum
+    suffix = _cumsum_rows(i_cell, reverse=True)
+    v_bl = _cumsum_rows(suffix)
     if topology == "opposite":
-        prefix = np.cumsum(i_cell, axis=1)
-        sl_cum = np.cumsum(prefix[:, ::-1], axis=1)[:, ::-1]
+        # the SL segment leaving row k carries the sum of currents at rows <= k
+        v_sl = _cumsum_rows(_cumsum_rows(i_cell), reverse=True)
+        v_sl *= wire.r_sl_per_cell
     else:
-        sl_cum = np.cumsum(suffix, axis=1)
-    v_sl = r_sl * sl_cum
+        v_sl = wire.r_sl_per_cell * v_bl
+    v_bl *= -wire.r_bl_per_cell
+    v_bl += v_drive - wire.r_driver * suffix[0]
     return v_bl, v_sl
+
+
+def _cell_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float, topology: str):
+    v_bl, v_sl = _line_voltages(i_cell, wire, v_drive, topology)
+    v_bl -= v_sl
+    return v_bl
+
+
+def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float) -> np.ndarray:
+    """max |f(v(i)) - i| / i_on per column."""
+    d = f - i_cell
+    np.abs(d, out=d)
+    return d.max(axis=0) / i_on
+
+
+def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float, topology: str):
+    """Exact cell currents (n, B) of the linear ladder whose cells draw g*v + c.
+
+    A backward sweep over the rows carries the relation the rows below k
+    impose at row k; a forward sweep from the driver then fixes every row.
+    Every division is by 1 + (non-negative product), because ``g >= 0``
+    and all wire resistances are >= 0, so the sweep is stable at any wire
+    and exact when a resistance is 0.  Vectorized over the batch axis.
+    """
+    n, B = g.shape
+    r_bl, r_sl = wire.r_bl_per_cell, wire.r_sl_per_cell
+    r_src = wire.r_driver + r_bl
+    out = np.empty_like(g)
+    if topology == "same":
+        # rows >= k form a one-port: S_k = Y*(vb_k - vs_k) + E, where S_k
+        # enters on the bitline and leaves on the sense line at row k
+        r = r_bl + r_sl
+        inv = np.empty_like(g)
+        e_below = np.empty_like(g)
+        Y = np.zeros(B)
+        E = np.zeros(B)
+        for k in range(n - 1, -1, -1):
+            inv[k] = 1.0 / (1.0 + r * Y)
+            e_below[k] = E
+            Y = g[k] + Y * inv[k]
+            E = c[k] + E * inv[k]
+        r_in = r_src + r_sl
+        u = (v_drive - r_in * E) / (1.0 + r_in * Y)  # cell voltage at row 0
+        for k in range(n):
+            out[k] = g[k] * u + c[k]
+            u = (u - r * e_below[k]) * inv[k]
+        return out
+
+    # Opposite pads.  Rows >= k relate (S_k, vs_k) to (vb_k, T_{k-1}):
+    #   S_k  = A*vb_k - nB*T_{k-1} + E,   vs_k = P*vb_k + Q*T_{k-1} + F,
+    # where S_k is the bitline current into row k and T_{k-1} the sense-line
+    # current arriving from rows < k.  A, nB, P, Q >= 0; Bb = 1 - nB and
+    # Pb = 1 - P are carried separately so that no coefficient is formed
+    # by a subtraction.
+    i_v = np.empty_like(g)  # i_k = i_v*vb_k - i_t*T_{k-1} + i_c
+    i_t = np.empty_like(g)
+    i_c = np.empty_like(g)
+    w_v = np.empty_like(g)  # vb_{k+1} = (vb_k + w_t*T_k + w_c) * w_v
+    w_t = np.empty_like(g)
+    w_c = np.empty_like(g)
+    A = nB = P = Q = E = F = np.zeros(B)
+    Bb = Pb = np.ones(B)
+    for k in range(n - 1, -1, -1):
+        gk = g[k]
+        ra = r_bl * A
+        inv1 = np.divide(1.0, 1.0 + ra, out=w_v[k])
+        np.multiply(nB, r_bl, out=w_t[k])
+        np.multiply(E, -r_bl, out=w_c[k])
+        # rows > k seen from row k's bitline node, row k's cell still open:
+        # vs_k = al*vb_k + beta*T_k + gamma
+        al = P * inv1
+        alb = (Pb + ra) * inv1
+        bb = (Bb + ra) * inv1
+        ral = r_bl * al
+        beta = (Q + r_sl) + ral * nB
+        gamma = F - ral * E
+        # close row k's cell, i = g*(vb - vs) + c
+        inv2 = 1.0 / (1.0 + gk * beta)
+        Q = beta * inv2
+        Pb = alb * inv2
+        Bb = bb * inv2
+        ivk = np.multiply(gk, Pb, out=i_v[k])
+        itk = np.multiply(gk, Q, out=i_t[k])
+        ick = np.multiply(c[k] - gk * gamma, inv2, out=i_c[k])
+        A = A * inv1 + bb * ivk
+        nB = nB * inv1 + bb * itk
+        E = E * inv1 + bb * ick
+        P = al + beta * ivk
+        F = gamma + beta * ick
+    vb = (v_drive - r_src * E) / (1.0 + r_src * A)
+    T = np.zeros(B)
+    for k in range(n):
+        out[k] = ik = i_v[k] * vb - i_t[k] * T + i_c[k]
+        T = T + ik
+        vb = (vb + w_t[k] * T + w_c[k]) * w_v[k]
+    return out
+
+
+def _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive, topology):
+    """Take ``i + s*step``, halving s (down to _MIN_STEP) while a column's
+    residual does not fall below ``res``.  Returns (i, v, f, residual)."""
+    i_on = device.i_on
+    trial = i_cell + step
+    v = _cell_voltages(trial, wire, v_drive, topology)
+    f = device.currents(stored, gates, v)
+    r = _residual(f, trial, i_on)
+    bad = np.flatnonzero(~(r < res))
+    scale = 1.0
+    while bad.size and scale > _MIN_STEP:
+        scale *= 0.5
+        sub = i_cell[:, bad] + scale * step[:, bad]
+        v_sub = _cell_voltages(sub, wire, v_drive, topology)
+        f_sub = device.currents(stored[:, bad], gates[:, bad], v_sub)
+        r_sub = _residual(f_sub, sub, i_on)
+        trial[:, bad] = sub
+        v[:, bad] = v_sub
+        f[:, bad] = f_sub
+        r[bad] = r_sub
+        bad = bad[~(r_sub < res[bad])]
+    return trial, v, f, r
 
 
 def solve_columns_fast(
@@ -149,63 +292,86 @@ def solve_columns_fast(
     topology: str = "opposite",
     tol: float = 1e-6,
     max_iter: int = 200,
-    damping: float = 0.5,
 ) -> FastBatchResult:
-    """Damped fixed-point solve of many columns at once.
+    """Batched Newton solve of many columns at once.
 
-    ``stored`` and ``gates`` broadcast against each other to (B, n).  Each
-    sweep recomputes line voltages from the current estimate, re-evaluates
-    every cell at its local bias, and blends with factor ``damping``; a
-    problem converges when its max cell-current change per sweep drops
-    below ``tol * i_on``.  If a problem's residual grows, its damping is
-    halved (never below damping/64) - pure safeguarding, the fixed point
-    itself is unchanged.  Non-convergent problems are returned flagged,
-    never silently.
+    ``stored`` and ``gates`` broadcast against each other to (B, n).  The
+    unknown is the cell-current vector i; the line voltages v(i) follow
+    from it, and a column converges when its residual
+    max |f(v(i)) - i| / i_on drops below ``tol`` (f: the device model), at
+    which point it returns f(v(i)).  Iteration 1 evaluates the start point,
+    every cell at full bias.  Each further iteration linearizes every cell
+    at its current bias as i = g*v + c (g = 0 under reverse bias), solves
+    that linear ladder exactly with an O(n) sweep, and backtracks - halving
+    the step while a column's residual does not fall.  Converged columns
+    leave the active set at once.  Non-convergent problems are returned
+    flagged (with their last f(v(i))), never silently.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
-    if not 0 < damping <= 1:
-        raise DomainError("damping must be in (0, 1]")
-    stored = np.atleast_2d(np.asarray(stored, dtype=np.float64))
-    gates = np.atleast_2d(np.asarray(gates, dtype=np.float64))
+    if topology not in TOPOLOGIES:
+        raise DomainError(f"topology must be one of {TOPOLOGIES}")
+    stored = np.atleast_2d(np.asarray(stored) > 0)
+    gates = np.atleast_2d(np.asarray(gates) > 0)
     stored, gates = np.broadcast_arrays(stored, gates)
-    stored = np.ascontiguousarray(stored)
-    gates = np.ascontiguousarray(gates)
     B, n = stored.shape
+    # 0/1 bytes (the device model only tests > 0), rows on axis 0 so that
+    # the ladder sweep reads contiguous rows
+    stored = np.ascontiguousarray(stored.T, dtype=np.uint8)
+    gates = np.ascontiguousarray(gates.T, dtype=np.uint8)
 
     i_on = device.i_on
-    i_cell = device.currents(stored, gates, np.full((B, n), v_drive))
-    alpha = np.full(B, damping)
-    prev_delta = np.full(B, np.inf)
-    residual = np.full(B, np.inf)
-    iters = np.zeros(B, dtype=np.int64)
-    active = np.ones(B, dtype=bool)
+    result = np.empty((n, B))
+    iters = np.full(B, max_iter, dtype=np.int64)
+    residual = np.empty(B)
+    converged = np.zeros(B, dtype=bool)
+    active = np.arange(B)
 
-    v_bl, v_sl = _line_voltages(i_cell, wire, v_drive, topology)
+    i_cell = device.currents(stored, gates, v_drive)
+    v = _cell_voltages(i_cell, wire, v_drive, topology)
+    f = device.currents(stored, gates, v)
+    res = _residual(f, i_cell, i_on)
     for it in range(1, max_iter + 1):
-        v_cell = np.clip(v_bl - v_sl, 0.0, None)
-        i_new = device.currents(stored, gates, v_cell)
-        delta = np.abs(i_new - i_cell).max(axis=1) / i_on
-        residual[active] = delta[active]
-        iters[active] = it
-        worse = active & (delta > prev_delta)
-        alpha[worse] = np.maximum(alpha[worse] * 0.5, damping / 64.0)
-        prev_delta = delta
-        just_done = active & (delta < tol)
-        active &= ~just_done
-        upd = alpha[:, None] * (i_new - i_cell)
-        i_cell = np.where(active[:, None], i_cell + upd, np.where(just_done[:, None], i_new, i_cell))
-        v_bl, v_sl = _line_voltages(i_cell, wire, v_drive, topology)
-        if not active.any():
+        done = res < tol
+        if done.any():
+            cols = active[done]
+            result[:, cols] = f[:, done]
+            residual[cols] = res[done]
+            iters[cols] = it
+            converged[cols] = True
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            i_cell, v, f, res = i_cell[:, keep], v[:, keep], f[:, keep], res[keep]
+            stored, gates = stored[:, keep], gates[:, keep]
+        if it == max_iter:
             break
+        # each (n, B) array is dropped once spent: wide batches are memory-bound
+        g = device.conductances(stored, gates, v)
+        g[v < 0] = 0.0
+        f -= g * v  # f now holds c of the linearization i = g*v + c
+        del v
+        step = _ladder_sweep(g, f, wire, v_drive, topology)
+        del g, f
+        step -= i_cell
+        i_cell, v, f, res = _newton_trial(
+            i_cell, step, res, stored, gates, device, wire, v_drive, topology
+        )
+        del step
+    if active.size:
+        result[:, active] = f
+        residual[active] = res
 
+    v_bl, v_sl = _line_voltages(result, wire, v_drive, topology)
+    i_cell = np.ascontiguousarray(result.T)
     return FastBatchResult(
         i_out=i_cell.sum(axis=1),
-        v_bl=v_bl,
-        v_sl=v_sl,
+        v_bl=v_bl.T,
+        v_sl=v_sl.T,
         i_cell=i_cell,
         iterations=iters,
-        converged=~active,
+        converged=converged,
         residual=residual,
     )
 
@@ -214,7 +380,6 @@ def solve_column_fast(
     p: ColumnProblem,
     tol: float = 1e-6,
     max_iter: int = 200,
-    damping: float = 0.5,
 ) -> ColumnSolveResult:
     """Single-column wrapper around :func:`solve_columns_fast`."""
     batch = solve_columns_fast(
@@ -226,7 +391,6 @@ def solve_column_fast(
         p.topology,
         tol=tol,
         max_iter=max_iter,
-        damping=damping,
     )
     return batch[0]
 
@@ -397,11 +561,9 @@ def solve_column_linear_ladder(
 ):
     """Closed-form solve for linear (ohmic) cells, i_k = g_k * v_k.
 
-    Propagates the affine state (v_bl, v_sl, downstream BL current) as an
-    exact linear function of the two scalar unknowns (total current I and
-    v_sl at row 0), then closes the system with the two boundary
-    conditions.  No iteration, no large linear solve.  Returns
-    (i_out, v_bl, v_sl, i_cell).
+    One pass of the O(n) ladder sweep that every Newton step of
+    :func:`solve_columns_fast` takes; no iteration, no large linear solve.
+    Returns (i_out, v_bl, v_sl, i_cell).
     """
     g = np.asarray(g_cell, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
@@ -410,47 +572,7 @@ def solve_column_linear_ladder(
         raise DomainError("cell conductances must be >= 0")
     if topology not in TOPOLOGIES:
         raise DomainError(f"topology must be one of {TOPOLOGIES}")
-    n = len(g)
-    r_bl, r_sl, r_drv = wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver
-
-    # state rows: affine coefficients (cI, cV, const) for v_bl(k), v_sl(k), S_k
-    # with unknowns z = (I_total, v_sl(0)); S_k = BL current flowing k -> k+1
-    vb = np.array([-(r_drv + r_bl), 0.0, v_drive])
-    vs = np.array([0.0, 1.0, 0.0])
-    I = np.array([1.0, 0.0, 0.0])
-    S = I - g[0] * (vb - vs)
-    vb_hist = [vb]
-    vs_hist = [vs]
-    S_hist = [S]
-    for k in range(n - 1):
-        vb = vb - r_bl * S
-        if topology == "opposite":
-            vs = vs - r_sl * (I - S)
-        else:
-            vs = vs + r_sl * S
-        S = S - g[k + 1] * (vb - vs)
-        vb_hist.append(vb)
-        vs_hist.append(vs)
-        S_hist.append(S)
-
-    # boundary conditions: no BL current past the last row, and the sense-pad
-    # exit segment carries the full current at 0 V pad potential
-    eq1 = S_hist[-1]
-    if topology == "opposite":
-        eq2 = vs_hist[-1] - r_sl * I
-    else:
-        eq2 = vs_hist[0] - r_sl * I
-    A = np.array([[eq1[0], eq1[1]], [eq2[0], eq2[1]]])
-    rhs = -np.array([eq1[2], eq2[2]])
-    try:
-        z = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("degenerate linear ladder") from exc
-
-    def ev(row):
-        return row[0] * z[0] + row[1] * z[1] + row[2]
-
-    v_bl = np.array([ev(r) for r in vb_hist])
-    v_sl = np.array([ev(r) for r in vs_hist])
-    i_cell = g * (v_bl - v_sl)
-    return float(i_cell.sum()), v_bl, v_sl, i_cell
+    g = g[:, None]
+    i_cell = _ladder_sweep(g, np.zeros_like(g), wire, v_drive, topology)
+    v_bl, v_sl = _line_voltages(i_cell, wire, v_drive, topology)
+    return float(i_cell.sum()), v_bl[:, 0], v_sl[:, 0], i_cell[:, 0]

@@ -264,6 +264,7 @@ class TestInference:
                            best_effort=True, solver_max_iter=4000)
         res = Engine(cfg).infer(layers, X.astype(np.float64), labels)
         assert res.accuracy < 0.5  # ~chance on 4 classes
+        assert res.stats.nonconverged == 0  # the stiff corner converges
 
     def test_histogram_collection(self, rng):
         layers, X, labels, _ = self._toy(rng, B=20)

@@ -5,6 +5,7 @@ from binsparx.devices import DeviceModel, WireModel
 from binsparx.errors import DomainError, ShapeError
 from binsparx.solver import (
     ColumnProblem,
+    _cumsum_rows,
     ideal_column_current,
     solve_column_dense,
     solve_column_fast,
@@ -15,6 +16,7 @@ from binsparx.solver import (
 from conftest import nodal_reference_linear
 
 V = 0.7
+EXTREME = WireModel(1e5, 1e5, 1e6, 0.0)
 
 
 def _problem(stored, gates, device=None, wire=None, topology="opposite"):
@@ -114,18 +116,44 @@ class TestLinearLadder:
 
     @pytest.mark.parametrize("topology", ["opposite", "same"])
     def test_against_independent_nodal_solve(self, rng, topology):
-        wire = WireModel(40.0, 40.0, 1000.0, 1000.0)
-        for n in (2, 5, 64):
-            g = np.where(rng.integers(0, 2, n) > 0, 1e-6 / V, 0.0)
-            if g.sum() == 0:
-                g[0] = 1e-6 / V
-            i_cf, vb_cf, vs_cf, _ = solve_column_linear_ladder(g, wire, V, topology)
-            i_ref, vb_ref, vs_ref = nodal_reference_linear(
-                g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V, topology
-            )
-            assert i_cf == pytest.approx(i_ref, rel=1e-11)
-            assert np.abs(vb_cf - vb_ref).max() < 1e-12
-            assert np.abs(vs_cf - vs_ref).max() < 1e-12
+        for wire in (WireModel(40.0, 40.0, 1000.0, 1000.0), EXTREME):
+            for n in (2, 5, 64):
+                g = np.where(rng.integers(0, 2, n) > 0, 1e-6 / V, 0.0)
+                if g.sum() == 0:
+                    g[0] = 1e-6 / V
+                i_cf, vb_cf, vs_cf, _ = solve_column_linear_ladder(g, wire, V, topology)
+                i_ref, vb_ref, vs_ref = nodal_reference_linear(
+                    g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V, topology
+                )
+                assert i_cf == pytest.approx(i_ref, rel=1e-11)
+                assert np.abs(vb_cf - vb_ref).max() < 1e-12
+                assert np.abs(vs_cf - vs_ref).max() < 1e-12
+
+    @pytest.mark.parametrize("topology", ["opposite", "same"])
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            WireModel(0.0, 0.0, 0.0, 0.0),
+            WireModel(20.0, 0.0, 0.0, 0.0),
+            WireModel(0.0, 30.0, 1000.0, 0.0),
+            WireModel(0.0, 0.0, 1000.0, 0.0),
+            WireModel(40.0, 40.0, 0.0, 0.0),
+        ],
+        ids=lambda w: f"{w.r_bl_per_cell:g}-{w.r_sl_per_cell:g}-{w.r_driver:g}",
+    )
+    def test_zero_resistance_against_dense(self, rng, topology, wire):
+        # the conftest oracle divides by every resistance; the dense solver
+        # collapses zero-resistance segments exactly instead
+        dev = _clean_device(curve="linear")
+        stored = rng.integers(0, 2, 64)
+        gates = rng.integers(0, 2, 64)
+        g = np.where((stored > 0) & (gates > 0), dev.i_on / V, 0.0)
+        i_cf, vb_cf, vs_cf, _ = solve_column_linear_ladder(g, wire, V, topology)
+        res = solve_column_dense(_problem(stored, gates, dev, wire, topology), tol=1e-10)
+        assert res.converged
+        assert i_cf == pytest.approx(res.i_out, rel=1e-9)
+        assert np.abs(vb_cf - res.v_bl).max() < 1e-9
+        assert np.abs(vs_cf - res.v_sl).max() < 1e-9
 
     def test_dense_solver_matches_closed_form(self, rng):
         dev = _clean_device(curve="linear")
@@ -184,6 +212,44 @@ class TestResultInvariants:
             assert batch.i_out[b] == pytest.approx(single.i_out, rel=1e-12)
         assert batch.converged.all()
 
+    @pytest.mark.parametrize("width", [1, 255, 256, 700])
+    def test_row_sums_equal_numpy_cumsum(self, rng, width):
+        a = rng.random((64, width)) * 1e-6
+        assert np.array_equal(_cumsum_rows(a), np.cumsum(a, axis=0))
+        assert np.array_equal(_cumsum_rows(a, reverse=True), np.cumsum(a[::-1], axis=0)[::-1])
+
+    @pytest.mark.parametrize("topology", ["opposite", "same"])
+    @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME], ids=["M4", "extreme"])
+    def test_column_alone_equals_column_in_batch(self, rng, wire, topology):
+        # bit for bit: no column's answer may depend on its batch neighbours
+        stored = rng.integers(0, 2, (300, 64))
+        gates = rng.integers(0, 2, (300, 64))
+        dev = DeviceModel.sram8t()
+        batch = solve_columns_fast(stored, gates, dev, wire, V, topology, max_iter=4000)
+        assert batch.converged.all()
+        for b in (0, 1, 137, 299):
+            alone = solve_columns_fast(stored[b], gates[b], dev, wire, V, topology, max_iter=4000)
+            assert alone.i_out[0] == batch.i_out[b]
+            assert alone.iterations[0] == batch.iterations[b]
+
+    @pytest.mark.parametrize("topology", ["opposite", "same"])
+    def test_extreme_wire_converges(self, rng, topology):
+        dev = DeviceModel.sram8t()
+        xs = np.arange(0, 65, 4)
+        # x coincident ON cells; the other rows draw from the three non-ON pairs
+        on = np.argsort(rng.random((xs.size, 64)), axis=1) < xs[:, None]
+        combo = rng.integers(0, 3, (xs.size, 64))
+        stored = np.where(on | (combo == 2), 1, 0)
+        gates = np.where(on | (combo == 1), 1, 0)
+        res = solve_columns_fast(stored, gates, dev, EXTREME, V, topology, max_iter=50)
+        assert res.converged.all(), res.iterations
+        for b in range(xs.size):
+            ref = solve_column_dense(_problem(stored[b], gates[b], dev, EXTREME, topology),
+                                     tol=1e-9, max_iter=200)
+            assert ref.converged
+            denom = max(ref.i_out, dev.i_off * 64)
+            assert abs(res.i_out[b] - ref.i_out) / denom < 0.005
+
     def test_gate_broadcast(self, rng):
         stored = rng.integers(0, 2, (6, 16))
         gates = rng.integers(0, 2, 16)
@@ -220,4 +286,5 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             solve_column_fast(p, tol=0.0)
         with pytest.raises(DomainError):
-            solve_column_fast(p, damping=1.5)
+            solve_columns_fast(np.ones(4), np.ones(4), DeviceModel.sram8t(),
+                               WireModel.preset("M3"), V, topology="diagonal")
