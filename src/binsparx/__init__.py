@@ -18,11 +18,7 @@ from .analysis import (
 from .bnn import (
     BinaryTensor,
     MappedTensor,
-    MultiBitPlan,
-    TilePlan,
     TiledWeights,
-    WeightTile,
-    multibit_partial_sums,
     nandnet_dot,
     tile_weights,
     to_mapped,
@@ -44,12 +40,9 @@ from .engine import (
     FoldedThreshold,
     InferenceResult,
     LayerSpec,
-    PreparedWeights,
     RunStats,
     fold_batchnorm,
     im2col,
-    infer,
-    vmm,
 )
 from .errors import (
     BinsparxError,
@@ -63,7 +56,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .readout import AdcModel, DummyColumnConfig, adc_quantize, dummy_compensate
+from .readout import AdcModel, DummyColumnConfig, dummy_compensate
 from .solver import (
     ColumnProblem,
     ColumnSolveResult,
@@ -75,14 +68,10 @@ from .solver import (
     solve_columns_fast,
 )
 from .sparsify import (
-    SparseActivation,
-    SparseXbarTile,
     adc_bits_required,
-    dense_tile,
-    postprocess_column,
-    sparsify_activation,
+    postprocess,
+    sparsify_activations,
     sparsify_tile,
-    sparsify_weight_column,
 )
 
 __version__ = "0.1.0"

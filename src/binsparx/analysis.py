@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnn import TilePlan
 from .devices import DeviceModel, WireModel
 from .engine import Engine, RunStats
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 from .readout import dummy_compensate
 from .solver import (
     ColumnProblem,
@@ -220,8 +219,9 @@ def cost_report(engine: Engine, rows: int | None = None, cols: int | None = None
     n, m = cfg.n, cfg.m
     rows = n if rows is None else rows
     cols = m if cols is None else cols
-    plan = TilePlan.for_matrix(rows, cols, n, m)
-    rt, ct = plan.row_tiles, plan.col_tiles
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"cost_report: empty {rows}x{cols} matrix")
+    rt, ct = -(-rows // n), -(-cols // m)
     tiles = rt * ct
     bsx = cfg.binsparx
 

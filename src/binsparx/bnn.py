@@ -6,30 +6,31 @@ stores and applies them in the {0,1} domain via v = 2*v' - 1.  The identity
     sum(I * W) = 4*sum(I'*W') - 2*sum(I') - 2*sum(W') + n
 
 turns the signed dot product into an AND-plane count plus integer pre/post
-arithmetic, so a plain AND-capable memory array can compute it.  Everything
-in this module is exact integer math; no floating point is involved.
+arithmetic, so a plain AND-capable memory array can compute it (the
+arithmetic itself is :func:`binsparx.sparsify.postprocess`).  A weight
+matrix goes onto n x m arrays as one :class:`TiledWeights` record: the
+padded mapped matrix reshaped to (row_tiles, n, col_tiles, m) plus
+per-column flip bits and one-counts.  Everything in this module is exact
+integer math; no floating point is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .sparsify import postprocess
 
 __all__ = [
     "BinaryTensor",
     "MappedTensor",
-    "TilePlan",
-    "MultiBitPlan",
-    "WeightTile",
     "TiledWeights",
     "to_mapped",
     "to_signed",
     "nandnet_dot",
     "tile_weights",
-    "multibit_partial_sums",
 ]
 
 
@@ -123,194 +124,66 @@ def nandnet_dot(i_mapped, w_mapped, n: int) -> int:
         raise ShapeError(f"nandnet_dot: lengths ({len(iv)}, {len(wv)}) != n={n}")
     iv = iv.astype(np.int64)
     wv = wv.astype(np.int64)
-    and_sum = int(iv @ wv)
-    return 4 * and_sum - 2 * int(iv.sum()) - 2 * int(wv.sum()) + n
-
-
-@dataclass(frozen=True)
-class TilePlan:
-    """Partition of a weight matrix into n x m crossbar-sized sub-matrices.
-
-    Padding cells (beyond the logical matrix) always store 0 and always see
-    activation 0, so they are exact no-ops in the dot-product accounting.
-    """
-
-    n: int
-    m: int
-    row_tiles: int
-    col_tiles: int
-    pad_value: int = 0  # fixed: padding maps to stored-0 / gate-off
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.row_tiles < 1 or self.col_tiles < 1:
-            raise ShapeError("TilePlan: all dimensions must be >= 1")
-        if self.pad_value != 0:
-            raise DomainError("TilePlan: padding cells must store 0")
-
-    @classmethod
-    def for_matrix(cls, rows: int, cols: int, n: int, m: int) -> "TilePlan":
-        if rows < 1 or cols < 1:
-            raise ShapeError("TilePlan.for_matrix: empty matrix")
-        return cls(n=n, m=m, row_tiles=-(-rows // n), col_tiles=-(-cols // m))
-
-    def covers(self, rows: int, cols: int) -> bool:
-        return self.n * self.row_tiles >= rows and self.m * self.col_tiles >= cols
-
-
-@dataclass(frozen=True, eq=False)
-class WeightTile:
-    """One n x m mapped weight sub-matrix with per-column one-counts.
-
-    ``n_logical``/``m_logical`` give the un-padded extent; rows/columns past
-    them are padding and hold stored 0.  ``sum_wprime`` is precomputed per
-    physical column (padding columns are 0 by construction).
-    """
-
-    mapped: MappedTensor          # (n, m) physical, padding already zeroed
-    sum_wprime: np.ndarray        # (m,) int64
-    n_logical: int
-    m_logical: int
-    row_start: int
-    col_start: int
-
-    @property
-    def n(self) -> int:
-        return self.mapped.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.mapped.shape[1]
+    return int(postprocess(iv @ wv, iv.sum(), False, wv.sum(), False, n))
 
 
 @dataclass(frozen=True, eq=False)
 class TiledWeights:
-    """Grid of :class:`WeightTile` covering one signed weight matrix."""
+    """One signed weight matrix laid out on n x m crossbar tiles.
 
-    plan: TilePlan
+    ``stored`` (row_tiles, n, col_tiles, m) int8 holds the {0,1} cells as
+    deployed; tile (r, c) covers matrix rows r*n.. and columns c*m...
+    Padding cells (past ``rows``/``cols``) store 0 and always see
+    activation 0, so they are exact no-ops in the dot-product accounting.
+    ``column_flip`` (row_tiles, col_tiles, m) bool marks stored columns
+    that are the complement of the mapped matrix over the tile's logical
+    rows (all False: sparsification off), and ``sum_wprime`` (row_tiles,
+    col_tiles, m) int64 is each stored column's one-count.  The arrays
+    must not be mutated.
+    """
+
     rows: int
     cols: int
-    tiles: tuple  # tuple of tuples, [row_tile][col_tile]
+    stored: np.ndarray
+    column_flip: np.ndarray
+    sum_wprime: np.ndarray
+
+    @property
+    def n_logical(self) -> np.ndarray:
+        """Un-padded rows of each row tile, (row_tiles,) int64."""
+        row_tiles, n = self.stored.shape[:2]
+        return np.minimum(n, self.rows - n * np.arange(row_tiles, dtype=np.int64))
 
     def untile(self) -> BinaryTensor:
-        """Reassemble the original signed matrix (padding removed)."""
-        out = np.empty((self.rows, self.cols), dtype=np.int8)
-        for tr in self.tiles:
-            for t in tr:
-                block = t.mapped.values[: t.n_logical, : t.m_logical]
-                out[
-                    t.row_start : t.row_start + t.n_logical,
-                    t.col_start : t.col_start + t.m_logical,
-                ] = 2 * block.astype(np.int8) - 1
-        return BinaryTensor(out)
+        """Reassemble the original signed matrix (flips undone, padding removed)."""
+        row_tiles, n, col_tiles, m = self.stored.shape
+        signed = 2 * self.stored.astype(np.int8) - 1
+        signed = np.where(self.column_flip[:, None, :, :], -signed, signed)
+        signed = signed.reshape(row_tiles * n, col_tiles * m)
+        return BinaryTensor(signed[: self.rows, : self.cols])
 
 
-def tile_weights(w: BinaryTensor, plan: TilePlan) -> TiledWeights:
-    """Split a signed weight matrix into mapped n x m tiles per ``plan``.
+def tile_weights(w, n: int, m: int) -> TiledWeights:
+    """Map a signed (rows, cols) weight matrix onto n x m tiles, unflipped.
 
-    Each tile carries its per-column one-count; padded cells store 0 and
-    contribute nothing to any sum.  Raises ShapeError when the plan does
-    not cover the matrix.
+    The mapped matrix is zero-padded to whole tiles and reshaped, so padded
+    cells store 0 and contribute nothing to any sum.
     """
     if not isinstance(w, BinaryTensor):
         w = BinaryTensor(w)
     if w.ndim != 2:
         raise ShapeError("tile_weights expects a 2-D weight matrix")
     rows, cols = w.shape
-    if not plan.covers(rows, cols):
-        raise ShapeError(
-            f"TilePlan {plan.row_tiles}x{plan.col_tiles} of {plan.n}x{plan.m} "
-            f"does not cover a {rows}x{cols} matrix"
-        )
-    mapped = to_mapped(w).values
-    grid = []
-    for tr in range(plan.row_tiles):
-        r0 = tr * plan.n
-        row = []
-        for tc in range(plan.col_tiles):
-            c0 = tc * plan.m
-            nl = max(0, min(plan.n, rows - r0))
-            ml = max(0, min(plan.m, cols - c0))
-            block = np.zeros((plan.n, plan.m), dtype=np.int8)
-            if nl and ml:
-                block[:nl, :ml] = mapped[r0 : r0 + nl, c0 : c0 + ml]
-            row.append(
-                WeightTile(
-                    mapped=MappedTensor(block),
-                    sum_wprime=block.sum(axis=0, dtype=np.int64),
-                    n_logical=nl,
-                    m_logical=ml,
-                    row_start=r0,
-                    col_start=c0,
-                )
-            )
-        grid.append(tuple(row))
-    return TiledWeights(plan=plan, rows=rows, cols=cols, tiles=tuple(grid))
-
-
-@dataclass(frozen=True)
-class MultiBitPlan:
-    """Bit-plane mapping for multi-bit profiling.
-
-    Weights are stored as two's-complement bit planes (one binary cell per
-    bit); non-negative activations are bit-streamed one bit per cycle.
-    Used only for ideal partial-sum profiling; there is no circuit path.
-    """
-
-    weight_bits: int
-    activation_bits: int
-
-    def __post_init__(self):
-        if self.weight_bits < 2:
-            raise DomainError("MultiBitPlan: weight_bits must be >= 2")
-        if self.activation_bits < 1:
-            raise DomainError("MultiBitPlan: activation_bits must be >= 1")
-
-
-def multibit_partial_sums(
-    weights, activations, plan: MultiBitPlan, tile_n: int
-) -> np.ndarray:
-    """Ideal AND-plane partial sums for a multi-bit layer, per bit cycle.
-
-    ``weights``: (R, C) integers within the two's-complement range of
-    ``plan.weight_bits``.  ``activations``: (B, R) or (R,) non-negative
-    integers below 2**activation_bits.  Weight bit j of logical column c
-    occupies physical column c*weight_bits + j (LSB first); activation bit
-    b is applied on cycle b.  Returns an int64 array of shape
-    (B, row_tiles, activation_bits, C * weight_bits).  Rows are tiled in
-    chunks of ``tile_n`` with zero padding.
-    """
-    w = _int_array(weights, "weights")
-    a = _int_array(activations, "activations")
-    if w.ndim != 2:
-        raise ShapeError("multibit_partial_sums: weights must be 2-D")
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.ndim != 2 or a.shape[1] != w.shape[0]:
-        raise ShapeError("multibit_partial_sums: activation length != weight rows")
-    wb, ab = plan.weight_bits, plan.activation_bits
-    lo, hi = -(1 << (wb - 1)), (1 << (wb - 1)) - 1
-    if w.size and (w.min() < lo or w.max() > hi):
-        raise DomainError(f"weights outside two's-complement range [{lo}, {hi}]")
-    if a.size and (a.min() < 0 or a.max() >= (1 << ab)):
-        raise DomainError(f"activations outside [0, {(1 << ab) - 1}]")
-
-    R, C = w.shape
-    B = a.shape[0]
-    row_tiles = -(-R // tile_n)
-    # two's-complement bit planes, LSB first
-    wu = (w.astype(np.int64) & ((1 << wb) - 1)).astype(np.uint64)
-    wbits = np.zeros((R, C * wb), dtype=np.int64)
-    for j in range(wb):
-        wbits[:, j::wb] = ((wu >> np.uint64(j)) & np.uint64(1)).astype(np.int64)
-    abits = np.zeros((ab, B, R), dtype=np.int64)
-    au = a.astype(np.uint64)
-    for b in range(ab):
-        abits[b] = ((au >> np.uint64(b)) & np.uint64(1)).astype(np.int64)
-
-    out = np.zeros((B, row_tiles, ab, C * wb), dtype=np.int64)
-    for t in range(row_tiles):
-        rs = slice(t * tile_n, min((t + 1) * tile_n, R))
-        wt = wbits[rs]  # (rows, C*wb)
-        for b in range(ab):
-            out[:, t, b, :] = abits[b][:, rs] @ wt
-    return out
+    if rows < 1 or cols < 1 or n < 1 or m < 1:
+        raise ShapeError(f"tile_weights: cannot tile a {rows}x{cols} matrix on {n}x{m} arrays")
+    row_tiles, col_tiles = -(-rows // n), -(-cols // m)
+    padded = np.zeros((row_tiles * n, col_tiles * m), dtype=np.int8)
+    padded[:rows, :cols] = (w.values + 1) // 2  # to_mapped, minus re-validation
+    stored = padded.reshape(row_tiles, n, col_tiles, m)
+    return TiledWeights(
+        rows=rows,
+        cols=cols,
+        stored=stored,
+        column_flip=np.zeros((row_tiles, col_tiles, m), dtype=bool),
+        sum_wprime=stored.sum(axis=1, dtype=np.int64),
+    )

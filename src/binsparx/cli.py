@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, modelio
-from .bnn import BinaryTensor, TilePlan, tile_weights
 from .config import build_engine_config, describe_defaults, load_run_config
 from .engine import Engine, RunStats
 from .errors import (
@@ -33,7 +32,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .sparsify import sparsify_tile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,86 +232,72 @@ def cmd_sparsify(args) -> int:
     engine = Engine(ideal_cfg)
     rng = np.random.default_rng(cfg["run"]["seed"])
     n = cfg["array"]["n"]
+    matrices = [(layer.name, layer.matrix()) for layer in layers
+                if layer.kind in ("dense", "conv")]
+    prepared = [engine.prepare(w2d) for _, w2d in matrices]
 
     # exactness probe before anything is written
-    for layer in layers:
-        if layer.kind == "dense":
-            w2d = layer.weights.values
-        elif layer.kind == "conv":
-            cout = layer.weights.shape[0]
-            w2d = layer.weights.values.reshape(cout, -1).T
-        else:
-            continue
+    for (name, w2d), tiles in zip(matrices, prepared):
         probes = rng.choice([-1, 1], size=(8, w2d.shape[0])).astype(np.int8)
-        got = engine.vmm_batch(engine.prepare(w2d), probes)
+        got = engine.vmm_batch(tiles, probes)
         want = probes.astype(np.int64) @ w2d.astype(np.int64)
         if not np.array_equal(got, want):
             raise ValidationError(
-                f"sparsified mapping of layer {layer.name!r} failed the exactness probe"
+                f"sparsified mapping of layer {name!r} failed the exactness probe"
             )
 
     map_dir = out / "mapping"
     map_dir.mkdir(parents=True, exist_ok=True)
     report_layers = []
     map_layers = []
-    for layer in layers:
-        if layer.kind == "dense":
-            w2d = layer.weights.values
-        elif layer.kind == "conv":
-            w2d = layer.weights.values.reshape(layer.weights.shape[0], -1).T
-        else:
-            continue
-        rows, cols = w2d.shape
-        plan = TilePlan.for_matrix(rows, cols, n, cfg["array"]["m"])
-        tiled = tile_weights(BinaryTensor(w2d), plan)
-        flipped = 0
-        ones_before = []
-        ones_after = []
+    for (name, _), tiles in zip(matrices, prepared):
+        rows, cols = tiles.rows, tiles.cols
+        row_tiles, _, col_tiles, m = tiles.stored.shape
+        n_logical = tiles.n_logical
         tile_entries = []
-        for tr in tiled.tiles:
-            for tile in tr:
-                sp = sparsify_tile(tile)
-                ml = sp.m_logical
-                flipped += int(sp.column_flip[:ml].sum())
-                ones_before.append(tile.sum_wprime[:ml])
-                ones_after.append(sp.sum_wprime[:ml])
-                stem = f"{layer.name}__r{tile.row_start}_c{tile.col_start}"
+        for r in range(row_tiles):
+            for c in range(col_tiles):
+                ml = min(m, cols - c * m)
+                stem = f"{name}__r{r * n}_c{c * m}"
                 (map_dir / f"{stem}.bin").write_bytes(
-                    sp.mapped_weights.values.astype("<i1").tobytes(order="C")
+                    tiles.stored[r, :, c, :].astype("<i1").tobytes(order="C")
                 )
                 (map_dir / f"{stem}_flip.bin").write_bytes(
-                    sp.column_flip.astype("<u1").tobytes(order="C")
+                    tiles.column_flip[r, c].astype("<u1").tobytes(order="C")
                 )
                 tile_entries.append(
                     {
-                        "row_start": tile.row_start,
-                        "col_start": tile.col_start,
-                        "n_logical": sp.n,
+                        "row_start": r * n,
+                        "col_start": c * m,
+                        "n_logical": int(n_logical[r]),
                         "m_logical": ml,
                         "file": f"mapping/{stem}.bin",
                         "flip_file": f"mapping/{stem}_flip.bin",
-                        "sum_wprime": sp.sum_wprime[:ml].tolist(),
+                        "sum_wprime": tiles.sum_wprime[r, c, :ml].tolist(),
                     }
                 )
-        total_cols = sum(len(a) for a in ones_before)
-        before = float(np.concatenate(ones_before).mean()) if total_cols else 0.0
-        after = float(np.concatenate(ones_after).mean()) if total_cols else 0.0
+        # per row tile, the logical columns of every column tile
+        flips = tiles.column_flip.reshape(row_tiles, -1)[:, :cols]
+        ones_after = tiles.sum_wprime.reshape(row_tiles, -1)[:, :cols]
+        ones_before = np.where(flips, n_logical[:, None] - ones_after, ones_after)
+        total_cols = flips.size
+        flipped = int(flips.sum())
         is_pow2 = n >= 2 and (n & (n - 1)) == 0
         report_layers.append(
             {
-                "name": layer.name,
+                "name": name,
                 "columns": total_cols,
                 "columns_flipped": flipped,
-                "flip_fraction": flipped / total_cols if total_cols else 0.0,
-                "mean_column_ones_before": before,
-                "mean_column_ones_after": after,
+                "flip_fraction": flipped / total_cols,
+                "mean_column_ones_before": float(ones_before.mean()),
+                "mean_column_ones_after": float(ones_after.mean()),
                 "adc_bits_before": n.bit_length() - 1 if is_pow2 else None,
                 "adc_bits_after": n.bit_length() - 2 if is_pow2 else None,
             }
         )
         map_layers.append(
-            {"name": layer.name, "rows": rows, "cols": cols,
-             "n": n, "m": cfg["array"]["m"], "tiles": tile_entries}
+            {"name": name, "rows": rows, "cols": cols,
+             "n": n, "m": m, "tiles": tile_entries}
         )
 
     echo = _echo(cfg, "sparsify")

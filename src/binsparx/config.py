@@ -76,7 +76,6 @@ SCHEMA = {
         "output_dir": ("str", "out", "artifact directory"),
         "nonidealities": ("bool", True, "electrical solve on/off"),
         "best_effort": ("bool", False, "keep going past non-convergent columns"),
-        "workers": ("int", 1, "parallelism degree (results are order-independent)"),
         "binarize_threshold": ("float", 0.0, "feature > threshold maps to +1"),
     },
 }
@@ -250,7 +249,6 @@ def build_engine_config(cfg: dict) -> EngineConfig:
         topology=cfg["solver"]["topology"],
         seed=cfg["run"]["seed"],
         best_effort=cfg["run"]["best_effort"],
-        workers=cfg["run"]["workers"],
     )
 
 

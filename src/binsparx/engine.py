@@ -1,17 +1,27 @@
 """End-to-end vector-matrix-multiply engine and desk-scale BNN inference.
 
-The engine tiles a signed weight matrix onto n x m arrays, optionally
-applies static column sparsification, and evaluates activations per tile:
-dynamic activation flip, per-column electrical solve (or an exact ON-cell
-count on the ideal path), optional dummy-column compensation, ADC
-quantization, sign-corrected dot-product recovery, and exact integer
-accumulation across row tiles.  Cross-tile accumulation is digital, so
-only intra-column analog effects are non-ideal.
+:meth:`Engine.prepare` lays a signed weight matrix out on n x m arrays as
+one :class:`~binsparx.bnn.TiledWeights` record, column-flipped when BinSparX
+is on.  :meth:`Engine.vmm_batch` then works one row tile at a time: the
+dynamic activation flip, per column tile an exact ON-cell count (ideal
+path) or a per-column electrical solve with optional dummy-column
+compensation and ADC quantization, and the sign-corrected dot-product
+recovery.  Partial sums add up across row tiles as exact integers, so only
+intra-column analog effects are non-ideal.
 
-With non-idealities off and an ADC wide enough never to saturate, the
-engine output is bit-exact against the plain signed VMM for every
-sparsification setting - that equivalence is the contract everything else
-here leans on.
+Exactness contract, with non-idealities off, for every tile geometry:
+
+* ``adc_bits="full"`` (ceil(log2(n+1)) bits never saturate): the output is
+  bit-exact against the plain signed VMM, BinSparX on or off.
+* ``adc_bits="auto"``: bit-exact except where a row tile's AND count
+  reaches the one value the ADC cannot represent - n/2 with BinSparX
+  (log2(n) - 1 bits; a balanced column meeting the complementary balanced
+  activation) and n without it (log2(n) bits).  Each such count clamps to
+  one level less, is counted in ``RunStats.clamp_events`` and moves that
+  output by exactly 4 (+4 with BinSparX, -4 without).
+
+With non-idealities on, the count is the ADC reading of the solved column
+current, which IR drop, leakage and nonlinearity can move off the ideal.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bnn import BinaryTensor, TilePlan, tile_weights
+from .bnn import BinaryTensor, TiledWeights, tile_weights
 from .devices import DeviceModel, WireModel
 from .errors import (
     BinsparxError,
@@ -33,20 +43,17 @@ from .errors import (
 )
 from .readout import AdcModel, DummyColumnConfig, dummy_compensate
 from .solver import ColumnProblem, solve_column_dense, solve_columns_fast
-from .sparsify import adc_bits_required, dense_tile, sparsify_tile
+from .sparsify import adc_bits_required, postprocess, sparsify_activations, sparsify_tile
 
 __all__ = [
     "EngineConfig",
     "Engine",
-    "PreparedWeights",
     "LayerSpec",
     "FoldedThreshold",
     "RunStats",
     "InferenceResult",
     "fold_batchnorm",
     "im2col",
-    "vmm",
-    "infer",
 ]
 
 # cap on elements per electrical batch; keeps memory modest on big runs
@@ -76,15 +83,12 @@ class EngineConfig:
     topology: str = "opposite"
     seed: int = 0
     best_effort: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError("EngineConfig: tile geometry must be >= 1")
         if self.solver not in ("fast", "dense"):
             raise ConfigError(f"EngineConfig: solver must be fast|dense, got {self.solver!r}")
-        if self.workers < 1:
-            raise ConfigError("EngineConfig: workers must be >= 1")
 
     def resolved_adc(self) -> AdcModel:
         if self.adc_bits == "auto":
@@ -116,17 +120,6 @@ class EngineConfig:
 
     def resolved_v_drive(self) -> float:
         return self.device.v_nominal if self.v_drive == "auto" else float(self.v_drive)
-
-
-@dataclass(frozen=True, eq=False)
-class PreparedWeights:
-    """A weight matrix tiled (and possibly column-sparsified) for the engine."""
-
-    rows: int
-    cols: int
-    plan: TilePlan
-    tiles: tuple  # [row_tile][col_tile] of SparseXbarTile
-    binsparx: bool
 
 
 class RunStats:
@@ -192,20 +185,10 @@ class Engine:
 
     # -- weight preparation ------------------------------------------------
 
-    def prepare(self, w) -> PreparedWeights:
-        """Tile a signed weight matrix; sparsify columns when enabled."""
-        if not isinstance(w, BinaryTensor):
-            w = BinaryTensor(w)
-        if w.ndim != 2:
-            raise ShapeError("prepare expects a 2-D weight matrix")
-        rows, cols = w.shape
-        plan = TilePlan.for_matrix(rows, cols, self.config.n, self.config.m)
-        tiled = tile_weights(w, plan)
-        conv = sparsify_tile if self.config.binsparx else dense_tile
-        grid = tuple(tuple(conv(t) for t in tr) for tr in tiled.tiles)
-        return PreparedWeights(
-            rows=rows, cols=cols, plan=plan, tiles=grid, binsparx=self.config.binsparx
-        )
+    def prepare(self, w) -> TiledWeights:
+        """Tile a signed (rows, cols) weight matrix; flip columns when BinSparX is on."""
+        tiles = tile_weights(w, self.config.n, self.config.m)
+        return sparsify_tile(tiles) if self.config.binsparx else tiles
 
     # -- electrical helpers --------------------------------------------------
 
@@ -237,17 +220,16 @@ class Engine:
 
     def _digitize_tile(
         self,
-        stored: np.ndarray,     # (n_phys, m_phys) int8
-        gates: np.ndarray,      # (B, n_phys) int8, post-flip, padding zeroed
-        ml: int,
+        stored: np.ndarray,     # (n_phys, ml) int8, the tile's logical columns
+        gates: np.ndarray,      # (B, n_phys) int8, contiguous, post-flip, padding zeroed
         stats: RunStats | None,
         layer: str,
     ) -> np.ndarray:
         """Solve + compensate + quantize one tile for B inputs -> (B, ml) levels."""
         B = gates.shape[0]
-        n_phys, m_phys = stored.shape
+        n_phys, ml = stored.shape
         levels = np.empty((B, ml), dtype=np.int64)
-        stored_cols = np.ascontiguousarray(stored[:, :ml].T)  # (ml, n)
+        stored_cols = np.ascontiguousarray(stored.T)  # (ml, n)
         chunk = max(1, _MAX_BATCH_ELEMS // max(1, ml * n_phys))
         nonconv = 0
         clamps = 0
@@ -291,7 +273,7 @@ class Engine:
 
     def vmm_batch(
         self,
-        prepared: PreparedWeights,
+        prepared: TiledWeights,
         activations: np.ndarray,
         stats: RunStats | None = None,
         layer: str = "vmm",
@@ -306,66 +288,49 @@ class Engine:
             raise DomainError("activations must be in {-1,+1}")
         cfg = self.config
         B = acts.shape[0]
-        out = np.zeros((B, prepared.cols), dtype=np.int64)
-        mapped_full = ((acts.astype(np.int16) + 1) // 2).astype(np.int8)
+        row_tiles, n, _, m = prepared.stored.shape
+        cols = prepared.cols
+        n_logical = prepared.n_logical
+        mapped = np.zeros((B, row_tiles * n), dtype=np.int8)
+        mapped[:, : prepared.rows] = (acts + 1) // 2
+        gates, sum_i, a_flip = sparsify_activations(
+            mapped.reshape(B, row_tiles, n), n_logical, cfg.binsparx
+        )
+        # per row tile, every column tile side by side: index = output column
+        sum_wprime = prepared.sum_wprime.reshape(row_tiles, -1)[:, :cols]
+        w_flip = prepared.column_flip.reshape(row_tiles, -1)[:, :cols]
+        out = np.zeros((B, cols), dtype=np.int64)
 
-        for tile_row in prepared.tiles:
-            nl = tile_row[0].n
-            if nl == 0:
-                continue
-            r0 = tile_row[0].row_start
-            sub = mapped_full[:, r0 : r0 + nl].astype(np.int64)  # (B, nl)
-            s = sub.sum(axis=1)
-            if prepared.binsparx:
-                aflip = (2 * s) > nl
-                applied = np.where(aflip[:, None], 1 - sub, sub)
-                report = np.where(aflip, nl - s, s)
+        for r, nl in enumerate(n_logical):
+            g = np.ascontiguousarray(gates[:, r])  # (B, n)
+            stored = prepared.stored[r].reshape(n, -1)[:, :cols]
+            ideal = g.astype(np.int64) @ stored.astype(np.int64)  # (B, cols)
+            if cfg.binsparx:
+                cap = (nl + 1) // 2
+                if ideal.size and int(ideal.max()) > cap:
+                    raise BinsparxError(f"internal: ideal column sum exceeds the {cap} cap")
+            if stats is not None:
+                stats.add_ideal(layer, ideal)
+            if cfg.nonidealities:
+                raw = np.empty_like(ideal)
+                for c0 in range(0, cols, m):
+                    tile = slice(c0, min(cols, c0 + m))
+                    raw[:, tile] = self._digitize_tile(stored[:, tile], g, stats, layer)
             else:
-                aflip = np.zeros(B, dtype=bool)
-                applied = sub
-                report = s
-            n_phys = tile_row[0].n_physical
-            gates = np.zeros((B, n_phys), dtype=np.int8)
-            gates[:, :nl] = applied
-
-            for tile in tile_row:
-                ml = tile.m_logical
-                if ml == 0:
-                    continue
-                stored = tile.mapped_weights.values
-                ideal = gates.astype(np.int64) @ stored.astype(np.int64)  # (B, m_phys)
-                if prepared.binsparx:
-                    cap = (nl + 1) // 2
-                    if ideal[:, :ml].size and int(ideal[:, :ml].max()) > cap:
-                        raise BinsparxError(
-                            f"internal: ideal column sum exceeds the {cap} cap"
-                        )
+                # parasitic-free: the ADC sees exactly "count" quanta, so
+                # digitization reduces to integer saturation
+                raw = np.minimum(ideal, self.adc.levels - 1)
                 if stats is not None:
-                    stats.add_ideal(layer, ideal[:, :ml])
-                if cfg.nonidealities:
-                    raw = self._digitize_tile(stored, gates, ml, stats, layer)
-                    if stats is not None:
-                        stats.add_deviation(layer, np.abs(raw - ideal[:, :ml]))
-                else:
-                    # parasitic-free: the ADC sees exactly "count" quanta, so
-                    # digitization reduces to integer saturation
-                    raw = np.minimum(ideal[:, :ml], self.adc.levels - 1)
-                    if stats is not None:
-                        stats.clamp_events += int((ideal[:, :ml] > self.adc.levels - 1).sum())
-                        stats.add_deviation(layer, np.abs(raw - ideal[:, :ml]))
-                v = (
-                    4 * raw
-                    - 2 * report[:, None]
-                    - 2 * tile.sum_wprime[None, :ml]
-                    + nl
-                )
-                flips = aflip[:, None] ^ (tile.column_flip[None, :ml] > 0)
-                out[:, tile.col_start : tile.col_start + ml] += np.where(flips, -v, v)
+                    stats.clamp_events += int((ideal > self.adc.levels - 1).sum())
+            if stats is not None:
+                stats.add_deviation(layer, np.abs(raw - ideal))
+            out += postprocess(raw, sum_i[:, r, None], a_flip[:, r, None],
+                               sum_wprime[r], w_flip[r], nl)
         return out
 
     def vmm(
         self,
-        prepared: PreparedWeights,
+        prepared: TiledWeights,
         activations,
         stats: RunStats | None = None,
     ) -> np.ndarray:
@@ -396,17 +361,9 @@ class Engine:
         x = np.where(feats > binarize_threshold, 1, -1).astype(np.int8)
         spatial = None  # (C, H, W) tracking for conv layers
 
-        prepared_cache: dict[int, PreparedWeights] = {}
-
-        def as_prepared(layer: LayerSpec, w2d: np.ndarray) -> PreparedWeights:
-            key = id(layer)
-            if key not in prepared_cache:
-                prepared_cache[key] = self.prepare(w2d)
-            return prepared_cache[key]
-
         for layer in layers:
             if layer.kind == "dense":
-                w = layer.weights.values
+                w = layer.matrix()
                 if x.ndim != 2:
                     x = x.reshape(x.shape[0], -1)
                 if x.shape[1] != w.shape[0]:
@@ -416,7 +373,7 @@ class Engine:
                 if layer.full_precision:
                     x = x.astype(np.int64) @ w.astype(np.int64)
                 else:
-                    x = self.vmm_batch(as_prepared(layer, w), x, stats, layer.name)
+                    x = self.vmm_batch(self.prepare(w), x, stats, layer.name)
                 spatial = None
             elif layer.kind == "conv":
                 cout, cin, kh, kw = layer.weights.shape
@@ -429,13 +386,13 @@ class Engine:
                     raise ShapeError(f"layer {layer.name!r}: channel mismatch")
                 imgs = x.reshape(x.shape[0], C, H, W)
                 cols, oh, ow = im2col(imgs, kh, kw, layer.stride, layer.padding)
-                wflat = layer.weights.values.reshape(cout, -1).T  # (cin*kh*kw, cout)
+                w = layer.matrix()
                 B, P, D = cols.shape
                 flat = cols.reshape(B * P, D)
                 if layer.full_precision:
-                    y = flat.astype(np.int64) @ wflat.astype(np.int64)
+                    y = flat.astype(np.int64) @ w.astype(np.int64)
                 else:
-                    y = self.vmm_batch(as_prepared(layer, wflat), flat, stats, layer.name)
+                    y = self.vmm_batch(self.prepare(w), flat, stats, layer.name)
                 x = y.reshape(B, P, cout).transpose(0, 2, 1).reshape(B, cout, oh, ow)
                 spatial = (cout, oh, ow)
             elif layer.kind == "sign":
@@ -523,6 +480,15 @@ class LayerSpec:
         if self.kind == "conv" and (self.stride < 1 or self.padding < 0):
             raise ConfigError(f"layer {self.name!r}: bad stride/padding")
 
+    def matrix(self) -> np.ndarray:
+        """The weights as the 2-D (inputs, outputs) matrix the array holds.
+
+        A conv kernel (cout, cin, kh, kw) gives (cin*kh*kw, cout), rows in
+        :func:`im2col` patch order.
+        """
+        w = self.weights.values
+        return w.reshape(w.shape[0], -1).T if self.kind == "conv" else w
+
 
 @dataclass(frozen=True, eq=False)
 class InferenceResult:
@@ -557,19 +523,3 @@ def im2col(
     oh, ow = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B, oh * ow, C * kh * kw)
     return np.ascontiguousarray(cols), oh, ow
-
-
-def vmm(engine: Engine, prepared: PreparedWeights, activations) -> np.ndarray:
-    """Functional form of :meth:`Engine.vmm`."""
-    return engine.vmm(prepared, activations)
-
-
-def infer(
-    engine: Engine,
-    layers: Sequence[LayerSpec],
-    features: np.ndarray,
-    labels: np.ndarray | None = None,
-    **kw,
-) -> InferenceResult:
-    """Functional form of :meth:`Engine.infer`."""
-    return engine.infer(layers, features, labels, **kw)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["AdcModel", "DummyColumnConfig", "adc_quantize", "dummy_compensate"]
+__all__ = ["AdcModel", "DummyColumnConfig", "dummy_compensate"]
 
 ROUNDINGS = ("half_even", "half_up")
 
@@ -79,11 +79,6 @@ class AdcModel:
         raw = self._round((x - self.offset) / self.quantum)
         clamped = int(((raw < 0) | (raw > self.levels - 1)).sum())
         return np.clip(raw, 0, self.levels - 1).astype(np.int64), clamped
-
-
-def adc_quantize(i: float, adc: AdcModel) -> int:
-    """Functional form of :meth:`AdcModel.quantize`."""
-    return adc.quantize(i)
 
 
 @dataclass(frozen=True)

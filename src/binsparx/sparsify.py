@@ -1,206 +1,100 @@
-"""Static weight and dynamic activation sparsification with exact sign repair.
+"""BinSparX: static weight and dynamic activation flips with exact sign repair.
 
-A weight column is stored negated whenever its signed sum is >= 0, and an
-activation sub-vector is applied negated whenever its one-count exceeds
-n/2 (strictly).  Both transforms cap the number of 1s at about half the
-rows, shrinking column currents.  One flip bit per column (kept in a
-peripheral register) and one per activation vector record what happened;
-the post-processing multiplies the corrected dot product by
-(-1)^(activation_flip XOR column_flip), which restores the original signed
-value exactly because sum(I*W) = sum((-I)*(-W)) = -sum((-I)*W).
+Three rules, each written once here and vectorized over whole tile grids:
+
+* :func:`sparsify_tile` stores a weight column negated whenever its signed
+  sum over the tile's logical rows is >= 0 (ties included);
+* :func:`sparsify_activations` applies an activation sub-vector negated
+  whenever its one-count exceeds n/2 (strictly);
+* :func:`postprocess` turns the digitized AND count back into the signed
+  dot product, 4*raw - 2*sum(I') - 2*sum(W') + n, and multiplies it by
+  (-1)^(activation_flip XOR column_flip).
+
+Both flips cap the number of 1s at about half the rows, shrinking column
+currents.  One flip bit per column (kept in a peripheral register) and one
+per activation vector record what happened; the sign repair is exact
+because sum(I*W) = sum((-I)*(-W)) = -sum((-I)*W).  Padding rows and
+columns are never flipped and stay 0.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bnn import BinaryTensor, MappedTensor, WeightTile
-from .errors import ConfigError, ConfigWarning, DomainError, ShapeError
+from .errors import ConfigError, ConfigWarning
+
+if TYPE_CHECKING:
+    from .bnn import TiledWeights
 
 __all__ = [
-    "SparseXbarTile",
-    "SparseActivation",
-    "sparsify_weight_column",
     "sparsify_tile",
-    "dense_tile",
-    "sparsify_activation",
-    "postprocess_column",
+    "sparsify_activations",
+    "postprocess",
     "adc_bits_required",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SparseXbarTile:
-    """An n x m tile as deployed on the array, after per-column flips.
+def _logical_rows(n: int, n_logical: np.ndarray) -> np.ndarray:
+    """(row_tiles, n) bool: True on the un-padded rows of each row tile."""
+    return np.arange(n) < np.asarray(n_logical)[:, None]
 
-    ``mapped_weights`` holds the post-flip {0,1} cells (padding zeroed),
-    ``column_flip[c]`` records whether stored column c is the complement of
-    the original mapped column, and ``sum_wprime[c]`` is the post-flip
-    one-count the post-processing consumes.  ``n`` is the logical (un-padded)
-    row count; the residual "+n" term of the dot-product identity uses it.
+
+def sparsify_tile(tiles: TiledWeights) -> TiledWeights:
+    """Static weight sparsification of every logical column of a tile grid.
+
+    A column is stored complemented over its tile's logical rows when
+    2*ones >= n_logical, i.e. when its signed sum is >= 0; such a column
+    then holds at most floor(n_logical/2) ones.  Padding columns (no ones)
+    never flip.  ``column_flip`` toggles for each flipped column, so the
+    record still says which stored columns complement the original.
     """
-
-    mapped_weights: MappedTensor   # (n_phys, m_phys)
-    column_flip: np.ndarray        # (m_phys,) uint8
-    sum_wprime: np.ndarray         # (m_phys,) int64
-    n: int                         # logical rows
-    m_logical: int
-    row_start: int = 0
-    col_start: int = 0
-    sparsified: bool = True        # False when wrapping an unmodified tile
-
-    def __post_init__(self):
-        w = self.mapped_weights.values
-        if w.ndim != 2:
-            raise ShapeError("SparseXbarTile: weights must be 2-D")
-        if len(self.column_flip) != w.shape[1] or len(self.sum_wprime) != w.shape[1]:
-            raise ShapeError("SparseXbarTile: per-column metadata length mismatch")
-        recount = w.sum(axis=0, dtype=np.int64)
-        if not np.array_equal(recount, self.sum_wprime):
-            raise DomainError("SparseXbarTile: sum_wprime does not match stored cells")
-        if self.sparsified:
-            cap = (self.n + 1) // 2
-            if self.m_logical and int(recount[: self.m_logical].max(initial=0)) > cap:
-                raise DomainError(
-                    f"SparseXbarTile: a column exceeds the {cap}-ones cap for n={self.n}"
-                )
-
-    @property
-    def n_physical(self) -> int:
-        return self.mapped_weights.shape[0]
-
-    @property
-    def m_physical(self) -> int:
-        return self.mapped_weights.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class SparseActivation:
-    """A possibly-flipped activation sub-vector plus its bookkeeping.
-
-    ``sum_i_report`` is the one-count forwarded to post-processing: the
-    original count when not flipped, n - count when flipped (i.e. always
-    the one-count of the vector actually applied to the wordlines).
-    """
-
-    mapped: MappedTensor        # (n,) post-flip
-    activation_flip: int        # 0 or 1
-    sum_i_report: int
-
-    def __post_init__(self):
-        if self.mapped.ndim != 1:
-            raise ShapeError("SparseActivation: expected a 1-D vector")
-        if self.activation_flip not in (0, 1):
-            raise DomainError("SparseActivation: flip bit must be 0 or 1")
-        if self.sum_i_report != int(self.mapped.values.sum()):
-            raise DomainError("SparseActivation: sum_i_report mismatch")
-
-
-def sparsify_weight_column(col: BinaryTensor) -> tuple[MappedTensor, int, int]:
-    """Choose between storing a signed column or its negation.
-
-    If the signed sum is >= 0 (ties included) the negated column is stored
-    and the flip bit is 1; otherwise the column is stored as-is.  Returns
-    (stored {0,1} column, flip bit, post-flip one-count); the stored column
-    never has more than floor(n/2) ones.
-    """
-    if not isinstance(col, BinaryTensor):
-        col = BinaryTensor(col)
-    if col.ndim != 1:
-        raise ShapeError("sparsify_weight_column expects a 1-D column")
-    v = col.values.astype(np.int64)
-    flip = 1 if int(v.sum()) >= 0 else 0
-    stored = ((-v if flip else v) + 1) // 2
-    return MappedTensor(stored), flip, int(stored.sum())
-
-
-def sparsify_tile(tile: WeightTile) -> SparseXbarTile:
-    """Apply static weight sparsification to every logical column of a tile.
-
-    Padding rows stay 0 regardless of flips; padding columns are never
-    flipped.  Flip decisions use only the logical rows.
-    """
-    w = tile.mapped.values.astype(np.int64)
-    nl, ml = tile.n_logical, tile.m_logical
-    stored = np.array(w, dtype=np.int8)
-    flips = np.zeros(tile.m, dtype=np.uint8)
-    if nl and ml:
-        ones = w[:nl, :ml].sum(axis=0)
-        # signed column sum = 2*ones - n_logical; flip when >= 0
-        flip_cols = (2 * ones) >= nl
-        flips[:ml] = flip_cols.astype(np.uint8)
-        block = stored[:nl, :ml]
-        stored[:nl, :ml] = np.where(flip_cols[None, :], 1 - block, block)
-    return SparseXbarTile(
-        mapped_weights=MappedTensor(stored),
-        column_flip=flips,
-        sum_wprime=stored.sum(axis=0, dtype=np.int64),
-        n=nl,
-        m_logical=ml,
-        row_start=tile.row_start,
-        col_start=tile.col_start,
+    n = tiles.stored.shape[1]
+    n_logical = tiles.n_logical
+    flip = 2 * tiles.sum_wprime >= n_logical[:, None, None]
+    cells = flip[:, None, :, :] & _logical_rows(n, n_logical)[:, :, None, None]
+    return replace(
+        tiles,
+        stored=np.where(cells, 1 - tiles.stored, tiles.stored).astype(np.int8, copy=False),
+        column_flip=tiles.column_flip ^ flip,
+        sum_wprime=np.where(flip, n_logical[:, None, None] - tiles.sum_wprime,
+                            tiles.sum_wprime),
     )
 
 
-def dense_tile(tile: WeightTile) -> SparseXbarTile:
-    """Wrap a tile unchanged (all flip bits 0) for sparsification-off runs."""
-    return SparseXbarTile(
-        mapped_weights=tile.mapped,
-        column_flip=np.zeros(tile.m, dtype=np.uint8),
-        sum_wprime=np.asarray(tile.sum_wprime, dtype=np.int64),
-        n=tile.n_logical,
-        m_logical=tile.m_logical,
-        row_start=tile.row_start,
-        col_start=tile.col_start,
-        sparsified=False,
-    )
+def sparsify_activations(mapped: np.ndarray, n_logical, enabled: bool):
+    """Dynamic activation flip of (B, row_tiles, n) {0,1} sub-vectors.
 
-
-def sparsify_activation(i_mapped: MappedTensor) -> SparseActivation:
-    """Flip an activation vector iff its one-count exceeds n/2 (strict).
-
-    At exactly n/2 ones the vector is left unchanged.  The reported count
-    is that of the applied (post-flip) vector, i.e. n - count on a flip.
+    A sub-vector with more than n_logical/2 ones (strict: exactly half is
+    left alone) is applied complemented over its logical rows; padding
+    rows must be 0 in ``mapped`` and stay 0.  With ``enabled`` false
+    nothing flips.  Returns (applied (B, row_tiles, n) int8, sum_i
+    (B, row_tiles) int64 one-count of the applied vector, a_flip
+    (B, row_tiles) bool).
     """
-    if not isinstance(i_mapped, MappedTensor):
-        i_mapped = MappedTensor(i_mapped)
-    if i_mapped.ndim != 1:
-        raise ShapeError("sparsify_activation expects a 1-D vector")
-    v = i_mapped.values
-    n = len(v)
-    s = int(v.sum())
-    if 2 * s > n:
-        return SparseActivation(MappedTensor(1 - v), 1, n - s)
-    return SparseActivation(MappedTensor(v.copy()), 0, s)
+    n_logical = np.asarray(n_logical)
+    ones = mapped.sum(axis=-1, dtype=np.int64)
+    a_flip = (2 * ones > n_logical) & enabled
+    cells = a_flip[..., None] & _logical_rows(mapped.shape[-1], n_logical)
+    applied = np.where(cells, 1 - mapped, mapped).astype(np.int8, copy=False)
+    return applied, np.where(a_flip, n_logical - ones, ones), a_flip
 
 
-def postprocess_column(
-    raw_and_sum: int, act: SparseActivation, tile: SparseXbarTile, column: int
-) -> int:
-    """Recover the signed dot product from a digitized AND-plane sum.
+def postprocess(raw, sum_i, a_flip, sum_wprime, w_flip, n_logical):
+    """Recover signed dot products from digitized AND counts.
 
-    ``raw_and_sum`` is the (possibly non-ideal) digitized count for the
-    stored column under the applied activation.  The corrected value
-    4*raw - 2*sum_i_report - 2*sum_wprime[column] + n is negated when
-    exactly one of the two flip bits is set.  With an ideal raw sum the
-    result equals the original signed dot product exactly.
+    ``raw`` is the (possibly non-ideal) count of a stored column under an
+    applied activation, ``sum_i``/``sum_wprime`` the one-counts of that
+    activation and column, ``a_flip``/``w_flip`` their flip bits and
+    ``n_logical`` the tile's logical rows; all broadcast together.  The
+    corrected value is negated where exactly one flip bit is set.  With an
+    ideal count the result equals the original signed dot product exactly.
     """
-    if not 0 <= column < tile.m_logical:
-        raise IndexError(
-            f"column {column} out of range for tile with {tile.m_logical} logical columns"
-        )
-    v = (
-        4 * int(raw_and_sum)
-        - 2 * act.sum_i_report
-        - 2 * int(tile.sum_wprime[column])
-        + tile.n
-    )
-    if act.activation_flip ^ int(tile.column_flip[column]):
-        return -v
-    return v
+    v = 4 * raw - 2 * sum_i - 2 * sum_wprime + n_logical
+    return np.where(np.logical_xor(a_flip, w_flip), -v, v)
 
 
 def adc_bits_required(n: int, binsparx_enabled: bool) -> int:

@@ -20,12 +20,31 @@ def signed_vmm(acts, weights) -> np.ndarray:
 
 def software_bnn_forward(x, layer_params):
     """Loop-based BNN forward pass: list of ("dense", W) | ("sign",) |
-    ("threshold", thresholds, gamma_signs) tuples."""
+    ("threshold", thresholds, gamma_signs) |
+    ("conv", kernel, stride, padding, (C, H, W)) tuples.  Conv padding
+    cells read -1; a dense layer flattens a conv output (C, H, W)-major."""
     x = np.asarray(x, dtype=np.int64)
     for params in layer_params:
         kind = params[0]
         if kind == "dense":
-            x = x @ np.asarray(params[1], dtype=np.int64)
+            x = x.reshape(len(x), -1) @ np.asarray(params[1], dtype=np.int64)
+        elif kind == "conv":
+            kern = np.asarray(params[1], dtype=np.int64)
+            stride, pad, (c, h, w) = params[2], params[3], params[4]
+            cout, _, kh, kw = kern.shape
+            imgs = np.pad(x.reshape(len(x), c, h, w),
+                          ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-1)
+            oh = (h + 2 * pad - kh) // stride + 1
+            ow = (w + 2 * pad - kw) // stride + 1
+            out = np.zeros((len(x), cout, oh, ow), dtype=np.int64)
+            for b in range(len(x)):
+                for o in range(cout):
+                    for i in range(oh):
+                        for j in range(ow):
+                            patch = imgs[b, :, i * stride : i * stride + kh,
+                                         j * stride : j * stride + kw]
+                            out[b, o, i, j] = int((patch * kern[o]).sum())
+            x = out
         elif kind == "sign":
             x = np.where(x >= 0, 1, -1)
         elif kind == "threshold":

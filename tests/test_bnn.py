@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from binsparx.bnn import (
     BinaryTensor,
     MappedTensor,
-    MultiBitPlan,
-    TilePlan,
-    multibit_partial_sums,
     nandnet_dot,
     tile_weights,
     to_mapped,
     to_signed,
 )
 from binsparx.errors import DomainError, ShapeError
+from binsparx.sparsify import sparsify_tile
 
 from conftest import signed_dot
 
@@ -88,103 +86,51 @@ class TestNandnetDot:
 class TestTiling:
     def test_exact_division(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(128, 128)))
-        plan = TilePlan.for_matrix(128, 128, 64, 64)
-        assert (plan.row_tiles, plan.col_tiles) == (2, 2)
-        tiled = tile_weights(w, plan)
-        for tr in tiled.tiles:
-            for t in tr:
-                assert t.mapped.shape == (64, 64)
-                assert len(t.sum_wprime) == 64
-                assert t.n_logical == t.m_logical == 64
+        tiled = tile_weights(w, 64, 64)
+        assert tiled.stored.shape == (2, 64, 2, 64)
+        assert tiled.sum_wprime.shape == tiled.column_flip.shape == (2, 2, 64)
+        assert tiled.n_logical.tolist() == [64, 64]
+        assert not tiled.column_flip.any()
 
     def test_padding_rule(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(65, 64)))
-        plan = TilePlan.for_matrix(65, 64, 64, 64)
-        assert plan.row_tiles == 2
-        tiled = tile_weights(w, plan)
-        bottom = tiled.tiles[1][0]
-        assert bottom.n_logical == 1
+        tiled = tile_weights(w, 64, 64)
+        assert tiled.stored.shape[0] == 2
+        assert tiled.n_logical.tolist() == [64, 1]
         # the 63 padded rows store 0
-        assert bottom.mapped.values[1:, :].sum() == 0
+        assert tiled.stored[1, 1:].sum() == 0
 
     def test_untile_round_trip(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(100, 100)))
-        tiled = tile_weights(w, TilePlan.for_matrix(100, 100, 64, 64))
+        tiled = tile_weights(w, 64, 64)
         assert np.array_equal(tiled.untile().values, w.values)
-
-    def test_plan_too_small(self, rng):
-        w = BinaryTensor(rng.choice([-1, 1], size=(100, 100)))
-        with pytest.raises(ShapeError):
-            tile_weights(w, TilePlan(n=64, m=64, row_tiles=1, col_tiles=2))
+        flipped = sparsify_tile(tiled)
+        assert flipped.column_flip.any()
+        assert np.array_equal(flipped.untile().values, w.values)
 
     def test_tiling_conservation(self, rng):
         # accumulating the exact per-tile accounting over row tiles must
         # reproduce the whole-matrix dot product for every output column
         w = BinaryTensor(rng.choice([-1, 1], size=(100, 30)))
         act = rng.choice([-1, 1], size=100)
-        tiled = tile_weights(w, TilePlan.for_matrix(100, 30, 64, 16))
+        tiled = tile_weights(w, 64, 16)
+        row_tiles, n, col_tiles, m = tiled.stored.shape
         act_mapped = (act + 1) // 2
         totals = np.zeros(30, dtype=np.int64)
-        for tr in tiled.tiles:
-            for t in tr:
-                if t.m_logical == 0 or t.n_logical == 0:
-                    continue
-                sub = act_mapped[t.row_start : t.row_start + t.n_logical]
-                gates = np.zeros(t.n, dtype=np.int64)
-                gates[: t.n_logical] = sub
-                and_sums = gates @ t.mapped.values.astype(np.int64)
+        for r in range(row_tiles):
+            nl = int(tiled.n_logical[r])
+            sub = act_mapped[r * n : r * n + nl]
+            gates = np.zeros(n, dtype=np.int64)
+            gates[:nl] = sub
+            for c in range(col_tiles):
+                ml = min(m, 30 - c * m)
+                and_sums = gates @ tiled.stored[r, :, c, :].astype(np.int64)
                 v = (
-                    4 * and_sums[: t.m_logical]
+                    4 * and_sums[:ml]
                     - 2 * int(sub.sum())
-                    - 2 * t.sum_wprime[: t.m_logical]
-                    + t.n_logical
+                    - 2 * tiled.sum_wprime[r, c, :ml]
+                    + nl
                 )
-                totals[t.col_start : t.col_start + t.m_logical] += v
+                totals[c * m : c * m + ml] += v
         expect = act.astype(np.int64) @ w.values.astype(np.int64)
         assert np.array_equal(totals, expect)
-
-
-class TestMultiBit:
-    def test_all_zero_weights(self):
-        plan = MultiBitPlan(weight_bits=4, activation_bits=4)
-        out = multibit_partial_sums(np.zeros((8, 3), dtype=int), np.zeros((2, 8), dtype=int), plan, 8)
-        assert out.shape == (2, 1, 4, 12)
-        assert out.sum() == 0
-
-    def test_single_coincident_bit(self):
-        plan = MultiBitPlan(weight_bits=4, activation_bits=4)
-        w = np.zeros((8, 3), dtype=int)
-        w[2, 1] = 4  # bit 2 of column 1
-        a = np.zeros((1, 8), dtype=int)
-        a[0, 2] = 2  # bit 1 of row 2
-        out = multibit_partial_sums(w, a, plan, 8)
-        assert out.sum() == 1
-        assert out[0, 0, 1, 1 * 4 + 2] == 1
-
-    def test_against_brute_force(self, rng):
-        plan = MultiBitPlan(weight_bits=4, activation_bits=3)
-        w = rng.integers(-8, 8, size=(20, 5))
-        a = rng.integers(0, 8, size=(4, 20))
-        tile_n = 8
-        out = multibit_partial_sums(w, a, plan, tile_n)
-        for b in range(4):
-            for t in range(out.shape[1]):
-                rows = range(t * tile_n, min((t + 1) * tile_n, 20))
-                for bit in range(3):
-                    for c in range(5):
-                        for j in range(4):
-                            total = 0
-                            for r in rows:
-                                wbit = ((int(w[r, c]) & 0xF) >> j) & 1
-                                abit = (int(a[b, r]) >> bit) & 1
-                                total += wbit * abit
-                            assert out[b, t, bit, c * 4 + j] == total
-
-    def test_range_errors(self):
-        plan = MultiBitPlan(weight_bits=4, activation_bits=4)
-        with pytest.raises(DomainError):
-            multibit_partial_sums(np.array([[8]]), np.array([[0]]), plan, 1)
-        with pytest.raises(DomainError):
-            multibit_partial_sums(np.array([[0]]), np.array([[16]]), plan, 1)
-        with pytest.raises(DomainError):
-            MultiBitPlan(weight_bits=1, activation_bits=4)

@@ -1,0 +1,119 @@
+"""Golden runs of the ``binsparx`` command line on a model built here.
+
+Every layer is ragged against the 8 x 8 tiles used below: the conv kernel
+flattens to a 9 x 3 matrix, the dense layers are 147 x 20 and 20 x 4.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from binsparx import cli, modelio
+
+from conftest import software_bnn_forward
+
+N = M = 8
+TILES = ["--set", f"array.n={N}", "--set", f"array.m={M}"]
+IN_SHAPE = (1, 7, 7)
+
+
+@pytest.fixture
+def model(tmp_path, rng):
+    conv = rng.choice([-1, 1], size=(3, 1, 3, 3))
+    fc1 = rng.choice([-1, 1], size=(3 * 7 * 7, 20))
+    thresholds = rng.integers(-6, 7, 20)
+    gamma_sign = rng.choice([-1, 1], 20)
+    fc2 = rng.choice([-1, 1], size=(20, 4))
+    path = modelio.save_model(tmp_path / "model", [
+        {"name": "conv1", "kind": "conv", "weights": conv, "stride": 1, "padding": 1,
+         "in_shape": IN_SHAPE},
+        {"name": "act1", "kind": "sign"},
+        {"name": "fc1", "kind": "dense", "weights": fc1},
+        {"name": "bn1", "kind": "threshold", "thresholds": thresholds,
+         "gamma_sign": gamma_sign},
+        {"name": "fc2", "kind": "dense", "weights": fc2},
+    ])
+    # the (inputs, outputs) matrix each weighted layer puts on the array
+    matrices = {"conv1": conv.reshape(3, -1).T, "fc1": fc1, "fc2": fc2}
+    forward = [("conv", conv, 1, 1, IN_SHAPE), ("sign",), ("dense", fc1),
+               ("threshold", thresholds, gamma_sign), ("dense", fc2)]
+    return path, matrices, forward
+
+
+def _oracle_tile(w2d, r0, c0):
+    """Stored cells and flip bits of the tile at (r0, c0), column by column:
+    store the complement when the signed sum over the tile's rows is >= 0."""
+    stored = np.zeros((N, M), dtype=np.int8)
+    flips = np.zeros(M, dtype=np.uint8)
+    rows = range(r0, min(r0 + N, w2d.shape[0]))
+    for j in range(min(M, w2d.shape[1] - c0)):
+        col = [int(w2d[r, c0 + j]) for r in rows]
+        flips[j] = sum(col) >= 0
+        for k, v in enumerate(col):
+            stored[k, j] = (v < 0) if flips[j] else (v > 0)
+    return stored, flips
+
+
+def test_sparsify_mapping_matches_oracle(tmp_path, model):
+    path, matrices, _ = model
+    out = tmp_path / "out"
+    assert cli.main(["sparsify", "--model", str(path), "--out", str(out), *TILES]) == 0
+    doc = json.loads((out / "sparsify_map.json").read_text())
+    report = json.loads((out / "sparsify_report.json").read_text())
+    report = {entry["name"]: entry for entry in report["layers"]}
+    assert [layer["name"] for layer in doc["layers"]] == ["conv1", "fc1", "fc2"]
+    expected_files = set()
+    for layer in doc["layers"]:
+        w2d = matrices[layer["name"]]
+        rows, cols = w2d.shape
+        assert (layer["rows"], layer["cols"]) == (rows, cols)
+        starts = [(r0, c0) for r0 in range(0, rows, N) for c0 in range(0, cols, M)]
+        assert [(t["row_start"], t["col_start"]) for t in layer["tiles"]] == starts
+        flipped = 0
+        for tile in layer["tiles"]:
+            r0, c0 = tile["row_start"], tile["col_start"]
+            stored, flips = _oracle_tile(w2d, r0, c0)
+            ml = min(M, cols - c0)
+            assert tile["n_logical"] == min(N, rows - r0)
+            assert tile["m_logical"] == ml
+            assert (out / tile["file"]).read_bytes() == stored.tobytes()
+            assert (out / tile["flip_file"]).read_bytes() == flips.tobytes()
+            assert tile["sum_wprime"] == stored.sum(axis=0)[:ml].tolist()
+            expected_files |= {tile["file"], tile["flip_file"]}
+            flipped += int(flips.sum())
+        assert report[layer["name"]]["columns_flipped"] == flipped
+        assert report[layer["name"]]["columns"] == cols * len(range(0, rows, N))
+    written = {f"mapping/{p.name}" for p in (out / "mapping").iterdir()}
+    assert written == expected_files
+
+
+@pytest.mark.parametrize("binsparx", ["on", "off"])
+def test_ideal_infer_matches_software_forward(tmp_path, rng, model, binsparx):
+    path, _, forward = model
+    X = rng.choice([-1, 1], size=(24, int(np.prod(IN_SHAPE))))
+    labels = np.argmax(software_bnn_forward(X, forward), axis=1)
+    data = tmp_path / "data.csv"
+    data.write_text("".join(
+        f"{lab}," + ",".join(f"{v:.1f}" for v in row) + "\n" for lab, row in zip(labels, X)
+    ))
+    out = tmp_path / "out"
+    argv = ["infer", "--model", str(path), "--dataset", str(data), "--out", str(out),
+            "--ideal", "--binsparx", binsparx, "--set", "adc.bits=full", *TILES]
+    assert cli.main(argv) == 0
+    lines = [ln for ln in (out / "predictions.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    assert lines[0] == "index,label,prediction"
+    rows = [tuple(int(v) for v in ln.split(",")) for ln in lines[1:]]
+    assert rows == [(i, int(lab), int(lab)) for i, lab in enumerate(labels)]
+    stats = json.loads((out / "infer_stats.json").read_text())
+    assert stats["inputs"] == len(X)
+    assert stats["accuracy"] == 1.0
+
+
+def test_exit_codes(tmp_path, model):
+    path = model[0]
+    out = str(tmp_path / "out")
+    assert cli.main(["sparsify", "--model", str(tmp_path / "missing.json"), "--out", out]) == 3
+    assert cli.main(["sparsify", "--model", str(path), "--out", out,
+                     "--set", "run.no_such_key=1"]) == 2

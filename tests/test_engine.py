@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
@@ -70,6 +72,63 @@ class TestGoldenExactness:
             eng.vmm(prep, np.ones(63, dtype=np.int8))
         with pytest.raises(DomainError):
             eng.vmm(prep, np.zeros(64, dtype=np.int8))
+
+
+def _corner_counts(A, W, n):
+    """Per (input, column): row tiles whose sparsified AND count is n/2.
+
+    Written from the flip rules alone: a column is stored complemented when
+    its signed sum over the tile's rows is >= 0, an activation is applied
+    complemented when more than half its bits are 1."""
+    counts = np.zeros((len(A), W.shape[1]), dtype=np.int64)
+    for r0 in range(0, W.shape[0], n):
+        w = W[r0 : r0 + n] > 0
+        a = A[:, r0 : r0 + n] > 0
+        rows = len(w)
+        stored = np.where(2 * w.sum(axis=0) >= rows, ~w, w).astype(np.int64)
+        applied = np.where((2 * a.sum(axis=1) > rows)[:, None], ~a, a).astype(np.int64)
+        counts += (applied @ stored) == n // 2
+    return counts
+
+
+class TestReducedAdcCorner:
+    """With BinSparX on, the auto ADC has log2(n) - 1 bits (levels 0..n/2 - 1),
+    but a balanced column meeting the complementary balanced activation
+    counts exactly n/2: that sum clamps to n/2 - 1, and nothing else does."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        full_tiles=st.integers(1, 2),
+        extra_rows=st.sampled_from([0, 1, 37]),
+        cols=st.integers(1, 12),
+        batch=st.integers(1, 6),
+        corners=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 11), st.integers(0, 1)),
+                         max_size=6),
+    )
+    def test_clamps_exactly_at_half_n(self, seed, full_tiles, extra_rows, cols, batch, corners):
+        n = 64
+        rng = np.random.default_rng(seed)
+        W = rng.choice([-1, 1], size=(n * full_tiles + extra_rows, cols)).astype(np.int8)
+        A = rng.choice([-1, 1], size=(batch, W.shape[0])).astype(np.int8)
+        for b, c, t in corners:
+            rows = slice((t % full_tiles) * n, (t % full_tiles + 1) * n)
+            col = np.where(rng.permutation(n) < n // 2, 1, -1).astype(np.int8)
+            W[rows, c % cols] = col
+            A[b % batch, rows] = -col
+        counts = _corner_counts(A, W, n)
+        if corners:  # the last seeded corner is never overwritten
+            assert counts.sum() >= 1
+        eng = Engine(EngineConfig(n=n, m=8, binsparx=True, nonidealities=False,
+                                  adc_bits="auto"))
+        assert eng.adc.levels == n // 2
+        stats = RunStats(n)
+        out = eng.vmm_batch(eng.prepare(W), A, stats=stats)
+        assert stats.clamp_events == counts.sum()
+        # raw n/2 - 1 instead of n/2 lowers the corrected value by 4; the
+        # balanced column is always stored flipped and the balanced
+        # activation never is, so the sign repair turns that into +4
+        assert np.array_equal(out - signed_vmm(A, W), 4 * counts)
 
 
 class TestNonIdealPath:

@@ -6,23 +6,23 @@ from hypothesis import strategies as st
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import EngineConfig
 from binsparx.errors import ConfigError, DomainError
-from binsparx.readout import AdcModel, DummyColumnConfig, adc_quantize, dummy_compensate
+from binsparx.readout import AdcModel, DummyColumnConfig, dummy_compensate
 from binsparx.solver import solve_columns_fast
 
 
 class TestAdc:
     def test_rounding_example(self):
         adc = AdcModel(bits=6, quantum=1e-6)
-        assert adc_quantize(9.4e-6, adc) == 9
+        assert adc.quantize(9.4e-6) == 9
 
     def test_saturation_example(self):
         adc = AdcModel(bits=6, quantum=1e-6)
-        assert adc_quantize(70e-6, adc) == 63
+        assert adc.quantize(70e-6) == 63
 
     def test_ties_to_even(self):
         adc = AdcModel(bits=6, quantum=1e-6)
-        assert adc_quantize(2.5e-6, adc) == 2
-        assert adc_quantize(3.5e-6, adc) == 4
+        assert adc.quantize(2.5e-6) == 2
+        assert adc.quantize(3.5e-6) == 4
 
     @pytest.mark.parametrize("rounding", ["half_even", "half_up"])
     @pytest.mark.parametrize("q", [1e-6, 9e-7])  # 9e-7: compensated ReRAM quantum
@@ -36,18 +36,18 @@ class TestAdc:
 
     def test_half_up_variant(self):
         adc = AdcModel(bits=6, quantum=1e-6, rounding="half_up")
-        assert adc_quantize(2.5e-6, adc) == 3
-        assert adc_quantize(3.5e-6, adc) == 4
+        assert adc.quantize(2.5e-6) == 3
+        assert adc.quantize(3.5e-6) == 4
 
     def test_offset(self):
         adc = AdcModel(bits=4, quantum=1e-6, offset=2e-6)
-        assert adc_quantize(5e-6, adc) == 3
-        assert adc_quantize(0.0, adc) == 0  # clamps below zero
+        assert adc.quantize(5e-6) == 3
+        assert adc.quantize(0.0) == 0  # clamps below zero
 
     def test_negative_input_rejected(self):
         adc = AdcModel(bits=4, quantum=1e-6)
         with pytest.raises(DomainError):
-            adc_quantize(-1e-9, adc)
+            adc.quantize(-1e-9)
 
     def test_clamp_counting(self):
         adc = AdcModel(bits=3, quantum=1e-6)
@@ -68,14 +68,14 @@ class TestAdc:
     def test_error_at_most_half_quantum_in_range(self, level_units):
         adc = AdcModel(bits=4, quantum=1e-6)
         i = level_units * 1e-6
-        level = adc_quantize(i, adc)
+        level = adc.quantize(i)
         assert abs(level * 1e-6 - i) <= 0.5e-6 * (1 + 1e-9)
 
     def test_reduced_adc_lossless_below_corner(self):
         # 5-bit reduced ADC: counts 0..31 map one-to-one
         adc = AdcModel(bits=5, quantum=1e-6)
         for s in range(32):
-            assert adc_quantize(s * 1e-6, adc) == s
+            assert adc.quantize(s * 1e-6) == s
 
 
 class TestDummy:

@@ -1,18 +1,19 @@
+"""BinSparX flips and sign repair, exercised through the grid-wide functions
+on one-column tiles and single-row batches, plus the ADC width rule."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsparx.bnn import BinaryTensor, MappedTensor, TilePlan, tile_weights, to_mapped
-from binsparx.errors import ConfigError, ConfigWarning, DomainError
+from binsparx.bnn import tile_weights
+from binsparx.engine import Engine, EngineConfig
+from binsparx.errors import ConfigError, ConfigWarning
 from binsparx.sparsify import (
-    SparseActivation,
     adc_bits_required,
-    dense_tile,
-    postprocess_column,
-    sparsify_activation,
+    postprocess,
+    sparsify_activations,
     sparsify_tile,
-    sparsify_weight_column,
 )
 
 from conftest import signed_dot
@@ -20,31 +21,47 @@ from conftest import signed_dot
 signed_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=129)
 
 
+def _store_column(vec):
+    """Static flip of one signed column as a one-column tile:
+    (stored {0,1} column, flip bit, post-flip one-count)."""
+    t = sparsify_tile(tile_weights(np.asarray(vec).reshape(-1, 1), len(vec), 1))
+    return t.stored[0, :, 0, 0], int(t.column_flip[0, 0, 0]), int(t.sum_wprime[0, 0, 0])
+
+
+def _apply_activation(bits, n_logical=None):
+    """Dynamic flip of one {0,1} vector as a single-row batch:
+    (applied vector, flip bit, reported one-count)."""
+    v = np.asarray(bits, dtype=np.int8).reshape(1, 1, -1)
+    nl = v.shape[2] if n_logical is None else n_logical
+    applied, sum_i, a_flip = sparsify_activations(v, np.array([nl]), True)
+    return applied[0, 0], int(a_flip[0, 0]), int(sum_i[0, 0])
+
+
 class TestWeightColumn:
     def test_positive_majority_flips(self):
-        stored, flip, swp = sparsify_weight_column(BinaryTensor([1, 1, 1, -1]))
-        assert stored.values.tolist() == [0, 0, 0, 1]
+        stored, flip, swp = _store_column([1, 1, 1, -1])
+        assert stored.tolist() == [0, 0, 0, 1]
         assert flip == 1
         assert swp == 1
 
     def test_all_negative_unchanged(self):
-        stored, flip, swp = sparsify_weight_column(BinaryTensor([-1, -1, -1, -1]))
-        assert stored.values.tolist() == [0, 0, 0, 0]
+        stored, flip, swp = _store_column([-1, -1, -1, -1])
+        assert stored.tolist() == [0, 0, 0, 0]
         assert (flip, swp) == (0, 0)
 
     def test_tie_flips(self):
         # a balanced column counts as "majority +1" and is stored negated
-        stored, flip, swp = sparsify_weight_column(BinaryTensor([1, -1]))
-        assert stored.values.tolist() == [0, 1]
+        stored, flip, swp = _store_column([1, -1])
+        assert stored.tolist() == [0, 1]
         assert flip == 1
         assert swp == 1
 
     @settings(max_examples=200, derandomize=True)
     @given(signed_vectors)
     def test_cap_always_holds(self, vec):
-        stored, flip, swp = sparsify_weight_column(BinaryTensor(vec))
+        stored, flip, swp = _store_column(vec)
         n = len(vec)
-        assert swp == int(stored.values.sum())
+        assert swp == int(stored.sum())
         assert swp <= n // 2
 
     @settings(max_examples=200, derandomize=True)
@@ -52,10 +69,8 @@ class TestWeightColumn:
     def test_involution(self, vec):
         # re-sparsifying a stored column either does nothing or (balanced
         # case) flips without changing the one count
-        stored, _, swp = sparsify_weight_column(BinaryTensor(vec))
-        again, flip2, swp2 = sparsify_weight_column(
-            BinaryTensor(2 * stored.values.astype(np.int16) - 1)
-        )
+        stored, _, swp = _store_column(vec)
+        again, flip2, swp2 = _store_column(2 * stored.astype(np.int16) - 1)
         assert swp2 == swp
         if flip2:
             assert 2 * swp == len(vec)
@@ -63,79 +78,72 @@ class TestWeightColumn:
 
 class TestActivation:
     def test_majority_flips(self):
-        act = sparsify_activation(MappedTensor([1, 1, 1, 0]))
-        assert act.mapped.values.tolist() == [0, 0, 0, 1]
-        assert act.activation_flip == 1
-        assert act.sum_i_report == 1
+        applied, flip, report = _apply_activation([1, 1, 1, 0])
+        assert applied.tolist() == [0, 0, 0, 1]
+        assert flip == 1
+        assert report == 1
 
     def test_tie_does_not_flip(self):
-        act = sparsify_activation(MappedTensor([1, 1, 0, 0]))
-        assert act.mapped.values.tolist() == [1, 1, 0, 0]
-        assert act.activation_flip == 0
-        assert act.sum_i_report == 2
+        applied, flip, report = _apply_activation([1, 1, 0, 0])
+        assert applied.tolist() == [1, 1, 0, 0]
+        assert flip == 0
+        assert report == 2
 
     def test_all_zero(self):
-        act = sparsify_activation(MappedTensor([0, 0, 0]))
-        assert act.mapped.values.tolist() == [0, 0, 0]
-        assert (act.activation_flip, act.sum_i_report) == (0, 0)
+        applied, flip, report = _apply_activation([0, 0, 0])
+        assert applied.tolist() == [0, 0, 0]
+        assert (flip, report) == (0, 0)
+
+    def test_padding_stays_zero(self):
+        # 3 logical rows of 5: two ones are a majority, the pad never turns on
+        applied, flip, report = _apply_activation([1, 1, 0, 0, 0], n_logical=3)
+        assert applied.tolist() == [0, 0, 1, 0, 0]
+        assert (flip, report) == (1, 1)
+
+    def test_disabled_never_flips(self):
+        v = np.ones((2, 1, 4), dtype=np.int8)
+        applied, sum_i, a_flip = sparsify_activations(v, np.array([4]), False)
+        assert np.array_equal(applied, v)
+        assert sum_i.tolist() == [[4], [4]]
+        assert not a_flip.any()
 
     @settings(max_examples=200, derandomize=True)
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=129))
     def test_cap_and_report(self, bits):
         n = len(bits)
-        act = sparsify_activation(MappedTensor(bits))
-        ones = int(act.mapped.values.sum())
+        applied, flip, report = _apply_activation(bits)
+        ones = int(applied.sum())
         assert ones <= (n + 1) // 2
-        assert act.sum_i_report == ones
-        if act.activation_flip:
-            assert act.sum_i_report == n - sum(bits)
+        assert report == ones
+        if flip:
+            assert report == n - sum(bits)
         else:
-            assert act.sum_i_report == sum(bits)
+            assert report == sum(bits)
 
 
 def _pipeline_dot(i_signed, w_signed):
     """Run one (activation, column) pair through the full sparsified path."""
-    n = len(i_signed)
-    tiled = tile_weights(
-        BinaryTensor(np.asarray(w_signed).reshape(n, 1)), TilePlan.for_matrix(n, 1, n, 1)
-    )
-    tile = sparsify_tile(tiled.tiles[0][0])
-    act = sparsify_activation(to_mapped(BinaryTensor(i_signed)))
-    raw = int(act.mapped.values.astype(np.int64) @ tile.mapped_weights.values[:, 0].astype(np.int64))
-    return postprocess_column(raw, act, tile, 0), raw
+    stored, w_flip, swp = _store_column(w_signed)
+    applied, a_flip, sum_i = _apply_activation((np.asarray(i_signed) + 1) // 2)
+    raw = int(applied.astype(np.int64) @ stored.astype(np.int64))
+    return int(postprocess(raw, sum_i, a_flip, swp, w_flip, len(i_signed))), raw
 
 
 class TestPostprocess:
     def test_single_flip_negates(self):
         # corrected value 4*2 - 2*3 - 2*2 + 7 = 5 with flips (1,0) comes out -5
-        tile = _make_tile(column_flip=0, sum_wprime=2, n=7)
-        act = SparseActivation(MappedTensor([1, 0, 1, 0, 0, 0, 1]), 1, 3)
-        assert postprocess_column(2, act, tile, 0) == -5
-        act0 = SparseActivation(MappedTensor([1, 0, 1, 0, 0, 0, 1]), 0, 3)
-        assert postprocess_column(2, act0, tile, 0) == 5
+        assert postprocess(2, 3, 1, 2, 0, 7) == -5
+        assert postprocess(2, 3, 0, 2, 0, 7) == 5
+        assert postprocess(2, 3, 0, 2, 1, 7) == -5
 
     def test_double_flip_cancels(self):
         # both flips set: value 5 stays 5, since sum(I*W) = sum((-I)*(-W))
-        tile = _make_tile(column_flip=1, sum_wprime=2, n=7)
-        act = SparseActivation(MappedTensor([1, 0, 1, 0, 0, 0, 1]), 1, 3)
-        assert postprocess_column(2, act, tile, 0) == 5
+        assert postprocess(2, 3, 1, 2, 1, 7) == 5
 
     def test_flip_symmetry(self):
         # (activation_flip, column_flip) = (1,0) and (0,1) give identical outputs
-        tile0 = _make_tile(column_flip=0, sum_wprime=2, n=6)
-        tile1 = _make_tile(column_flip=1, sum_wprime=2, n=6)
-        act1 = SparseActivation(MappedTensor([1, 1, 0, 0, 0, 0]), 1, 2)
-        act0 = SparseActivation(MappedTensor([1, 1, 0, 0, 0, 0]), 0, 2)
         for raw in range(4):
-            assert postprocess_column(raw, act1, tile0, 0) == postprocess_column(
-                raw, act0, tile1, 0
-            )
-
-    def test_column_out_of_range(self):
-        tile = _make_tile(column_flip=0, sum_wprime=2, n=6)
-        act = SparseActivation(MappedTensor([1, 1, 0, 0, 0, 0]), 0, 2)
-        with pytest.raises(IndexError):
-            postprocess_column(1, act, tile, 1)
+            assert postprocess(raw, 2, 1, 2, 0, 6) == postprocess(raw, 2, 0, 2, 1, 6)
 
     def test_end_to_end_exactness_bulk(self, rng):
         # >= 10^4 random pairs, n = 64: the sparsified path is exact
@@ -143,15 +151,15 @@ class TestPostprocess:
         for _ in range(100):
             w = rng.choice([-1, 1], size=(n, 100))
             acts = rng.choice([-1, 1], size=n)
-            tiled = tile_weights(BinaryTensor(w), TilePlan.for_matrix(n, 100, n, 100))
-            tile = sparsify_tile(tiled.tiles[0][0])
-            act = sparsify_activation(to_mapped(BinaryTensor(acts)))
-            raws = act.mapped.values.astype(np.int64) @ tile.mapped_weights.values.astype(
-                np.int64
+            tile = sparsify_tile(tile_weights(w, n, 100))
+            applied, sum_i, a_flip = sparsify_activations(
+                ((acts + 1) // 2).reshape(1, 1, n), tile.n_logical, True
             )
+            raws = applied[0, 0].astype(np.int64) @ tile.stored[0, :, 0, :].astype(np.int64)
+            got = postprocess(raws, sum_i[0, 0], a_flip[0, 0], tile.sum_wprime[0, 0],
+                              tile.column_flip[0, 0], n)
             for c in range(100):
-                got = postprocess_column(int(raws[c]), act, tile, c)
-                assert got == signed_dot(acts, w[:, c])
+                assert got[c] == signed_dot(acts, w[:, c])
 
     @settings(max_examples=200, derandomize=True)
     @given(signed_vectors, st.randoms(use_true_random=False))
@@ -162,45 +170,32 @@ class TestPostprocess:
         assert raw <= (len(ivec) + 1) // 2  # the AND sum respects the cap
 
 
-def _make_tile(column_flip, sum_wprime, n):
-    col = np.zeros((n, 1), dtype=np.int8)
-    col[:sum_wprime, 0] = 1
-    from binsparx.sparsify import SparseXbarTile
-
-    return SparseXbarTile(
-        mapped_weights=MappedTensor(col),
-        column_flip=np.array([column_flip], dtype=np.uint8),
-        sum_wprime=np.array([sum_wprime], dtype=np.int64),
-        n=n,
-        m_logical=1,
-    )
-
-
 class TestTileSparsify:
     def test_matches_column_op(self, rng):
-        w = rng.choice([-1, 1], size=(16, 9))
-        tiled = tile_weights(BinaryTensor(w), TilePlan.for_matrix(16, 9, 16, 9))
-        sp = sparsify_tile(tiled.tiles[0][0])
+        # the grid-wide flip agrees with flipping each column on its own
+        w = rng.choice([-1, 1], size=(40, 9))
+        sp = sparsify_tile(tile_weights(w, 16, 4))
         for c in range(9):
-            stored, flip, swp = sparsify_weight_column(BinaryTensor(w[:, c]))
-            assert np.array_equal(sp.mapped_weights.values[:, c], stored.values)
-            assert sp.column_flip[c] == flip
-            assert sp.sum_wprime[c] == swp
+            for r in range(3):
+                rows = w[r * 16 : (r + 1) * 16, c]
+                stored, flip, swp = _store_column(rows)
+                assert np.array_equal(sp.stored[r, : len(rows), c // 4, c % 4], stored)
+                assert sp.column_flip[r, c // 4, c % 4] == flip
+                assert sp.sum_wprime[r, c // 4, c % 4] == swp
 
     def test_padding_stays_zero(self, rng):
         w = rng.choice([-1, 1], size=(10, 5))
-        tiled = tile_weights(BinaryTensor(w), TilePlan.for_matrix(10, 5, 16, 8))
-        sp = sparsify_tile(tiled.tiles[0][0])
-        assert sp.mapped_weights.values[10:, :].sum() == 0
-        assert sp.mapped_weights.values[:, 5:].sum() == 0
-        assert sp.column_flip[5:].sum() == 0
-        assert sp.n == 10 and sp.m_logical == 5
+        sp = sparsify_tile(tile_weights(w, 16, 8))
+        assert sp.stored[0, 10:].sum() == 0
+        assert sp.stored[0, :, 0, 5:].sum() == 0
+        assert sp.column_flip[0, 0, 5:].sum() == 0
+        assert sp.n_logical.tolist() == [10]
 
     def test_dense_tile_keeps_everything(self, rng):
+        # sparsification off: the engine stores the mapped matrix unflipped
         w = rng.choice([-1, 1], size=(8, 4))
-        tiled = tile_weights(BinaryTensor(w), TilePlan.for_matrix(8, 4, 8, 4))
-        dt = dense_tile(tiled.tiles[0][0])
-        assert np.array_equal(dt.mapped_weights.values, tiled.tiles[0][0].mapped.values)
+        dt = Engine(EngineConfig(n=8, m=4, binsparx=False, nonidealities=False)).prepare(w)
+        assert np.array_equal(dt.stored[0, :, 0, :], (w + 1) // 2)
         assert dt.column_flip.sum() == 0
 
 
