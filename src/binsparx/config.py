@@ -65,14 +65,13 @@ SCHEMA = {
         "enabled": ("bool", True, "static+dynamic sparsification on/off"),
     },
     "solver": {
-        "method": ("str", "fast", "fast | dense"),
         "tol": ("float", 1e-6, "relative convergence tolerance"),
         "max_iter": ("int", 200, "Newton iteration cap"),
         "topology": ("str", "opposite", "opposite | same sense-pad end"),
     },
     "run": {
         "seed": ("int", 0, "root seed for all randomness"),
-        "trials": ("int", 10000, "samples per sweep point / validation problems"),
+        "trials": ("int", 10000, "samples per sweep point"),
         "output_dir": ("str", "out", "artifact directory"),
         "nonidealities": ("bool", True, "electrical solve on/off"),
         "best_effort": ("bool", False, "keep going past non-convergent columns"),
@@ -180,29 +179,21 @@ def _validate(cfg: dict):
         raise ConfigError("[adc] bits must be an integer, 'auto', or 'full'")
     if cfg["dummy"]["enabled"] not in (True, False, _AUTO):
         raise ConfigError("[dummy] enabled must be true, false, or auto")
-    if cfg["solver"]["method"] not in ("fast", "dense"):
-        raise ConfigError("[solver] method must be fast or dense")
     if cfg["run"]["trials"] < 1:
         raise ConfigError("[run] trials must be >= 1")
 
 
 def build_device(cfg: dict) -> DeviceModel:
+    """The kind's factory model, with explicit ``i_hrs`` / ``i_off`` on top."""
     dev = cfg["device"]
-    kind = dev["kind"]
-    i_on = dev["i_on"]
     v_knee = dev["v_knee"]
     if v_knee == _AUTO:
         v_knee = dev["v_nominal"] / 2
-    if kind == "sram8t":
-        leak = i_on / 2e4
-        i_hrs = leak if dev["i_hrs"] == _AUTO else dev["i_hrs"]
-        i_off = leak if dev["i_off"] == _AUTO else dev["i_off"]
-    else:
-        i_hrs = 1e-7 if dev["i_hrs"] == _AUTO else dev["i_hrs"]
-        i_off = i_on / 1e5 if dev["i_off"] == _AUTO else dev["i_off"]
-    model = DeviceModel(
-        kind=kind, i_on=i_on, i_hrs=i_hrs, i_off=i_off,
-        v_nominal=dev["v_nominal"], v_knee=v_knee, curve=dev["curve"],
+    factory = DeviceModel.sram8t if dev["kind"] == "sram8t" else DeviceModel.reram1t1r
+    explicit = {k: dev[k] for k in ("i_hrs", "i_off") if dev[k] != _AUTO}
+    model = factory(
+        i_on=dev["i_on"], v_nominal=dev["v_nominal"], v_knee=v_knee, curve=dev["curve"],
+        **explicit,
     )
     if dev["lut_stored1"]:
         model.lut_stored1 = load_device_lut(dev["lut_stored1"])
@@ -243,7 +234,6 @@ def build_engine_config(cfg: dict) -> EngineConfig:
         adc_rounding=cfg["adc"]["rounding"],
         dummy_enabled=cfg["dummy"]["enabled"],
         dummy_domain=cfg["dummy"]["domain"],
-        solver=cfg["solver"]["method"],
         solver_tol=cfg["solver"]["tol"],
         solver_max_iter=cfg["solver"]["max_iter"],
         topology=cfg["solver"]["topology"],

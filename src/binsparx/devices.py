@@ -205,14 +205,16 @@ class DeviceModel:
 
     @classmethod
     def sram8t(cls, i_on: float = 1e-6, **kw) -> "DeviceModel":
-        """8T-SRAM defaults: on/off ratio 2e4 (> 1e4)."""
+        """8T-SRAM defaults: on/off ratio 2e4 (> 1e4); ``i_hrs``/``i_off`` in
+        ``kw`` replace the default leakage."""
         leak = i_on / 2e4
-        return cls(kind="sram8t", i_on=i_on, i_hrs=leak, i_off=leak, **kw)
+        return cls(kind="sram8t", i_on=i_on, **{"i_hrs": leak, "i_off": leak, **kw})
 
     @classmethod
     def reram1t1r(cls, i_on: float = 1e-6, i_hrs: float = 1e-7, **kw) -> "DeviceModel":
-        """1T-1ReRAM defaults: HRS current ~0.1 uA, on/HRS ratio in [10, 50]."""
-        return cls(kind="reram1t1r", i_on=i_on, i_hrs=i_hrs, i_off=i_on / 1e5, **kw)
+        """1T-1ReRAM defaults: HRS current ~0.1 uA, on/HRS ratio in [10, 50],
+        gate-off leakage i_on/1e5 unless ``kw`` sets ``i_off``."""
+        return cls(kind="reram1t1r", i_on=i_on, i_hrs=i_hrs, **{"i_off": i_on / 1e5, **kw})
 
     def _branch_target(self, stored):
         """Conduction target at nominal bias for the gate-on branch."""

@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
 )
 from .readout import AdcModel, DummyColumnConfig, dummy_compensate
-from .solver import ColumnProblem, solve_column_dense, solve_columns_fast
+from .solver import solve_columns_fast
 from .sparsify import adc_bits_required, postprocess, sparsify_activations, sparsify_tile
 
 __all__ = [
@@ -77,7 +77,6 @@ class EngineConfig:
     dummy_enabled: bool | str = "auto"  # "auto" -> on for ReRAM
     dummy_domain: str = "analog"
     v_drive: float | str = "auto"       # "auto" -> device v_nominal
-    solver: str = "fast"
     solver_tol: float = 1e-6
     solver_max_iter: int = 200
     topology: str = "opposite"
@@ -87,8 +86,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError("EngineConfig: tile geometry must be >= 1")
-        if self.solver not in ("fast", "dense"):
-            raise ConfigError(f"EngineConfig: solver must be fast|dense, got {self.solver!r}")
 
     def resolved_adc(self) -> AdcModel:
         if self.adc_bits == "auto":
@@ -198,41 +195,54 @@ class Engine:
         Returns (i_out (B,), converged (B,) bool).
         """
         cfg = self.config
-        if cfg.solver == "dense":
-            stored2 = np.atleast_2d(stored)
-            gates2 = np.atleast_2d(gates)
-            stored2, gates2 = np.broadcast_arrays(stored2, gates2)
-            outs = np.empty(len(stored2))
-            conv = np.empty(len(stored2), dtype=bool)
-            for b in range(len(stored2)):
-                p = ColumnProblem(
-                    stored2.shape[1], stored2[b], gates2[b], cfg.device, cfg.wire,
-                    self.v_drive, cfg.topology,
-                )
-                r = solve_column_dense(p, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-                outs[b], conv[b] = r.i_out, r.converged
-            return outs, conv
         res = solve_columns_fast(
             stored, gates, cfg.device, cfg.wire, self.v_drive, cfg.topology,
             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
         )
         return res.i_out, res.converged
 
+    def _solve_dummy(self, gates: np.ndarray):
+        """The all-HRS dummy column of one row tile for B inputs.
+
+        ``gates`` is (B, n_phys).  The dummy depends only on the row tile's
+        gates, so every column tile of the row tile shares this one solve.
+        Returns (dummy (B,), non-converged solves, ADC clamps): the dummy
+        current for analog subtraction, its ADC level for digital.
+        """
+        B, n_phys = gates.shape
+        i_dummy = np.empty(B)
+        conv = np.empty(B, dtype=bool)
+        chunk = max(1, _MAX_BATCH_ELEMS // max(1, n_phys))
+        for b0 in range(0, B, chunk):
+            b1 = min(B, b0 + chunk)
+            i_dummy[b0:b1], conv[b0:b1] = self.solve_columns(
+                np.zeros((b1 - b0, n_phys), dtype=np.int8), gates[b0:b1]
+            )
+        nonconv = int((~conv).sum())
+        if self.dummy.domain == "analog":
+            return i_dummy, nonconv, 0
+        lv_dummy, clamps = self.adc.quantize_array(i_dummy)
+        return lv_dummy, nonconv, clamps
+
     def _digitize_tile(
         self,
         stored: np.ndarray,     # (n_phys, ml) int8, the tile's logical columns
         gates: np.ndarray,      # (B, n_phys) int8, contiguous, post-flip, padding zeroed
+        dummy,                  # _solve_dummy(gates), or None without the dummy column
         stats: RunStats | None,
         layer: str,
     ) -> np.ndarray:
-        """Solve + compensate + quantize one tile for B inputs -> (B, ml) levels."""
+        """Solve + compensate + quantize one tile for B inputs -> (B, ml) levels.
+
+        Every array carries its own dummy column, so the shared dummy solve's
+        non-convergence and clamps count once per column tile.
+        """
         B = gates.shape[0]
         n_phys, ml = stored.shape
         levels = np.empty((B, ml), dtype=np.int64)
         stored_cols = np.ascontiguousarray(stored.T)  # (ml, n)
         chunk = max(1, _MAX_BATCH_ELEMS // max(1, ml * n_phys))
-        nonconv = 0
-        clamps = 0
+        ref, nonconv, clamps = (None, 0, 0) if dummy is None else dummy
         for b0 in range(0, B, chunk):
             b1 = min(B, b0 + chunk)
             nb = b1 - b0
@@ -241,21 +251,13 @@ class Engine:
             i_out, conv = self.solve_columns(stored_rep, gates_rep)
             nonconv += int((~conv).sum())
             i_out = i_out.reshape(nb, ml)
-            if self.dummy.enabled:
-                i_dummy, dconv = self.solve_columns(
-                    np.zeros((nb, n_phys), dtype=np.int8), gates[b0:b1]
-                )
-                nonconv += int((~dconv).sum())
-                if self.dummy.domain == "analog":
-                    i_out = dummy_compensate(i_out, i_dummy[:, None])
-                    lv, c = self.adc.quantize_array(i_out)
-                else:
-                    lv_data, c1 = self.adc.quantize_array(i_out)
-                    lv_dummy, c2 = self.adc.quantize_array(i_dummy)
-                    lv = np.maximum(0, lv_data - lv_dummy[:, None])
-                    c = c1 + c2
+            if ref is None:
+                lv, c = self.adc.quantize_array(i_out)
+            elif self.dummy.domain == "analog":
+                lv, c = self.adc.quantize_array(dummy_compensate(i_out, ref[b0:b1, None]))
             else:
                 lv, c = self.adc.quantize_array(i_out)
+                lv = np.maximum(0, lv - ref[b0:b1, None])
             clamps += c
             levels[b0:b1] = lv
         if nonconv:
@@ -312,10 +314,11 @@ class Engine:
             if stats is not None:
                 stats.add_ideal(layer, ideal)
             if cfg.nonidealities:
+                dummy = self._solve_dummy(g) if self.dummy.enabled else None
                 raw = np.empty_like(ideal)
                 for c0 in range(0, cols, m):
                     tile = slice(c0, min(cols, c0 + m))
-                    raw[:, tile] = self._digitize_tile(stored[:, tile], g, stats, layer)
+                    raw[:, tile] = self._digitize_tile(stored[:, tile], g, dummy, stats, layer)
             else:
                 # parasitic-free: the ADC sees exactly "count" quanta, so
                 # digitization reduces to integer saturation

@@ -19,9 +19,11 @@ currents already collected on that side.  Two solvers share this wiring:
   with an O(n) backward/forward sweep over the rows, then backtracks
   (halves the step) for any column whose residual would not fall.
   ``solve_column_linear_ladder`` is one such sweep for ohmic cells.
-* ``solve_column_dense`` - full nodal analysis with 2n unknown node
-  voltages and Newton-Raphson on the nonlinear cell currents.  Slower and
-  independent of the sweep; used to validate the fast path.
+* ``solve_column_dense`` - the independent oracle: nodal analysis of one
+  column with one unknown per node (zero-resistance segments merged) and
+  Newton-Raphson on the node voltages.  It shares no code with the sweep;
+  ``validate-solver``, the tests and the benchmark check the fast path
+  against it.  The engine always solves with ``solve_columns_fast``.
 
 Each column is solved independently: activations drive access-transistor
 gates, which draw no steady-state row current, so rows do not couple.
@@ -395,124 +397,84 @@ def solve_column_fast(
     return batch[0]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def solve_column_dense(
     p: ColumnProblem,
     tol: float = 1e-6,
     max_iter: int = 60,
 ) -> ColumnSolveResult:
-    """Full nodal analysis of one column, Newton-Raphson on cell currents.
+    """Full nodal analysis of one column, Newton-Raphson on node voltages.
 
-    All 2n node voltages are unknowns; zero-resistance segments collapse
-    their end nodes exactly (no epsilon conductances), so degenerate
-    parasitic-free problems solve cleanly.  The residual is the largest
-    KCL violation across nodes, normalized by i_on.  A singular Jacobian
-    raises :class:`SolverError`; running out of iterations returns a
-    flagged result.
+    Each line is a path from its pad: the bitline from the driver, the
+    sense line from the 0 V pad.  A zero-resistance segment gives its two
+    ends one shared unknown (exact collapse, no epsilon conductances): the
+    unknown of a node is the count of resistive segments between it and
+    its pad, minus one, offset past the bitline's unknowns on the sense
+    line; -1 pins the node to its pad's voltage.  With P the 0/1 map from
+    unknowns to nodes, node voltages are ``P @ u + fixed``, and each
+    Newton step solves ``P.T @ J @ P`` against the projected KCL
+    ``P.T @ kcl``, where J is the wire conductance matrix plus the cells'
+    small-signal conductances.  The residual is the largest KCL violation
+    across unknowns, normalized by i_on.  A singular Jacobian raises
+    :class:`SolverError`; running out of iterations returns a flagged
+    result.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
-    n = p.n
-    SRC, GND = 2 * n, 2 * n + 1
-    bl = lambda k: k
-    sl = lambda k: n + k
+    n, wire = p.n, p.wire
+    # nodes: bitline 0..n-1, sense line n..2n-1, driver pad 2n, 0 V pad 2n+1;
+    # each path starts at its pad, r[k] is the segment arriving at path[k+1]
+    rows = np.arange(n)
+    bl_path = np.concatenate(([2 * n], rows))
+    sl_rows = rows[::-1] if p.topology == "opposite" else rows
+    sl_path = np.concatenate(([2 * n + 1], n + sl_rows))
+    r_bl = np.full(n, wire.r_bl_per_cell)
+    r_bl[0] = wire.r_driver + wire.r_bl_per_cell
+    r_sl = np.full(n, wire.r_sl_per_cell)
 
-    resistors: list[tuple[int, int, float]] = [(SRC, bl(0), p.wire.r_driver + p.wire.r_bl_per_cell)]
-    for k in range(n - 1):
-        resistors.append((bl(k), bl(k + 1), p.wire.r_bl_per_cell))
-        resistors.append((sl(k), sl(k + 1), p.wire.r_sl_per_cell))
-    sense_row = n - 1 if p.topology == "opposite" else 0
-    resistors.append((sl(sense_row), GND, p.wire.r_sl_per_cell))
+    k_bl = np.cumsum(r_bl > 0) - 1
+    k_sl = np.cumsum(r_sl > 0) - 1
+    nb = int(k_bl[-1]) + 1
+    nu = nb + int(k_sl[-1]) + 1
+    idx = np.full(2 * n + 2, -1)
+    idx[bl_path[1:]] = k_bl
+    idx[sl_path[1:]] = np.where(k_sl >= 0, nb + k_sl, -1)
+    free = np.flatnonzero(idx >= 0)
+    P = np.zeros((2 * n + 2, nu))
+    P[free, idx[free]] = 1.0
+    fixed = np.zeros(2 * n + 2)
+    fixed[bl_path[idx[bl_path] < 0]] = p.v_drive
 
-    uf = _UnionFind(2 * n + 2)
-    for a, b, r in resistors:
-        if r == 0.0:
-            uf.union(a, b)
-    src_root, gnd_root = uf.find(SRC), uf.find(GND)
-    if src_root == gnd_root:
-        raise SolverError("drive shorted to ground by zero-resistance wiring")
+    a = np.concatenate((bl_path[:-1], sl_path[:-1]))
+    b = np.concatenate((bl_path[1:], sl_path[1:]))
+    r = np.concatenate((r_bl, r_sl))
+    # a zero-resistance segment stamps nothing: its ends share one unknown
+    g = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+    G = np.zeros((2 * n + 2, 2 * n + 2))
+    G[a, a] += g
+    G[b, b] += g
+    G[a, b] -= g
+    G[b, a] -= g
 
-    roots = sorted({uf.find(x) for x in range(2 * n + 2)})
-    unknown = [r for r in roots if r not in (src_root, gnd_root)]
-    index = {r: i for i, r in enumerate(unknown)}
-    nu = len(unknown)
-
-    fixed = {src_root: p.v_drive, gnd_root: 0.0}
-
-    def potentials(u: np.ndarray) -> np.ndarray:
-        pot = np.empty(2 * n + 2)
-        for x in range(2 * n + 2):
-            r = uf.find(x)
-            pot[x] = fixed[r] if r in fixed else u[index[r]]
-        return pot
-
-    # start from the parasitic-free bias point
-    u = np.array(
-        [p.v_drive if any(uf.find(bl(k)) == r for k in range(n)) else 0.0 for r in unknown]
-    )
-
-    stored = p.stored_bits.astype(np.float64)
-    gates = p.gate_bits.astype(np.float64)
+    bl, sl = rows, n + rows
     i_on = p.device.i_on
 
     def assemble(u: np.ndarray):
-        pot = potentials(u)
-        F = np.zeros(nu)
-        J = np.zeros((nu, nu))
-        for a, b, r in resistors:
-            if r == 0.0:
-                continue
-            ra, rb = uf.find(a), uf.find(b)
-            if ra == rb:
-                continue
-            g = 1.0 / r
-            cur = g * (pot[a] - pot[b])
-            ia = index.get(ra)
-            ib = index.get(rb)
-            if ia is not None:
-                F[ia] += cur
-                J[ia, ia] += g
-                if ib is not None:
-                    J[ia, ib] -= g
-            if ib is not None:
-                F[ib] -= cur
-                J[ib, ib] += g
-                if ia is not None:
-                    J[ib, ia] -= g
-        vd = pot[:n] - pot[n : 2 * n]
-        icell = p.device.currents(stored, gates, vd)
-        gcell = np.where(vd >= 0, p.device.conductances(stored, gates, vd), 0.0)
-        for k in range(n):
-            ra, rb = uf.find(bl(k)), uf.find(sl(k))
-            ia = index.get(ra)
-            ib = index.get(rb)
-            if ia is not None:
-                F[ia] += icell[k]
-                J[ia, ia] += gcell[k]
-                if ib is not None:
-                    J[ia, ib] -= gcell[k]
-            if ib is not None:
-                F[ib] -= icell[k]
-                J[ib, ib] += gcell[k]
-                if ia is not None:
-                    J[ib, ia] -= gcell[k]
-        return F, J, pot, icell
+        pot = P @ u + fixed
+        vd = pot[bl] - pot[sl]
+        icell = p.device.currents(p.stored_bits, p.gate_bits, vd)
+        gcell = np.where(vd >= 0, p.device.conductances(p.stored_bits, p.gate_bits, vd), 0.0)
+        kcl = G @ pot
+        kcl[bl] += icell
+        kcl[sl] -= icell
+        J = G.copy()
+        J[bl, bl] += gcell
+        J[sl, sl] += gcell
+        J[bl, sl] -= gcell
+        J[sl, bl] -= gcell
+        return P.T @ kcl, P.T @ J @ P, pot, icell
 
+    # start from the parasitic-free bias point
+    u = np.where(np.arange(nu) < nb, p.v_drive, 0.0)
     F, J, pot, icell = assemble(u)
     residual = float(np.abs(F).max() / i_on) if nu else 0.0
     converged = residual < tol

@@ -117,3 +117,52 @@ def test_exit_codes(tmp_path, model):
     assert cli.main(["sparsify", "--model", str(tmp_path / "missing.json"), "--out", out]) == 3
     assert cli.main(["sparsify", "--model", str(path), "--out", out,
                      "--set", "run.no_such_key=1"]) == 2
+
+
+def _csv_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def test_sweep_rows_cover_every_count(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), "--set", "run.trials=3", *TILES]) == 0
+    rows = _csv_rows(out / "sweep.csv")
+    assert [int(r["x"]) for r in rows] == list(range(N + 1))
+    assert all(int(r["samples"]) + int(r["nonconverged"]) == 3 for r in rows)
+
+
+def test_sweep_nonconvergence_exit_code(tmp_path):
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--set", "run.trials=2", *TILES,
+            "--set", "wire.preset=custom", "--set", "wire.r_bl_per_cell=1e5",
+            "--set", "wire.r_sl_per_cell=1e5", "--set", "wire.r_driver=1e6",
+            "--set", "wire.r_sink=0", "--set", "solver.max_iter=1"]
+    assert cli.main(argv) == 5
+
+
+def test_profile_writes_histograms(tmp_path, rng, model):
+    path = model[0]
+    X = rng.choice([-1, 1], size=(6, int(np.prod(IN_SHAPE))))
+    data = tmp_path / "data.csv"
+    data.write_text("".join("0," + ",".join(f"{v:.1f}" for v in row) + "\n" for row in X))
+    out = tmp_path / "out"
+    argv = ["profile", "--model", str(path), "--dataset", str(data), "--out", str(out), *TILES]
+    assert cli.main(argv) == 0
+    for name in ("profile_baseline.csv", "profile_binsparx.csv"):
+        rows = _csv_rows(out / name)
+        assert [int(r["bin"]) for r in rows] == list(range(N + 1))
+        assert sum(int(r["count"]) for r in rows) > 0
+    summary = json.loads((out / "profile_summary.json").read_text())
+    assert summary["reduction"] >= 0
+
+
+def test_validate_solver_takes_its_own_trials(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["validate-solver", "--trials", "2", "--out", str(out)]) == 0
+    doc = json.loads((out / "validate_report.json").read_text())
+    corners = doc["report"]["corners"]
+    assert len(corners) == 6 and all(c["trials"] == 2 for c in corners)
+    assert doc["report"]["passed"]
+    assert "method" not in doc["config"]["solver"]

@@ -20,6 +20,7 @@ from binsparx.errors import (
     NonConvergenceError,
     ShapeError,
 )
+from binsparx.solver import ColumnProblem, solve_column_dense
 
 from conftest import signed_vmm, software_bnn_forward
 
@@ -172,17 +173,47 @@ class TestNonIdealPath:
         eng2.vmm_batch(eng2.prepare(W), A, stats=stats)
         assert stats.nonconverged > 0
 
-    def test_dense_solver_config(self, rng):
-        W = rng.choice([-1, 1], size=(16, 4)).astype(np.int8)
-        A = rng.choice([-1, 1], size=(3, 16)).astype(np.int8)
-        outs = {}
-        for method in ("fast", "dense"):
-            cfg = EngineConfig(n=16, m=4, binsparx=True, nonidealities=True,
-                               adc_bits=4, solver=method, solver_tol=1e-9,
-                               wire=WireModel.preset("M3"))
-            eng = Engine(cfg)
-            outs[method] = eng.vmm_batch(eng.prepare(W), A)
-        assert np.array_equal(outs["fast"], outs["dense"])
+    def test_solve_columns_passes_settings(self, rng):
+        # v_drive and topology reach the solver: the answer is the oracle's
+        dev, wire = DeviceModel.sram8t(), WireModel.preset("M3")
+        base = dict(n=32, m=32, device=dev, wire=wire, v_drive=0.55, topology="same")
+        stored = rng.integers(0, 2, (6, 32))
+        gates = rng.integers(0, 2, (6, 32))
+        i_out, conv = Engine(EngineConfig(**base, solver_tol=1e-10)).solve_columns(stored, gates)
+        assert conv.all()
+        for b in range(len(stored)):
+            p = ColumnProblem(32, stored[b], gates[b], dev, wire, 0.55, "same")
+            ref = solve_column_dense(p, tol=1e-10)
+            assert ref.converged
+            assert i_out[b] == pytest.approx(ref.i_out, rel=1e-9)
+        # tol and max_iter too: iteration 1 is the start point, which only
+        # a loose tolerance accepts
+        _, conv = Engine(EngineConfig(**base, solver_max_iter=1)).solve_columns(stored, gates)
+        assert not conv.any()
+        loose = EngineConfig(**base, solver_tol=1.0, solver_max_iter=1)
+        _, conv = Engine(loose).solve_columns(stored, gates)
+        assert conv.all()
+
+    def test_dummy_solved_once_per_row_tile(self, rng, monkeypatch):
+        # the dummy depends only on a row tile's gates: 2 row tiles x 2 column
+        # tiles need 2 dummy solves, not 4
+        dummy_batches = []
+        solve = Engine.solve_columns
+
+        def counting(self, stored, gates):
+            if not np.any(stored):
+                dummy_batches.append(len(gates))
+            return solve(self, stored, gates)
+
+        monkeypatch.setattr(Engine, "solve_columns", counting)
+        W = rng.choice([-1, 1], size=(128, 128)).astype(np.int8)
+        A = rng.choice([-1, 1], size=(5, 128)).astype(np.int8)
+        for domain in ("analog", "digital"):
+            eng = Engine(EngineConfig(n=64, m=64, binsparx=False,
+                                      device=DeviceModel.reram1t1r(), dummy_domain=domain))
+            dummy_batches.clear()
+            eng.vmm_batch(eng.prepare(W), A)
+            assert dummy_batches == [5, 5]
 
     @pytest.mark.parametrize("binsparx", [False, True])
     @pytest.mark.parametrize("domain", ["analog", "digital"])
@@ -377,7 +408,5 @@ class TestConfig:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             EngineConfig(n=0)
-        with pytest.raises(ConfigError):
-            EngineConfig(solver="magic")
         with pytest.raises(ConfigError):
             Engine(EngineConfig(adc_bits="many"))

@@ -103,6 +103,26 @@ class TestFastVsDense:
         assert c.i_out <= a.i_out + 1e-12
 
 
+class TestDenseOracle:
+    @pytest.mark.parametrize("topology", ["opposite", "same"])
+    @pytest.mark.parametrize("wire", [WireModel.preset("M3"), EXTREME], ids=["M3", "extreme"])
+    def test_against_independent_nodal_solve(self, rng, wire, topology):
+        # ohmic cells at three conductances (ON, HRS, gate off), no ladder sweep
+        dev = DeviceModel(kind="reram1t1r", i_on=1e-6, i_hrs=1e-7, i_off=0.0, curve="linear")
+        for n in (1, 2, 5, 64):
+            stored = rng.integers(0, 2, n)
+            gates = rng.integers(0, 2, n)
+            g = np.where(gates > 0, np.where(stored > 0, dev.i_on, dev.i_hrs) / V, 0.0)
+            i_ref, vb_ref, vs_ref = nodal_reference_linear(
+                g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V, topology
+            )
+            res = solve_column_dense(_problem(stored, gates, dev, wire, topology), tol=1e-10)
+            assert res.converged
+            assert res.i_out == pytest.approx(i_ref, rel=1e-11, abs=1e-20)
+            assert np.abs(res.v_bl - vb_ref).max() < 1e-12
+            assert np.abs(res.v_sl - vs_ref).max() < 1e-12
+
+
 class TestLinearLadder:
     def test_single_cell_divider(self):
         # one ohmic cell: i = g*v / (1 + g*(r_drv + r_bl + r_sl))
