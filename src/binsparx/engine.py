@@ -9,6 +9,17 @@ compensation and ADC quantization, and the sign-corrected dot-product
 recovery.  Partial sums add up across row tiles as exact integers, so only
 intra-column analog effects are non-ideal.
 
+Each distinct post-flip gate row of a row tile is solved once, and the
+dummy column and every column tile share that de-duplication.  Conv
+patches repeat, and the dynamic flip maps a sub-vector and its complement
+to one gate row, so a conv layer often has far fewer distinct gate rows
+than inputs.
+It is exact: a column's solve depends only on its stored bits and gate
+row, never on the other columns of its batch
+(``test_column_alone_equals_column_in_batch``), and the solved currents
+are expanded back to every input before compensation, quantization and
+counting, so clamps and non-convergence still count once per input.
+
 Exactness contract, with non-idealities off, for every tile geometry:
 
 * ``adc_bits="full"`` (ceil(log2(n+1)) bits never saturate): the output is
@@ -56,7 +67,8 @@ __all__ = [
     "im2col",
 ]
 
-# cap on elements per electrical batch; keeps memory modest on big runs
+# cap on cells per electrical batch (distinct gate rows x columns x rows);
+# keeps memory modest on big runs
 _MAX_BATCH_ELEMS = 4_000_000
 
 
@@ -201,23 +213,39 @@ class Engine:
         )
         return res.i_out, res.converged
 
-    def _solve_dummy(self, gates: np.ndarray):
+    def _solve_rows(self, stored_cols: np.ndarray, gates: np.ndarray):
+        """Solve every stored column (ml, n_phys) against every gate row (U, n_phys).
+
+        Returns (i_out (U, ml), converged (U, ml)), batched in chunks of at
+        most ``_MAX_BATCH_ELEMS`` cells.
+        """
+        U, n_phys = gates.shape
+        ml = len(stored_cols)
+        i_out = np.empty((U, ml))
+        conv = np.empty((U, ml), dtype=bool)
+        chunk = max(1, _MAX_BATCH_ELEMS // max(1, ml * n_phys))
+        for b0 in range(0, U, chunk):
+            b1 = min(U, b0 + chunk)
+            nb = b1 - b0
+            stored_rep = np.broadcast_to(stored_cols, (nb, ml, n_phys)).reshape(-1, n_phys)
+            gates_rep = np.repeat(gates[b0:b1], ml, axis=0)
+            i, c = self.solve_columns(stored_rep, gates_rep)
+            i_out[b0:b1] = i.reshape(nb, ml)
+            conv[b0:b1] = c.reshape(nb, ml)
+        return i_out, conv
+
+    def _solve_dummy(self, gates: np.ndarray, inverse: np.ndarray):
         """The all-HRS dummy column of one row tile for B inputs.
 
-        ``gates`` is (B, n_phys).  The dummy depends only on the row tile's
-        gates, so every column tile of the row tile shares this one solve.
-        Returns (dummy (B,), non-converged solves, ADC clamps): the dummy
-        current for analog subtraction, its ADC level for digital.
+        ``gates`` is (U, n_phys), the row tile's distinct gate rows, and
+        ``inverse`` (B,) gives each input's row.  The dummy depends only on
+        the row tile's gates, so every column tile of the row tile shares
+        this one solve.  Returns (dummy (B,), non-converged solves, ADC
+        clamps), counted per input: the dummy current for analog
+        subtraction, its ADC level for digital.
         """
-        B, n_phys = gates.shape
-        i_dummy = np.empty(B)
-        conv = np.empty(B, dtype=bool)
-        chunk = max(1, _MAX_BATCH_ELEMS // max(1, n_phys))
-        for b0 in range(0, B, chunk):
-            b1 = min(B, b0 + chunk)
-            i_dummy[b0:b1], conv[b0:b1] = self.solve_columns(
-                np.zeros((b1 - b0, n_phys), dtype=np.int8), gates[b0:b1]
-            )
+        i_dummy, conv = self._solve_rows(np.zeros((1, gates.shape[1]), dtype=np.int8), gates)
+        i_dummy, conv = i_dummy[inverse, 0], conv[inverse, 0]
         nonconv = int((~conv).sum())
         if self.dummy.domain == "analog":
             return i_dummy, nonconv, 0
@@ -227,39 +255,30 @@ class Engine:
     def _digitize_tile(
         self,
         stored: np.ndarray,     # (n_phys, ml) int8, the tile's logical columns
-        gates: np.ndarray,      # (B, n_phys) int8, contiguous, post-flip, padding zeroed
-        dummy,                  # _solve_dummy(gates), or None without the dummy column
+        gates: np.ndarray,      # (U, n_phys) int8, distinct post-flip rows, padding zeroed
+        inverse: np.ndarray,    # (B,) row of ``gates`` for each input
+        dummy,                  # _solve_dummy(gates, inverse), or None without the dummy column
         stats: RunStats | None,
         layer: str,
     ) -> np.ndarray:
         """Solve + compensate + quantize one tile for B inputs -> (B, ml) levels.
 
-        Every array carries its own dummy column, so the shared dummy solve's
-        non-convergence and clamps count once per column tile.
+        Every input and every array counts its own solves: non-convergence
+        and clamps count once per input, and the shared dummy solve's once
+        per column tile.
         """
-        B = gates.shape[0]
-        n_phys, ml = stored.shape
-        levels = np.empty((B, ml), dtype=np.int64)
-        stored_cols = np.ascontiguousarray(stored.T)  # (ml, n)
-        chunk = max(1, _MAX_BATCH_ELEMS // max(1, ml * n_phys))
+        i_out, conv = self._solve_rows(np.ascontiguousarray(stored.T), gates)
+        i_out, conv = i_out[inverse], conv[inverse]
         ref, nonconv, clamps = (None, 0, 0) if dummy is None else dummy
-        for b0 in range(0, B, chunk):
-            b1 = min(B, b0 + chunk)
-            nb = b1 - b0
-            stored_rep = np.broadcast_to(stored_cols, (nb, ml, n_phys)).reshape(-1, n_phys)
-            gates_rep = np.repeat(gates[b0:b1], ml, axis=0)
-            i_out, conv = self.solve_columns(stored_rep, gates_rep)
-            nonconv += int((~conv).sum())
-            i_out = i_out.reshape(nb, ml)
-            if ref is None:
-                lv, c = self.adc.quantize_array(i_out)
-            elif self.dummy.domain == "analog":
-                lv, c = self.adc.quantize_array(dummy_compensate(i_out, ref[b0:b1, None]))
-            else:
-                lv, c = self.adc.quantize_array(i_out)
-                lv = np.maximum(0, lv - ref[b0:b1, None])
-            clamps += c
-            levels[b0:b1] = lv
+        nonconv += int((~conv).sum())
+        if ref is None:
+            levels, c = self.adc.quantize_array(i_out)
+        elif self.dummy.domain == "analog":
+            levels, c = self.adc.quantize_array(dummy_compensate(i_out, ref[:, None]))
+        else:
+            levels, c = self.adc.quantize_array(i_out)
+            levels = np.maximum(0, levels - ref[:, None])
+        clamps += c
         if nonconv:
             if stats is not None:
                 stats.nonconverged += nonconv
@@ -314,11 +333,20 @@ class Engine:
             if stats is not None:
                 stats.add_ideal(layer, ideal)
             if cfg.nonidealities:
-                dummy = self._solve_dummy(g) if self.dummy.enabled else None
+                # a column's solve depends only on its stored bits and its
+                # gate row: solve each distinct gate row once, then expand
+                key = np.packbits(g, axis=1)
+                _, first, inverse = np.unique(
+                    key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                    return_index=True, return_inverse=True,
+                )
+                distinct = g[first]
+                dummy = self._solve_dummy(distinct, inverse) if self.dummy.enabled else None
                 raw = np.empty_like(ideal)
                 for c0 in range(0, cols, m):
                     tile = slice(c0, min(cols, c0 + m))
-                    raw[:, tile] = self._digitize_tile(stored[:, tile], g, dummy, stats, layer)
+                    raw[:, tile] = self._digitize_tile(stored[:, tile], distinct, inverse,
+                                                       dummy, stats, layer)
             else:
                 # parasitic-free: the ADC sees exactly "count" quanta, so
                 # digitization reduces to integer saturation

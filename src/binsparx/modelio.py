@@ -208,7 +208,10 @@ def load_idx(path) -> np.ndarray:
             code, ndim = head[2], head[3]
             if code not in _IDX_DTYPES:
                 raise ParseError(f"{p}: unknown IDX dtype 0x{code:02x}")
-            dims = struct.unpack(f">{ndim}I", fh.read(4 * ndim))
+            dims_block = fh.read(4 * ndim)
+            if len(dims_block) != 4 * ndim:
+                raise ParseError(f"{p}: truncated IDX header ({ndim} dims declared)")
+            dims = struct.unpack(f">{ndim}I", dims_block)
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"{p}: cannot read ({exc})") from exc

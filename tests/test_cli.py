@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from binsparx import cli, modelio
+from binsparx import analysis, cli, modelio
 
 from conftest import software_bnn_forward
 
@@ -166,3 +166,19 @@ def test_validate_solver_takes_its_own_trials(tmp_path):
     assert len(corners) == 6 and all(c["trials"] == 2 for c in corners)
     assert doc["report"]["passed"]
     assert "method" not in doc["config"]["solver"]
+
+
+def test_validation_failure_exit_code(tmp_path, monkeypatch):
+    # a report over budget exits 4 and is still written
+    report = {
+        "corners": [{"preset": "M3", "i_on": 1e-6, "max_rel_error": 0.02,
+                     "mean_rel_error": 0.01, "trials": 2}],
+        "max_rel_error": 0.02, "budget": 0.005,
+        "zero_parasitic_rel_error": 0.0, "linear_closed_form_rel_error": 0.0,
+        "passed": False,
+    }
+    monkeypatch.setattr(analysis, "solver_validation_suite", lambda **kw: report)
+    out = tmp_path / "out"
+    assert cli.main(["validate-solver", "--trials", "2", "--out", str(out)]) == 4
+    doc = json.loads((out / "validate_report.json").read_text())
+    assert doc["report"] == report

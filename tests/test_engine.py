@@ -242,6 +242,93 @@ class TestNonIdealPath:
         assert np.array_equal(a, b)
 
 
+STIFF = WireModel(1e5, 1e5, 1e6, 1e6)
+
+
+class TestColumnDeduplication:
+    """Each distinct post-flip gate row of a row tile is solved once."""
+
+    @pytest.mark.parametrize("binsparx", [False, True])
+    @pytest.mark.parametrize("wire", [WireModel.preset("M3"), STIFF], ids=["M3", "stiff"])
+    # a 2-bit ADC and a strong HRS current: data and digital dummy levels clamp
+    @pytest.mark.parametrize("device, domain", [
+        (DeviceModel.sram8t(), "analog"),
+        (DeviceModel.reram1t1r(i_hrs=2.5e-7), "analog"),
+        (DeviceModel.reram1t1r(i_hrs=2.5e-7), "digital"),
+    ], ids=["sram", "reram-analog", "reram-digital"])
+    def test_repeated_rows_equal_rows_alone(self, rng, device, domain, wire, binsparx):
+        # 300 rows drawn from 20 distinct ones (5 of them complements of
+        # others): outputs and stats equal each distinct row run alone.
+        # Ragged tiles: row tiles of 32 and 18 rows, column tiles of 16 and 4.
+        W = rng.choice([-1, 1], size=(50, 20)).astype(np.int8)
+        base = rng.choice([-1, 1], size=(15, 50)).astype(np.int8)
+        distinct = np.concatenate([base, -base[:5]])
+        pick = rng.integers(0, len(distinct), 300)
+        cfg = EngineConfig(n=32, m=16, binsparx=binsparx, device=device, wire=wire,
+                           dummy_domain=domain, adc_bits=2, solver_max_iter=3,
+                           best_effort=True)
+        eng = Engine(cfg)
+        prep = eng.prepare(W)
+        stats = RunStats(32)
+        out = eng.vmm_batch(prep, distinct[pick], stats=stats)
+
+        alone_out, alone_stats = [], []
+        for row in distinct:
+            s = RunStats(32)
+            alone_out.append(eng.vmm_batch(prep, row[None, :], stats=s)[0])
+            alone_stats.append(s)
+        assert np.array_equal(out, np.asarray(alone_out)[pick])
+        # deviations are integers, so their float sums are exact in any order
+        picked = [alone_stats[k] for k in pick]
+        want = RunStats(32)
+        want.layer_hist["vmm"] = sum(s.layer_hist["vmm"] for s in picked)
+        want.layer_absdev_sum["vmm"] = sum(s.layer_absdev_sum["vmm"] for s in picked)
+        want.layer_dev_count["vmm"] = sum(s.layer_dev_count["vmm"] for s in picked)
+        want.clamp_events = sum(s.clamp_events for s in picked)
+        want.nonconverged = sum(s.nonconverged for s in picked)
+        assert stats.to_dict() == want.to_dict()
+        # the case is only a check of the weighted counts if they are not 0
+        if wire is STIFF:
+            assert stats.nonconverged > 0
+        else:
+            assert stats.clamp_events > 0
+
+    @pytest.mark.parametrize("binsparx, distinct", [(False, 5), (True, 4)])
+    def test_solves_per_distinct_gate_row(self, rng, monkeypatch, binsparx, distinct):
+        data_columns, dummy_columns = [], []
+        solve = Engine.solve_columns
+
+        def counting(self, stored, gates):
+            (data_columns if np.any(stored) else dummy_columns).append(len(gates))
+            return solve(self, stored, gates)
+
+        monkeypatch.setattr(Engine, "solve_columns", counting)
+        # 2 row tiles x column tiles of 64 and 16 logical columns
+        W = rng.choice([-1, 1], size=(128, 80)).astype(np.int8)
+        x = rng.choice([-1, 1], size=(4, 128)).astype(np.int8)
+        # 40 of 64 rows on in each row tile: under BinSparX x[0] and -x[0]
+        # both reach the array as the complement of x[0]
+        x[0] = np.concatenate([rng.permutation(np.repeat([1, -1], [40, 24]))
+                               for _ in range(2)])
+        A = np.stack([x[0], x[1], x[2], x[0], -x[0], x[1], x[3], x[3], x[0]])
+        eng = Engine(EngineConfig(n=64, m=64, binsparx=binsparx,
+                                  device=DeviceModel.reram1t1r()))
+        out = eng.vmm_batch(eng.prepare(W), A)
+        assert np.array_equal(out, signed_vmm(A, W))
+        assert sum(data_columns) == 2 * distinct * (64 + 16)
+        assert dummy_columns == [distinct, distinct]
+
+    @pytest.mark.parametrize("nonidealities", [False, True])
+    def test_empty_batch(self, rng, nonidealities):
+        W = rng.choice([-1, 1], size=(100, 40)).astype(np.int8)
+        eng = Engine(EngineConfig(n=64, m=32, nonidealities=nonidealities,
+                                  device=DeviceModel.reram1t1r()))
+        stats = RunStats(64)
+        out = eng.vmm_batch(eng.prepare(W), np.zeros((0, 100), dtype=np.int8), stats=stats)
+        assert out.shape == (0, 40)
+        assert stats.clamp_events == 0 and stats.nonconverged == 0
+
+
 class TestFoldBatchnorm:
     def test_identity_params(self):
         ft = fold_batchnorm([1.0], [0.0], [0.0], [1.0])
