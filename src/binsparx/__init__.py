@@ -10,7 +10,6 @@ from .analysis import (
     DeviationSweep,
     PartialSumHistogram,
     cost_report,
-    profile_columns,
     profile_partial_sums,
     solver_validation_suite,
     sweep_deviation,

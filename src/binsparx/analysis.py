@@ -31,7 +31,6 @@ __all__ = [
     "PartialSumHistogram",
     "DeviationSweep",
     "profile_partial_sums",
-    "profile_columns",
     "sweep_deviation",
     "cost_report",
     "solver_validation_suite",
@@ -99,21 +98,6 @@ def profile_partial_sums(
     return _hist_from_stats(stats)
 
 
-def profile_columns(
-    engine: Engine,
-    weights,
-    activations: np.ndarray,
-    binsparx: bool,
-) -> PartialSumHistogram:
-    """Histogram ideal AND sums for one weight matrix and a stack of
-    signed activation rows (synthetic-workload profiling)."""
-    eng = _ideal_engine(engine, binsparx)
-    stats = RunStats(eng.config.n)
-    prepared = eng.prepare(weights)
-    eng.vmm_batch(prepared, activations, stats=stats)
-    return _hist_from_stats(stats)
-
-
 @dataclass(frozen=True, eq=False)
 class DeviationSweep:
     """Per ON-count x: normalized deviation (ideal - measured)/quantum.
@@ -157,6 +141,13 @@ def sweep_deviation(
     rows where both are 1: the remaining rows draw uniformly from the
     three non-ON combinations.  Dummy compensation applies when the
     engine has it enabled.
+
+    Every x draws its columns from ``rng`` in turn, in the same order as
+    one call per x.  Then every drawn column is solved together, and so is
+    every dummy column where the engine has one, through
+    :meth:`Engine.solve_rows` in chunks of at most ``_MAX_BATCH_ELEMS``
+    cells.  A column's solve does not depend on its batch, so the result
+    equals one call per x bit for bit.
     """
     if trials_per_x < 1:
         raise DomainError("trials_per_x must be >= 1")
@@ -170,30 +161,35 @@ def sweep_deviation(
     # quantum already accounts for the subtracted per-row HRS share
     quantum = engine.adc.quantum
 
-    means = np.empty(len(xs))
-    mns = np.empty(len(xs))
-    mxs = np.empty(len(xs))
-    mabs = np.empty(len(xs))
-    samples = np.zeros(len(xs), dtype=np.int64)
-    noncvg = np.zeros(len(xs), dtype=np.int64)
-
+    stored = np.empty((len(xs), trials_per_x, n), dtype=np.int8)
+    gates = np.empty((len(xs), trials_per_x, n), dtype=np.int8)
     for i, x in enumerate(xs):
         # first x slots of a random permutation hold the coincident ONs
         order = np.argsort(rng.random((trials_per_x, n)), axis=1)
         on = order < x
         combo = rng.integers(0, 3, size=(trials_per_x, n))
-        stored = np.where(on, 1, np.where(combo == 2, 1, 0)).astype(np.int8)
-        gates = np.where(on, 1, np.where(combo == 1, 1, 0)).astype(np.int8)
-        i_out, conv = engine.solve_columns(stored, gates)
-        if engine.dummy.enabled:
-            i_dummy, dconv = engine.solve_columns(np.zeros_like(stored), gates)
-            conv = conv & dconv
-            i_out = dummy_compensate(i_out, i_dummy)
-        dev = (x * quantum - i_out) / quantum
-        ok = conv
-        noncvg[i] = int((~ok).sum())
-        good = dev[ok]
-        samples[i] = good.size
+        stored[i] = on | (combo == 2)
+        gates[i] = on | (combo == 1)
+    gates = gates.reshape(-1, n)
+    i_out, conv = engine.solve_rows(stored.reshape(-1, 1, n), gates)
+    if engine.dummy.enabled:
+        # the all-zero dummy column under every drawn gate row, broadcast
+        # rather than stored
+        i_dummy, dconv = engine.solve_rows(np.zeros((1, 1, n), dtype=np.int8), gates)
+        conv = conv & dconv
+        i_out = dummy_compensate(i_out, i_dummy)
+    shape = (len(xs), trials_per_x)
+    dev = (xs[:, None] * quantum - i_out.reshape(shape)) / quantum
+    conv = conv.reshape(shape)
+
+    means = np.empty(len(xs))
+    mns = np.empty(len(xs))
+    mxs = np.empty(len(xs))
+    mabs = np.empty(len(xs))
+    samples = conv.sum(axis=1)
+    noncvg = trials_per_x - samples
+    for i in range(len(xs)):
+        good = dev[i, conv[i]]
         if good.size:
             means[i] = good.mean()
             mns[i] = good.min()

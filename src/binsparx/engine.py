@@ -67,9 +67,14 @@ __all__ = [
     "im2col",
 ]
 
-# cap on cells per electrical batch (distinct gate rows x columns x rows);
-# keeps memory modest on big runs
-_MAX_BATCH_ELEMS = 4_000_000
+# cap on cells (columns x rows) per solve_columns call.  A call's (rows,
+# columns) float64 arrays are then 2 MB each, about one core's L2 cache,
+# and the solver keeps about a dozen live, so its working set stays near
+# 25 MB however large the run.  Wider calls buy nothing: at n=64 (SRAM,
+# M4) on a 2-core Xeon a column cost 16.0 us at 4,096 columns per call
+# and 17-20 us at 16k-32k, and a call's peak RSS was 89 MB at 10k
+# columns and 369 MB at 62.5k.
+_MAX_BATCH_ELEMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -213,21 +218,25 @@ class Engine:
         )
         return res.i_out, res.converged
 
-    def _solve_rows(self, stored_cols: np.ndarray, gates: np.ndarray):
-        """Solve every stored column (ml, n_phys) against every gate row (U, n_phys).
+    def solve_rows(self, stored: np.ndarray, gates: np.ndarray):
+        """Solve stored columns (U or 1, ml, n_phys) against gate rows (U, n_phys).
 
-        Returns (i_out (U, ml), converged (U, ml)), batched in chunks of at
-        most ``_MAX_BATCH_ELEMS`` cells.
+        Each of row u's ``ml`` stored columns is solved with gate row
+        ``gates[u]``; a leading 1 gives every row the same stored columns.
+        Returns (i_out (U, ml), converged (U, ml)).  Rows go to
+        :meth:`solve_columns` in chunks of at most ``_MAX_BATCH_ELEMS``
+        cells; this is the only chunk loop, for VMMs and sweeps alike.
         """
         U, n_phys = gates.shape
-        ml = len(stored_cols)
+        ml = stored.shape[1]
+        stored = np.broadcast_to(stored, (U, ml, n_phys))
         i_out = np.empty((U, ml))
         conv = np.empty((U, ml), dtype=bool)
         chunk = max(1, _MAX_BATCH_ELEMS // max(1, ml * n_phys))
         for b0 in range(0, U, chunk):
             b1 = min(U, b0 + chunk)
             nb = b1 - b0
-            stored_rep = np.broadcast_to(stored_cols, (nb, ml, n_phys)).reshape(-1, n_phys)
+            stored_rep = stored[b0:b1].reshape(-1, n_phys)
             gates_rep = np.repeat(gates[b0:b1], ml, axis=0)
             i, c = self.solve_columns(stored_rep, gates_rep)
             i_out[b0:b1] = i.reshape(nb, ml)
@@ -244,7 +253,7 @@ class Engine:
         clamps), counted per input: the dummy current for analog
         subtraction, its ADC level for digital.
         """
-        i_dummy, conv = self._solve_rows(np.zeros((1, gates.shape[1]), dtype=np.int8), gates)
+        i_dummy, conv = self.solve_rows(np.zeros((1, 1, gates.shape[1]), dtype=np.int8), gates)
         i_dummy, conv = i_dummy[inverse, 0], conv[inverse, 0]
         nonconv = int((~conv).sum())
         if self.dummy.domain == "analog":
@@ -267,7 +276,7 @@ class Engine:
         and clamps count once per input, and the shared dummy solve's once
         per column tile.
         """
-        i_out, conv = self._solve_rows(np.ascontiguousarray(stored.T), gates)
+        i_out, conv = self.solve_rows(np.ascontiguousarray(stored.T)[None], gates)
         i_out, conv = i_out[inverse], conv[inverse]
         ref, nonconv, clamps = (None, 0, 0) if dummy is None else dummy
         nonconv += int((~conv).sum())

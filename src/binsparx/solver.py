@@ -18,7 +18,11 @@ currents already collected on that side.  Two solvers share this wiring:
   linearizes every cell at its bias and solves that linear ladder exactly
   with an O(n) backward/forward sweep over the rows, then backtracks
   (halves the step) for any column whose residual would not fall.
-  ``solve_column_linear_ladder`` is one such sweep for ohmic cells.
+  ``solve_column_linear_ladder`` is one such sweep for ohmic cells.  A
+  column starts with every cell at full bias, unless those currents would
+  already reverse-bias one of its cells, as stiff wire does to the far
+  rows; it then starts from one sweep of its ohmic ladder, a few Newton
+  steps from the answer where full bias can be dozens away.
 * ``solve_column_dense`` - the independent oracle: nodal analysis of one
   column with one unknown per node (zero-resistance segments merged) and
   Newton-Raphson on the node voltages.  It shares no code with the sweep;
@@ -301,13 +305,18 @@ def solve_columns_fast(
     unknown is the cell-current vector i; the line voltages v(i) follow
     from it, and a column converges when its residual
     max |f(v(i)) - i| / i_on drops below ``tol`` (f: the device model), at
-    which point it returns f(v(i)).  Iteration 1 evaluates the start point,
-    every cell at full bias.  Each further iteration linearizes every cell
-    at its current bias as i = g*v + c (g = 0 under reverse bias), solves
-    that linear ladder exactly with an O(n) sweep, and backtracks - halving
-    the step while a column's residual does not fall.  Converged columns
-    leave the active set at once.  Non-convergent problems are returned
-    flagged (with their last f(v(i))), never silently.
+    which point it returns f(v(i)).  Iteration 1 evaluates the start
+    point: every cell at full bias, i = f(v_drive), unless that leaves one
+    of the column's cells reverse-biased.  Such a starved column starts
+    instead from the exact currents of its ohmic ladder, which one sweep
+    gives: gate-on cells at their chord conductance f(v_drive)/v_drive,
+    gate-off cells at their constant leakage.  Each further iteration
+    linearizes every cell at its current bias as i = g*v + c (g = 0 under
+    reverse bias), solves that linear ladder exactly with an O(n) sweep,
+    and backtracks - halving the step while a column's residual does not
+    fall.  Converged columns leave the active set at once.  Non-convergent
+    problems are returned flagged (with their last f(v(i))), never
+    silently.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
@@ -331,6 +340,15 @@ def solve_columns_fast(
 
     i_cell = device.currents(stored, gates, v_drive)
     v = _cell_voltages(i_cell, wire, v_drive, topology)
+    # starved columns (full bias reverse-biases a cell): the ohmic start
+    starved = np.flatnonzero(v.min(axis=0) < 0)
+    if starved.size:
+        i_start = i_cell[:, starved]
+        on = gates[:, starved] > 0
+        i_start = _ladder_sweep(np.where(on, i_start / v_drive, 0.0),
+                                np.where(on, 0.0, i_start), wire, v_drive, topology)
+        i_cell[:, starved] = i_start
+        v[:, starved] = _cell_voltages(i_start, wire, v_drive, topology)
     f = device.currents(stored, gates, v)
     res = _residual(f, i_cell, i_on)
     for it in range(1, max_iter + 1):
@@ -397,6 +415,33 @@ def solve_column_fast(
     return batch[0]
 
 
+def _branch_stamps(ends_a: np.ndarray, ends_b: np.ndarray, nu: int):
+    """Stamps of two-terminal branches, branch k running from unknown
+    ``ends_a[k]`` to unknown ``ends_b[k]`` (-1: a pinned end, which stamps
+    nothing).  Returns the KCL stamps (unknown, branch, sign) of every free
+    end, and the conductance stamps (flat position in the nu x nu
+    Jacobian, branch, sign) of every pair of one branch's free ends."""
+    m = len(ends_a)
+    k = np.tile(np.arange(m), 2)
+    e = np.concatenate((ends_a, ends_b))
+    f = np.concatenate((ends_b, ends_a))  # the other end of e's branch
+    s = np.repeat([1.0, -1.0], m)         # the current leaves at a, enters at b
+    free = e >= 0
+    other = free & (f >= 0)
+    kcl = (e[free], k[free], s[free])
+    # a free end stamps +g on itself and -g towards its branch's other free end
+    jac = (np.concatenate((e[free] * (nu + 1), e[other] * nu + f[other])),
+           np.concatenate((k[free], k[other])),
+           np.repeat([1.0, -1.0], (free.sum(), other.sum())))
+    return kcl, jac
+
+
+def _stamp(stamps, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum ``sign * values[branch]`` into ``size`` slots at the stamps' positions."""
+    at, k, s = stamps
+    return np.bincount(at, s * values[k], minlength=size)
+
+
 def solve_column_dense(
     p: ColumnProblem,
     tol: float = 1e-6,
@@ -409,14 +454,15 @@ def solve_column_dense(
     ends one shared unknown (exact collapse, no epsilon conductances): the
     unknown of a node is the count of resistive segments between it and
     its pad, minus one, offset past the bitline's unknowns on the sense
-    line; -1 pins the node to its pad's voltage.  With P the 0/1 map from
-    unknowns to nodes, node voltages are ``P @ u + fixed``, and each
-    Newton step solves ``P.T @ J @ P`` against the projected KCL
-    ``P.T @ kcl``, where J is the wire conductance matrix plus the cells'
-    small-signal conductances.  The residual is the largest KCL violation
-    across unknowns, normalized by i_on.  A singular Jacobian raises
-    :class:`SolverError`; running out of iterations returns a flagged
-    result.
+    line; -1 pins the node to its pad's voltage.  Every segment and every
+    cell is a two-terminal branch stamped straight into the unknowns, a
+    pinned end stamping nothing.  The wire is linear, so its conductance
+    block and its pad terms are stamped once per solve; each Newton step
+    adds only the cells' currents and small-signal conductances, then
+    solves the (unknowns x unknowns) system.  The residual is the largest
+    KCL violation across unknowns, normalized by i_on.  A singular
+    Jacobian raises :class:`SolverError`; running out of iterations
+    returns a flagged result.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
@@ -427,9 +473,9 @@ def solve_column_dense(
     bl_path = np.concatenate(([2 * n], rows))
     sl_rows = rows[::-1] if p.topology == "opposite" else rows
     sl_path = np.concatenate(([2 * n + 1], n + sl_rows))
-    r_bl = np.full(n, wire.r_bl_per_cell)
+    r_bl = np.full(n, wire.r_bl_per_cell, dtype=np.float64)
     r_bl[0] = wire.r_driver + wire.r_bl_per_cell
-    r_sl = np.full(n, wire.r_sl_per_cell)
+    r_sl = np.full(n, wire.r_sl_per_cell, dtype=np.float64)
 
     k_bl = np.cumsum(r_bl > 0) - 1
     k_sl = np.cumsum(r_sl > 0) - 1
@@ -438,9 +484,6 @@ def solve_column_dense(
     idx = np.full(2 * n + 2, -1)
     idx[bl_path[1:]] = k_bl
     idx[sl_path[1:]] = np.where(k_sl >= 0, nb + k_sl, -1)
-    free = np.flatnonzero(idx >= 0)
-    P = np.zeros((2 * n + 2, nu))
-    P[free, idx[free]] = 1.0
     fixed = np.zeros(2 * n + 2)
     fixed[bl_path[idx[bl_path] < 0]] = p.v_drive
 
@@ -449,29 +492,25 @@ def solve_column_dense(
     r = np.concatenate((r_bl, r_sl))
     # a zero-resistance segment stamps nothing: its ends share one unknown
     g = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
-    G = np.zeros((2 * n + 2, 2 * n + 2))
-    G[a, a] += g
-    G[b, b] += g
-    G[a, b] -= g
-    G[b, a] -= g
-
+    wire_kcl, wire_jac = _branch_stamps(idx[a], idx[b], nu)
+    # the wire is linear, so its part of the KCL and of the Jacobian is
+    # J_wire @ u + F_pads at every step: F_pads is the KCL of the wire
+    # alone with every unknown at 0 V and the pads at theirs
+    J_wire = _stamp(wire_jac, g, nu * nu).reshape(nu, nu)
+    F_pads = _stamp(wire_kcl, g * (fixed[a] - fixed[b]), nu)
     bl, sl = rows, n + rows
+    cell_kcl, cell_jac = _branch_stamps(idx[bl], idx[sl], nu)
     i_on = p.device.i_on
 
     def assemble(u: np.ndarray):
-        pot = P @ u + fixed
+        # a pinned node's unknown is -1, which reads the appended 0
+        pot = np.append(u, 0.0)[idx] + fixed
         vd = pot[bl] - pot[sl]
         icell = p.device.currents(p.stored_bits, p.gate_bits, vd)
         gcell = np.where(vd >= 0, p.device.conductances(p.stored_bits, p.gate_bits, vd), 0.0)
-        kcl = G @ pot
-        kcl[bl] += icell
-        kcl[sl] -= icell
-        J = G.copy()
-        J[bl, bl] += gcell
-        J[sl, sl] += gcell
-        J[bl, sl] -= gcell
-        J[sl, bl] -= gcell
-        return P.T @ kcl, P.T @ J @ P, pot, icell
+        F = J_wire @ u + F_pads + _stamp(cell_kcl, icell, nu)
+        J = J_wire + _stamp(cell_jac, gcell, nu * nu).reshape(nu, nu)
+        return F, J, pot, icell
 
     # start from the parasitic-free bias point
     u = np.where(np.arange(nu) < nb, p.v_drive, 0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from binsparx import engine as engine_module
 from binsparx.analysis import cost_report, sweep_deviation
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import Engine, EngineConfig
@@ -49,3 +50,85 @@ def test_cost_report_ragged_matrix(binsparx):
     assert rep["registers"] == {"column_flip_bits_per_tile": 64 if binsparx else 0,
                                 "column_flip_bits_total": 8 * 64 if binsparx else 0}
     assert rep["binsparx"] is binsparx
+
+
+SWEEP_CASES = {
+    "sram": dict(device=DeviceModel.sram8t(), wire=WireModel.preset("M4")),
+    "reram-dummy": dict(device=DeviceModel.reram1t1r(), wire=WireModel.preset("M3")),
+    "best-effort": dict(device=DeviceModel.sram8t(), wire=WireModel(1e5, 1e5, 1e6, 0.0),
+                        solver_max_iter=3, best_effort=True),
+}
+SWEEP_FIELDS = ("x_values", "samples", "mean", "mn", "mx", "mean_abs", "nonconverged")
+
+
+def _assert_same_sweep(a, b):
+    for name in SWEEP_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_solves_every_x_together(case):
+    # one batch over every x equals, bit for bit, one call per x drawing
+    # from the same generator in turn
+    eng = Engine(EngineConfig(n=32, m=32, **SWEEP_CASES[case]))
+    xs = [0, 3, 9, 16, 25, 32]
+    whole = sweep_deviation(eng, xs, 6, rng=np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    parts = [sweep_deviation(eng, [x], 6, rng=rng) for x in xs]
+    for name in SWEEP_FIELDS:
+        np.testing.assert_array_equal(getattr(whole, name),
+                                      np.concatenate([getattr(p, name) for p in parts]),
+                                      err_msg=name)
+    if case == "best-effort":
+        assert whole.nonconverged.sum() > 0
+
+
+def test_sweep_chunks_equal_one_batch(monkeypatch):
+    eng = Engine(EngineConfig(n=32, m=32, device=DeviceModel.reram1t1r(),
+                              wire=WireModel.preset("M3")))
+    whole = sweep_deviation(eng, range(0, 33, 4), 5, rng=np.random.default_rng(7))
+    calls = []
+    solve = Engine.solve_columns
+
+    def counting(self, stored, gates):
+        calls.append(len(gates))
+        return solve(self, stored, gates)
+
+    monkeypatch.setattr(Engine, "solve_columns", counting)
+    # 3 columns of 32 rows per call: 45 data columns, then 45 dummy columns
+    monkeypatch.setattr(engine_module, "_MAX_BATCH_ELEMS", 3 * 32)
+    chunked = sweep_deviation(eng, range(0, 33, 4), 5, rng=np.random.default_rng(7))
+    assert calls == [3] * 30
+    _assert_same_sweep(chunked, whole)
+
+
+@pytest.mark.parametrize("config", [
+    dict(device=DeviceModel.sram8t(), wire=WireModel.preset("M3")),
+    # ReRAM with the dummy: at this wire and cap some dummy columns do not
+    # converge where their data columns do
+    dict(device=DeviceModel.reram1t1r(), wire=WireModel(1e5, 1e5, 1e6, 0.0),
+         solver_max_iter=3, solver_tol=1e-5),
+], ids=["sram", "reram-dummy"])
+def test_sweep_draw_order(config):
+    # per x in turn: a uniform permutation's first x slots are the ON cells,
+    # then each other row draws one of the three non-ON pairs; a column
+    # counts only when its data and dummy solves both converge
+    eng = Engine(EngineConfig(n=16, m=16, **config))
+    xs, trials = [2, 11, 5], 4
+    sweep = sweep_deviation(eng, xs, trials, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    dummy_only_failed = 0
+    for i, x in enumerate(xs):
+        on = np.argsort(rng.random((trials, 16)), axis=1) < x
+        combo = rng.integers(0, 3, size=(trials, 16))
+        stored, gates = np.where(on | (combo == 2), 1, 0), np.where(on | (combo == 1), 1, 0)
+        i_out, conv = eng.solve_columns(stored, gates)
+        if eng.dummy.enabled:
+            i_dummy, dconv = eng.solve_columns(np.zeros_like(stored), gates)
+            dummy_only_failed += int((conv & ~dconv).sum())
+            i_out, conv = np.maximum(0.0, i_out - i_dummy), conv & dconv
+        dev = ((x * eng.adc.quantum - i_out) / eng.adc.quantum)[conv]
+        assert (sweep.samples[i], sweep.nonconverged[i]) == (conv.sum(), (~conv).sum())
+        if dev.size:
+            assert (sweep.mean[i], sweep.mn[i], sweep.mx[i]) == (dev.mean(), dev.min(), dev.max())
+    assert dummy_only_failed > 0 or not eng.dummy.enabled

@@ -5,6 +5,7 @@ from binsparx.devices import DeviceModel, WireModel
 from binsparx.errors import DomainError, ShapeError
 from binsparx.solver import (
     ColumnProblem,
+    _cell_voltages,
     _cumsum_rows,
     ideal_column_current,
     solve_column_dense,
@@ -17,6 +18,8 @@ from conftest import nodal_reference_linear
 
 V = 0.7
 EXTREME = WireModel(1e5, 1e5, 1e6, 0.0)
+# stiff enough that full bias starves the columns with many ON cells only
+MIXED = WireModel(1e3, 1e3, 1e3, 0.0)
 
 
 def _problem(stored, gates, device=None, wire=None, topology="opposite"):
@@ -30,6 +33,15 @@ def _problem(stored, gates, device=None, wire=None, topology="opposite"):
         v_drive=V,
         topology=topology,
     )
+
+
+def _columns_with_on(rng, xs, n=64):
+    """(stored, gates) columns with xs[b] coincident ON cells; the other
+    rows draw uniformly from the three non-ON pairs."""
+    xs = np.asarray(xs)
+    on = np.argsort(rng.random((xs.size, n)), axis=1) < xs[:, None]
+    combo = rng.integers(0, 3, (xs.size, n))
+    return np.where(on | (combo == 2), 1, 0), np.where(on | (combo == 1), 1, 0)
 
 
 def _clean_device(**kw):
@@ -121,6 +133,13 @@ class TestDenseOracle:
             assert res.i_out == pytest.approx(i_ref, rel=1e-11, abs=1e-20)
             assert np.abs(res.v_bl - vb_ref).max() < 1e-12
             assert np.abs(res.v_sl - vs_ref).max() < 1e-12
+
+    def test_integer_resistances(self, rng):
+        # a WireModel built from ints solves exactly like its float twin
+        stored, gates = rng.integers(0, 2, 16), rng.integers(0, 2, 16)
+        ints = solve_column_dense(_problem(stored, gates, wire=WireModel(40, 0, 1000, 0)))
+        floats = solve_column_dense(_problem(stored, gates, wire=WireModel(40.0, 0.0, 1000.0, 0.0)))
+        assert ints.converged and ints.i_out == floats.i_out
 
 
 class TestLinearLadder:
@@ -239,12 +258,21 @@ class TestResultInvariants:
         assert np.array_equal(_cumsum_rows(a, reverse=True), np.cumsum(a[::-1], axis=0)[::-1])
 
     @pytest.mark.parametrize("topology", ["opposite", "same"])
-    @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME], ids=["M4", "extreme"])
+    @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME, MIXED],
+                             ids=["M4", "extreme", "mixed"])
     def test_column_alone_equals_column_in_batch(self, rng, wire, topology):
         # bit for bit: no column's answer may depend on its batch neighbours
-        stored = rng.integers(0, 2, (300, 64))
-        gates = rng.integers(0, 2, (300, 64))
         dev = DeviceModel.sram8t()
+        if wire is MIXED:
+            # x = 1..64 ON cells: one batch holds columns that start at full
+            # bias and columns that full bias starves (ohmic start)
+            stored, gates = _columns_with_on(rng, np.repeat(np.arange(1, 65), 5)[:300])
+            v = _cell_voltages(dev.currents(stored.T, gates.T, V), wire, V, topology)
+            starved = v.min(axis=0) < 0
+            assert not starved[[0, 1]].any() and starved[[137, 299]].all()
+        else:
+            stored = rng.integers(0, 2, (300, 64))
+            gates = rng.integers(0, 2, (300, 64))
         batch = solve_columns_fast(stored, gates, dev, wire, V, topology, max_iter=4000)
         assert batch.converged.all()
         for b in (0, 1, 137, 299):
@@ -254,21 +282,20 @@ class TestResultInvariants:
 
     @pytest.mark.parametrize("topology", ["opposite", "same"])
     def test_extreme_wire_converges(self, rng, topology):
-        dev = DeviceModel.sram8t()
-        xs = np.arange(0, 65, 4)
-        # x coincident ON cells; the other rows draw from the three non-ON pairs
-        on = np.argsort(rng.random((xs.size, 64)), axis=1) < xs[:, None]
-        combo = rng.integers(0, 3, (xs.size, 64))
-        stored = np.where(on | (combo == 2), 1, 0)
-        gates = np.where(on | (combo == 1), 1, 0)
-        res = solve_columns_fast(stored, gates, dev, EXTREME, V, topology, max_iter=50)
-        assert res.converged.all(), res.iterations
-        for b in range(xs.size):
-            ref = solve_column_dense(_problem(stored[b], gates[b], dev, EXTREME, topology),
-                                     tol=1e-9, max_iter=200)
-            assert ref.converged
-            denom = max(ref.i_out, dev.i_off * 64)
-            assert abs(res.i_out[b] - ref.i_out) / denom < 0.005
+        # x = 0..64 coincident ON cells.  The ohmic start puts every starved
+        # column a few Newton steps from its answer; from full bias these
+        # columns took up to 35 iterations
+        stored, gates = _columns_with_on(rng, np.arange(65))
+        for dev in (DeviceModel.sram8t(), DeviceModel.reram1t1r()):
+            res = solve_columns_fast(stored, gates, dev, EXTREME, V, topology, max_iter=50)
+            assert res.converged.all(), res.iterations
+            assert res.iterations.max() <= 10, res.iterations
+            for b in range(len(stored)):
+                ref = solve_column_dense(_problem(stored[b], gates[b], dev, EXTREME, topology),
+                                         tol=1e-9, max_iter=200)
+                assert ref.converged
+                denom = max(ref.i_out, dev.i_off * 64)
+                assert abs(res.i_out[b] - ref.i_out) / denom < 0.005
 
     def test_gate_broadcast(self, rng):
         stored = rng.integers(0, 2, (6, 16))
