@@ -14,25 +14,8 @@ from .analysis import (
     solver_validation_suite,
     sweep_deviation,
 )
-from .bnn import (
-    BinaryTensor,
-    MappedTensor,
-    TiledWeights,
-    nandnet_dot,
-    tile_weights,
-    to_mapped,
-    to_signed,
-)
-from .devices import (
-    WIRE_PRESETS,
-    DeviceLut,
-    DeviceModel,
-    WireModel,
-    cell_current,
-    load_device_lut,
-    make_lut_from_model,
-    wire_resistance_from_geometry,
-)
+from .bnn import BinaryTensor, TiledWeights, tile_weights
+from .devices import WIRE_PRESETS, DeviceLut, DeviceModel, WireModel, load_device_lut
 from .engine import (
     Engine,
     EngineConfig,
@@ -60,9 +43,7 @@ from .solver import (
     ColumnProblem,
     ColumnSolveResult,
     FastBatchResult,
-    ideal_column_current,
     solve_column_dense,
-    solve_column_fast,
     solve_column_linear_ladder,
     solve_columns_fast,
 )

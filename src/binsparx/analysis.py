@@ -14,14 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .devices import DeviceModel, WireModel
+from .devices import WIRE_PRESETS, DeviceModel, WireModel
 from .engine import Engine, RunStats
 from .errors import ConfigError, DomainError, ShapeError
 from .readout import dummy_compensate
 from .solver import (
     ColumnProblem,
     solve_column_dense,
-    solve_column_fast,
     solve_column_linear_ladder,
     solve_columns_fast,
 )
@@ -258,7 +257,7 @@ def solver_validation_suite(
     device_kind: str = "sram8t",
     v_nominal: float = 0.7,
     budget: float = 0.005,
-    presets=("M3", "M4", "M6"),
+    presets=tuple(WIRE_PRESETS),
     on_currents=(1e-6, 2e-6),
     solver_tol: float = 1e-9,
 ) -> dict:
@@ -312,13 +311,15 @@ def solver_validation_suite(
     stored = rng.integers(0, 2, n)
     gates = rng.integers(0, 2, n)
     k = int(((stored > 0) & (gates > 0)).sum())
-    p0 = ColumnProblem(n, stored, gates, device0, wire0, v_nominal)
+    fast0 = solve_columns_fast(stored, gates, device0, wire0, v_nominal, tol=1e-12)
+    dense0 = solve_column_dense(ColumnProblem(n, stored, gates, device0, wire0, v_nominal),
+                                tol=1e-12)
     zero_err = 0.0
-    for res in (solve_column_fast(p0, tol=1e-12), solve_column_dense(p0, tol=1e-12)):
+    for i_out in (float(fast0.i_out[0]), dense0.i_out):
         if k:
-            zero_err = max(zero_err, abs(res.i_out - k * 1e-6) / (k * 1e-6))
+            zero_err = max(zero_err, abs(i_out - k * 1e-6) / (k * 1e-6))
         else:
-            zero_err = max(zero_err, abs(res.i_out))
+            zero_err = max(zero_err, abs(i_out))
 
     # anchored check 2: ohmic cells vs the closed-form ladder
     dev_lin = DeviceModel(kind=device_kind, i_on=1e-6, i_hrs=0.0, i_off=0.0,

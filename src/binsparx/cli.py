@@ -24,6 +24,7 @@ import numpy as np
 
 from . import analysis, modelio
 from .config import build_engine_config, describe_defaults, load_run_config
+from .devices import WIRE_PRESETS
 from .engine import Engine, RunStats
 from .errors import (
     BinsparxError,
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="shortcut for binsparx.enabled")
     common.add_argument("--ideal", action="store_true",
                         help="shortcut for run.nonidealities=false")
-    common.add_argument("--preset", choices=["M3", "M4", "M6"],
+    common.add_argument("--preset", choices=list(WIRE_PRESETS),
                         help="shortcut for wire.preset")
     common.add_argument("--ion", type=float, help="shortcut for device.i_on (A)")
     common.add_argument("--best-effort", action="store_true",

@@ -12,7 +12,7 @@ import configparser
 import os
 from pathlib import Path
 
-from .devices import DeviceModel, WireModel, load_device_lut
+from .devices import WIRE_PRESETS, DeviceModel, WireModel, load_device_lut
 from .engine import EngineConfig
 from .errors import ConfigError
 
@@ -45,7 +45,7 @@ SCHEMA = {
         "lut_stored0": ("str", "", "CSV LUT for stored-0 cells (optional)"),
     },
     "wire": {
-        "preset": ("str", "M4", "M3 | M4 | M6 | custom"),
+        "preset": ("str", "M4", " | ".join([*WIRE_PRESETS, "custom"])),
         "r_bl_per_cell": ("num", _AUTO, "ohm/cell; required when preset=custom"),
         "r_sl_per_cell": ("num", _AUTO, "ohm/cell; required when preset=custom"),
         "r_driver": ("float", 1000.0, "driver lump (ohm)"),
@@ -164,7 +164,7 @@ def _validate(cfg: dict):
     if dev["kind"] not in ("sram8t", "reram1t1r"):
         raise ConfigError(f"[device] kind: unknown {dev['kind']!r}")
     wire = cfg["wire"]
-    if wire["preset"] not in ("M3", "M4", "M6", "custom"):
+    if wire["preset"] not in (*WIRE_PRESETS, "custom"):
         raise ConfigError(f"[wire] preset: unknown {wire['preset']!r}")
     if wire["preset"] == "custom":
         for k in ("r_bl_per_cell", "r_sl_per_cell"):

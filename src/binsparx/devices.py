@@ -23,22 +23,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, ParseError
 
-__all__ = [
-    "DeviceLut",
-    "DeviceModel",
-    "WireModel",
-    "WIRE_PRESETS",
-    "cell_current",
-    "wire_resistance_from_geometry",
-    "load_device_lut",
-    "make_lut_from_model",
-]
+__all__ = ["DeviceLut", "DeviceModel", "WireModel", "WIRE_PRESETS", "load_device_lut"]
 
 
 class DeviceLut:
@@ -83,51 +74,46 @@ class DeviceLut:
         frac = (xc - axis[lo]) / (axis[hi] - axis[lo])
         return lo, frac, int(clamped.sum())
 
-    def lookup(self, vg, vd):
-        """Bilinearly interpolated current; scalar in, scalar out."""
-        vg_a = np.atleast_1d(np.asarray(vg, dtype=np.float64))
-        vd_a = np.atleast_1d(np.asarray(vd, dtype=np.float64))
-        vg_b, vd_b = np.broadcast_arrays(vg_a, vd_a)
+    def _gate_interp(self, vg, vd):
+        """The corner fetch of both queries: the current at the device-axis
+        knots below (``top``) and above (``bot``) each query, interpolated
+        along the gate axis, with the lower knot index, the device-axis
+        fraction, the broadcast shape and the count of clamped coordinates."""
+        vg_b, vd_b = np.broadcast_arrays(np.asarray(vg, dtype=np.float64),
+                                         np.asarray(vd, dtype=np.float64))
         gi, gf, c1 = self._coords(self.v_gate, vg_b.ravel())
         di, df, c2 = self._coords(self.v_dev, vd_b.ravel())
-        self.clamp_events += c1 + c2
-        c00 = self.current[di, gi]
-        c01 = self.current[di, gi + 1]
-        c10 = self.current[di + 1, gi]
-        c11 = self.current[di + 1, gi + 1]
-        top = c00 * (1 - gf) + c01 * gf
-        bot = c10 * (1 - gf) + c11 * gf
-        out = (top * (1 - df) + bot * df).reshape(vg_b.shape)
+        top = self.current[di, gi] * (1 - gf) + self.current[di, gi + 1] * gf
+        bot = self.current[di + 1, gi] * (1 - gf) + self.current[di + 1, gi + 1] * gf
+        return top, bot, di, df, vg_b.shape, c1 + c2
+
+    @staticmethod
+    def _out(values, shape, vg, vd):
+        """Scalar in, scalar out: a float when both queries are scalars."""
         if np.isscalar(vg) and np.isscalar(vd):
-            return float(out.ravel()[0])
-        return out
+            return float(values[0])
+        return values.reshape(shape)
+
+    def lookup(self, vg, vd):
+        """Bilinearly interpolated current; scalar in, scalar out."""
+        top, bot, _, df, shape, clamped = self._gate_interp(vg, vd)
+        self.clamp_events += clamped
+        return self._out(top * (1 - df) + bot * df, shape, vg, vd)
 
     def slope_vd(self, vg, vd):
-        """Exact d(current)/d(cell voltage) of the bilinear interpolant."""
-        vg_a = np.atleast_1d(np.asarray(vg, dtype=np.float64))
-        vd_a = np.atleast_1d(np.asarray(vd, dtype=np.float64))
-        vg_b, vd_b = np.broadcast_arrays(vg_a, vd_a)
-        gi, gf, _ = self._coords(self.v_gate, vg_b.ravel())
-        di, df, clamped = self._coords(self.v_dev, vd_b.ravel())
-        c00 = self.current[di, gi]
-        c01 = self.current[di, gi + 1]
-        c10 = self.current[di + 1, gi]
-        c11 = self.current[di + 1, gi + 1]
-        top = c00 * (1 - gf) + c01 * gf
-        bot = c10 * (1 - gf) + c11 * gf
+        """Exact d(current)/d(cell voltage) of the bilinear interpolant;
+        scalar in, scalar out."""
+        top, bot, di, _, shape, _ = self._gate_interp(vg, vd)
         dv = self.v_dev[di + 1] - self.v_dev[di]
-        out = ((bot - top) / dv).reshape(vg_b.shape)
-        return out if out.size > 1 else float(out.ravel()[0])
+        return self._out((bot - top) / dv, shape, vg, vd)
 
 
-def load_device_lut(path, format: str = "csv") -> DeviceLut:
+def load_device_lut(path) -> DeviceLut:
     """Read a LUT from CSV: header row = gate-voltage axis, first column =
     device-voltage axis, body = currents in amperes.
 
     Parse failures report the offending row/column (1-based).
     """
-    if format != "csv":
-        raise ConfigError(f"load_device_lut: unsupported format {format!r}")
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -238,8 +224,11 @@ class DeviceModel:
         return target / (self.v_knee * norm) / np.cosh(v / self.v_knee) ** 2
 
     def currents(self, stored, gate, v_cell) -> np.ndarray:
-        """Vectorized cell current; negative bias is clamped to zero here
-        (the scalar entry point validates instead)."""
+        """Cell current, broadcast over stored bit, gate bit and bias.
+
+        Gate off draws ``i_off`` regardless of bias; gate on follows the
+        stored-state branch (LUT if attached, parametric otherwise), with
+        negative bias clamped to zero."""
         stored = np.asarray(stored)
         gate = np.asarray(gate)
         v = np.clip(np.asarray(v_cell, dtype=np.float64), 0.0, None)
@@ -294,21 +283,6 @@ class DeviceModel:
         return out
 
 
-def cell_current(model: DeviceModel, stored_bit: int, gate_on: int, v_cell: float) -> float:
-    """Current through one bitcell at bias ``v_cell`` (volts, >= 0).
-
-    Gate off draws ``i_off`` regardless of bias; gate on follows the
-    stored-state branch (LUT if attached, parametric otherwise).
-    """
-    if stored_bit not in (0, 1):
-        raise DomainError(f"stored_bit must be 0 or 1, got {stored_bit}")
-    if gate_on not in (0, 1):
-        raise DomainError(f"gate_on must be 0 or 1, got {gate_on}")
-    if v_cell < 0:
-        raise DomainError(f"v_cell must be >= 0, got {v_cell}")
-    return float(model.currents(stored_bit, gate_on, v_cell))
-
-
 WIRE_PRESETS = {"M3": 40.0, "M4": 25.0, "M6": 8.0}  # ohm per cell, BL and SL
 
 
@@ -337,54 +311,3 @@ class WireModel:
             raise ConfigError(f"unknown wire preset {tag!r}; choose from {sorted(WIRE_PRESETS)}")
         r = WIRE_PRESETS[tag]
         return cls(r, r, r_driver=r_driver, r_sink=r_sink, preset_tag=tag)
-
-    @classmethod
-    def from_geometry(
-        cls,
-        res_per_um: float,
-        cell_height_um: float,
-        r_driver: float = 1000.0,
-        r_sink: float = 1000.0,
-    ) -> "WireModel":
-        r = wire_resistance_from_geometry(res_per_um, cell_height_um)
-        return cls(r, r, r_driver=r_driver, r_sink=r_sink, preset_tag="custom")
-
-
-def wire_resistance_from_geometry(res_per_um: float, cell_height_um: float) -> float:
-    """Per-cell line resistance = resistance per unit length x bitcell height."""
-    if res_per_um <= 0 or cell_height_um <= 0:
-        raise DomainError(
-            f"wire_resistance_from_geometry: inputs must be > 0, got "
-            f"({res_per_um}, {cell_height_um})"
-        )
-    return res_per_um * cell_height_um
-
-
-def make_lut_from_model(
-    model: DeviceModel,
-    stored_bit: int,
-    v_gate_grid=None,
-    v_dev_grid=None,
-) -> DeviceLut:
-    """Sample a parametric model into a LUT (for tests and LUT round-trips).
-
-    The default gate axis is [0, v_nominal], matching the binary wordline
-    swing, so interpolation at the two operating gate voltages is exact.
-    """
-    if stored_bit not in (0, 1):
-        raise DomainError("stored_bit must be 0 or 1")
-    vg = (
-        np.asarray(v_gate_grid, dtype=np.float64)
-        if v_gate_grid is not None
-        else np.array([0.0, model.v_nominal])
-    )
-    vd = (
-        np.asarray(v_dev_grid, dtype=np.float64)
-        if v_dev_grid is not None
-        else np.linspace(0.0, model.v_nominal, 33)
-    )
-    grid = np.empty((len(vd), len(vg)))
-    for j, g in enumerate(vg):
-        gate_on = 1 if g > 0 else 0
-        grid[:, j] = model.currents(stored_bit, gate_on, vd)
-    return DeviceLut(vg, vd, grid)

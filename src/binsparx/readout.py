@@ -64,15 +64,9 @@ class AdcModel:
             return np.floor(x + 0.5)
         return np.rint(x)
 
-    def quantize(self, i: float) -> int:
-        """Digitize one current sample (amperes) to an integer level."""
-        if i < 0:
-            raise DomainError(f"adc input must be >= 0, got {i}")
-        level = self._round(np.asarray((i - self.offset) / self.quantum))
-        return int(np.clip(level, 0, self.levels - 1))
-
     def quantize_array(self, i: np.ndarray) -> tuple[np.ndarray, int]:
-        """Vectorized :meth:`quantize`; also returns the saturation count."""
+        """Digitize currents (amperes) to integer levels; also returns the
+        saturation count."""
         x = np.asarray(i, dtype=np.float64)
         if x.size and x.min() < 0:
             raise DomainError("adc input must be >= 0")
@@ -95,6 +89,4 @@ class DummyColumnConfig:
 
 def dummy_compensate(i_data, i_dummy):
     """Subtract the dummy-column current, floored at zero."""
-    if np.isscalar(i_data) and np.isscalar(i_dummy):
-        return max(0.0, float(i_data) - float(i_dummy))
     return np.maximum(0.0, np.asarray(i_data) - np.asarray(i_dummy))

@@ -13,16 +13,16 @@ arriving at row k carries the sum of cell currents at rows >= k, and the
 sense-line segment leaving row k toward the pad carries the sum of cell
 currents already collected on that side.  Two solvers share this wiring:
 
-* ``solve_columns_fast`` (and its one-column wrapper ``solve_column_fast``)
-  - batched Newton iteration on the cell-current vector.  Each step
-  linearizes every cell at its bias and solves that linear ladder exactly
-  with an O(n) backward/forward sweep over the rows, then backtracks
-  (halves the step) for any column whose residual would not fall.
-  ``solve_column_linear_ladder`` is one such sweep for ohmic cells.  A
-  column starts with every cell at full bias, unless those currents would
-  already reverse-bias one of its cells, as stiff wire does to the far
-  rows; it then starts from one sweep of its ohmic ladder, a few Newton
-  steps from the answer where full bias can be dozens away.
+* ``solve_columns_fast`` - batched Newton iteration on the cell-current
+  vector.  Each step linearizes every cell at its bias and solves that
+  linear ladder exactly with an O(n) backward/forward sweep over the
+  rows, then backtracks (halves the step) for any column whose residual
+  would not fall.  ``solve_column_linear_ladder`` is one such sweep for
+  ohmic cells.  A column starts with every cell at full bias, unless
+  those currents would already reverse-bias one of its cells, as stiff
+  wire does to the far rows; it then starts from one sweep of its ohmic
+  ladder, a few Newton steps from the answer where full bias can be
+  dozens away.
 * ``solve_column_dense`` - the independent oracle: nodal analysis of one
   column with one unknown per node (zero-resistance segments merged) and
   Newton-Raphson on the node voltages.  It shares no code with the sweep;
@@ -46,11 +46,9 @@ __all__ = [
     "ColumnProblem",
     "ColumnSolveResult",
     "FastBatchResult",
-    "solve_column_fast",
     "solve_columns_fast",
     "solve_column_dense",
     "solve_column_linear_ladder",
-    "ideal_column_current",
 ]
 
 TOPOLOGIES = ("opposite", "same")
@@ -94,12 +92,10 @@ class ColumnProblem:
 
 @dataclass(frozen=True, eq=False)
 class ColumnSolveResult:
-    """Converged (or flagged) state of one column solve.
+    """Converged (or flagged) state of one :func:`solve_column_dense` solve.
 
-    ``residual`` is the exit value of the solver's convergence metric:
-    max |f(v(i)) - i| / i_on over the cells for the fast solver (f: the
-    device model, v(i): the cell voltages that currents i produce), the
-    max KCL violation normalized by i_on for the dense solver.
+    ``residual`` is the exit value of its convergence metric, the largest
+    KCL violation normalized by i_on.
     """
 
     i_out: float
@@ -113,26 +109,17 @@ class ColumnSolveResult:
 
 @dataclass(frozen=True, eq=False)
 class FastBatchResult:
-    """Batch counterpart of :class:`ColumnSolveResult` (arrays over B problems)."""
+    """Outcome of :func:`solve_columns_fast`, one entry per problem.
+
+    ``residual`` is the exit value of its convergence metric,
+    max |f(v(i)) - i| / i_on over the cells (f: the device model, v(i):
+    the cell voltages that currents i produce).
+    """
 
     i_out: np.ndarray        # (B,)
-    v_bl: np.ndarray         # (B, n)
-    v_sl: np.ndarray         # (B, n)
-    i_cell: np.ndarray       # (B, n)
     iterations: np.ndarray   # (B,)
     converged: np.ndarray    # (B,) bool
     residual: np.ndarray     # (B,)
-
-    def __getitem__(self, b: int) -> ColumnSolveResult:
-        return ColumnSolveResult(
-            i_out=float(self.i_out[b]),
-            v_bl=self.v_bl[b].copy(),
-            v_sl=self.v_sl[b].copy(),
-            i_cell=self.i_cell[b].copy(),
-            iterations=int(self.iterations[b]),
-            converged=bool(self.converged[b]),
-            residual=float(self.residual[b]),
-        )
 
 
 def _cumsum_rows(a: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -383,36 +370,14 @@ def solve_columns_fast(
         result[:, active] = f
         residual[active] = res
 
-    v_bl, v_sl = _line_voltages(result, wire, v_drive, topology)
-    i_cell = np.ascontiguousarray(result.T)
+    # sum each column's cells contiguously, in the order np.sum takes on a
+    # (B, n) row; summing down axis 0 adds in another order
     return FastBatchResult(
-        i_out=i_cell.sum(axis=1),
-        v_bl=v_bl.T,
-        v_sl=v_sl.T,
-        i_cell=i_cell,
+        i_out=np.ascontiguousarray(result.T).sum(axis=1),
         iterations=iters,
         converged=converged,
         residual=residual,
     )
-
-
-def solve_column_fast(
-    p: ColumnProblem,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> ColumnSolveResult:
-    """Single-column wrapper around :func:`solve_columns_fast`."""
-    batch = solve_columns_fast(
-        p.stored_bits[None, :],
-        p.gate_bits[None, :],
-        p.device,
-        p.wire,
-        p.v_drive,
-        p.topology,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return batch[0]
 
 
 def _branch_stamps(ends_a: np.ndarray, ends_b: np.ndarray, nu: int):
@@ -546,12 +511,6 @@ def solve_column_dense(
         converged=converged,
         residual=residual,
     )
-
-
-def ideal_column_current(p: ColumnProblem) -> float:
-    """Parasitic-free reference: (# stored-1 cells with gate on) * i_on."""
-    on = int(((p.stored_bits > 0) & (p.gate_bits > 0)).sum())
-    return on * p.device.i_on
 
 
 def solve_column_linear_ladder(

@@ -1,11 +1,27 @@
 """Shared test helpers: independent reference implementations.
 
 Everything here is deliberately written from scratch (loops, direct
-formulas) so it cannot share a bug with the library code it checks.
+formulas) so it cannot share a bug with the library code it checks;
+``make_lut_from_model`` only samples a device model into a LUT.
 """
 
-import numpy as np
-import pytest
+import os
+import sys
+
+# One BLAS thread: the dense oracle's small solves gain nothing from more,
+# and a multi-threaded BLAS slows them more than tenfold when another
+# process keeps a core busy.  This must run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+if "numpy" in sys.modules:
+    import warnings
+
+    warnings.warn("numpy was imported before tests/conftest.py; BLAS threads are not pinned")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from binsparx.devices import DeviceLut  # noqa: E402
 
 
 def signed_dot(i_signed, w_signed) -> int:
@@ -76,6 +92,33 @@ def bilinear_reference(vg_axis, vd_axis, grid, vg, vd):
     a = grid[i][j] * (1 - tg) + grid[i][j + 1] * tg
     b = grid[i + 1][j] * (1 - tg) + grid[i + 1][j + 1] * tg
     return a * (1 - td) + b * td
+
+
+def untile(tiled) -> np.ndarray:
+    """The signed matrix a ``TiledWeights`` record holds, cell by cell: a
+    flipped column stores the complement, padding is dropped."""
+    _, n, _, m = tiled.stored.shape
+    out = np.empty((tiled.rows, tiled.cols), dtype=np.int64)
+    for r in range(tiled.rows):
+        for c in range(tiled.cols):
+            bit = int(tiled.stored[r // n, r % n, c // m, c % m])
+            if tiled.column_flip[r // n, c // m, c % m]:
+                bit = 1 - bit
+            out[r, c] = 2 * bit - 1
+    return out
+
+
+def make_lut_from_model(model, stored_bit: int) -> DeviceLut:
+    """Sample a parametric device into a LUT for one stored state.
+
+    The gate axis is [0, v_nominal], the binary wordline swing, so the two
+    operating gate voltages sit on knots; the device axis has 33 knots
+    over [0, v_nominal].
+    """
+    vg = np.array([0.0, model.v_nominal])
+    vd = np.linspace(0.0, model.v_nominal, 33)
+    grid = np.column_stack([model.currents(stored_bit, gate, vd) for gate in (0, 1)])
+    return DeviceLut(vg, vd, grid)
 
 
 def nodal_reference_linear(g_cells, r_bl, r_sl, r_driver, v_drive, topology="opposite"):

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from binsparx import engine as engine_module
-from binsparx.analysis import cost_report, sweep_deviation
+from binsparx.analysis import (
+    PartialSumHistogram,
+    cost_report,
+    profile_partial_sums,
+    solver_validation_suite,
+    sweep_deviation,
+)
+from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
-from binsparx.engine import Engine, EngineConfig
+from binsparx.engine import Engine, EngineConfig, LayerSpec
+from binsparx.errors import DomainError
 
 ZERO_WIRE = WireModel(0.0, 0.0, 0.0, 0.0)
 
@@ -132,3 +140,40 @@ def test_sweep_draw_order(config):
         if dev.size:
             assert (sweep.mean[i], sweep.mn[i], sweep.mx[i]) == (dev.mean(), dev.min(), dev.max())
     assert dummy_only_failed > 0 or not eng.dummy.enabled
+
+
+def test_partial_sum_reduction_on_random_data(rng):
+    # the static flip caps every stored column's one-count at n/2, so the
+    # mean ideal AND sum can only fall
+    layers = [LayerSpec("fc1", "dense", BinaryTensor(rng.choice([-1, 1], size=(100, 40))))]
+    x = rng.choice([-1, 1], size=(30, 100)).astype(np.float64)
+    eng = Engine(EngineConfig(n=64, m=16, nonidealities=False))
+    on = profile_partial_sums(eng, layers, x, binsparx=True)
+    off = profile_partial_sums(eng, layers, x, binsparx=False)
+    assert on.total == off.total > 0
+    assert on.reduction_vs(off) >= 0
+
+
+def test_reduction_vs_zero_mean_baseline():
+    zero = PartialSumHistogram(counts=np.array([7, 0, 0]), per_layer={})
+    some = PartialSumHistogram(counts=np.array([1, 1, 1]), per_layer={})
+    with pytest.raises(DomainError):
+        some.reduction_vs(zero)
+
+
+def test_solver_validation_suite_passes():
+    rep = solver_validation_suite(trials=2, seed=0)
+    assert [(c["preset"], c["i_on"]) for c in rep["corners"]] == [
+        (preset, i_on) for preset in ("M3", "M4", "M6") for i_on in (1e-6, 2e-6)
+    ]
+    assert all(c["trials"] == 2 for c in rep["corners"])
+    assert rep["max_rel_error"] <= rep["budget"] == 0.005
+    assert rep["zero_parasitic_rel_error"] <= 1e-9
+    assert rep["linear_closed_form_rel_error"] <= 1e-9
+    assert rep["passed"] is True
+
+
+def test_solver_validation_suite_fails_over_budget():
+    rep = solver_validation_suite(trials=2, seed=0, budget=0.0)
+    assert rep["max_rel_error"] > 0.0
+    assert rep["passed"] is False

@@ -3,41 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsparx.bnn import (
-    BinaryTensor,
-    MappedTensor,
-    nandnet_dot,
-    tile_weights,
-    to_mapped,
-    to_signed,
-)
-from binsparx.errors import DomainError, ShapeError
-from binsparx.sparsify import sparsify_tile
+from binsparx.bnn import BinaryTensor, tile_weights
+from binsparx.errors import DomainError
+from binsparx.sparsify import postprocess, sparsify_tile
 
-from conftest import signed_dot
+from conftest import signed_dot, untile
 
 signed_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=256)
 
 
+def _stored_column(vec) -> list:
+    """The {0,1} cells one signed column is stored as on a single tile."""
+    return tile_weights(np.asarray(vec)[:, None], len(vec), 1).stored.ravel().tolist()
+
+
+def _nandnet_dot(ivec, wvec) -> int:
+    """Signed dot product from the {0,1} forms: one AND count, two one-counts."""
+    i, w = ((np.asarray(v, dtype=np.int64) + 1) // 2 for v in (ivec, wvec))
+    return int(postprocess(i @ w, i.sum(), False, w.sum(), False, len(i)))
+
+
 class TestMapping:
     def test_basic_example(self):
-        assert to_mapped(BinaryTensor([1, -1, 1])).values.tolist() == [1, 0, 1]
+        assert _stored_column([1, -1, 1]) == [1, 0, 1]
 
     def test_all_minus_one(self):
-        out = to_mapped(BinaryTensor([-1] * 64))
-        assert out.values.tolist() == [0] * 64
+        assert _stored_column([-1] * 64) == [0] * 64
 
     def test_round_trip_random(self, rng):
         for _ in range(1000):
-            t = BinaryTensor(rng.choice([-1, 1], size=rng.integers(1, 65)))
-            back = to_signed(to_mapped(t))
-            assert np.array_equal(back.values, t.values)
+            t = BinaryTensor(rng.choice([-1, 1], size=(rng.integers(1, 65), 1)))
+            assert np.array_equal(untile(tile_weights(t, 64, 1)), t.values)
 
     @settings(max_examples=150, derandomize=True)
     @given(signed_vectors)
     def test_round_trip_property(self, vec):
-        t = BinaryTensor(vec)
-        assert np.array_equal(to_signed(to_mapped(t)).values, t.values)
+        t = BinaryTensor(np.array(vec)[:, None])
+        assert np.array_equal(untile(tile_weights(t, 64, 1)), t.values)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -45,42 +47,28 @@ class TestMapping:
         with pytest.raises(DomainError):
             BinaryTensor([2])
         with pytest.raises(DomainError):
-            MappedTensor([1, -1])
-        with pytest.raises(DomainError):
             BinaryTensor([1.5])
 
 
 class TestNandnetDot:
     def test_worked_example(self):
         # I=[+1,-1], W=[+1,+1]: 4*1 - 2*1 - 2*2 + 2 = 0
-        i = to_mapped(BinaryTensor([1, -1]))
-        w = to_mapped(BinaryTensor([1, 1]))
-        assert nandnet_dot(i, w, 2) == 0
+        assert _nandnet_dot([1, -1], [1, 1]) == 0
 
     def test_zero_activations(self, rng):
-        w = MappedTensor(rng.integers(0, 2, 64))
-        i = MappedTensor(np.zeros(64, dtype=np.int8))
-        assert nandnet_dot(i, w, 64) == -2 * int(w.values.sum()) + 64
+        w = rng.choice([-1, 1], 64)
+        assert _nandnet_dot([-1] * 64, w) == -2 * int((w > 0).sum()) + 64
 
     def test_four_element_example(self):
-        i = to_mapped(BinaryTensor([1, -1, 1, 1]))
-        w = to_mapped(BinaryTensor([-1, 1, 1, -1]))
-        assert nandnet_dot(i, w, 4) == -2
+        assert _nandnet_dot([1, -1, 1, 1], [-1, 1, 1, -1]) == -2
 
     @settings(max_examples=300, derandomize=True)
     @given(signed_vectors, st.randoms(use_true_random=False))
     def test_equals_signed_dot(self, ivec, rnd):
         wvec = [rnd.choice([-1, 1]) for _ in ivec]
-        n = len(ivec)
-        got = nandnet_dot(to_mapped(BinaryTensor(ivec)), to_mapped(BinaryTensor(wvec)), n)
+        got = _nandnet_dot(ivec, wvec)
         assert got == signed_dot(ivec, wvec)
-        assert got % 2 == n % 2  # parity follows the vector length
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            nandnet_dot(MappedTensor([1, 0]), MappedTensor([1]), 2)
-        with pytest.raises(ShapeError):
-            nandnet_dot(MappedTensor([1, 0]), MappedTensor([1, 1]), 3)
+        assert got % 2 == len(ivec) % 2  # parity follows the vector length
 
 
 class TestTiling:
@@ -103,10 +91,10 @@ class TestTiling:
     def test_untile_round_trip(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(100, 100)))
         tiled = tile_weights(w, 64, 64)
-        assert np.array_equal(tiled.untile().values, w.values)
+        assert np.array_equal(untile(tiled), w.values)
         flipped = sparsify_tile(tiled)
         assert flipped.column_flip.any()
-        assert np.array_equal(flipped.untile().values, w.values)
+        assert np.array_equal(untile(flipped), w.values)
 
     def test_tiling_conservation(self, rng):
         # accumulating the exact per-tile accounting over row tiles must

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from binsparx.devices import (
-    WIRE_PRESETS,
-    DeviceLut,
-    DeviceModel,
-    WireModel,
-    cell_current,
-    load_device_lut,
-    make_lut_from_model,
-    wire_resistance_from_geometry,
-)
-from binsparx.errors import ConfigError, DomainError, ParseError
+from binsparx.config import build_wire, load_run_config
+from binsparx.devices import WIRE_PRESETS, DeviceLut, DeviceModel, WireModel, load_device_lut
+from binsparx.errors import ConfigError, ParseError
 
-from conftest import bilinear_reference
+from conftest import bilinear_reference, make_lut_from_model
+
+
+def cell_current(model, stored_bit, gate_on, v_cell) -> float:
+    """One cell's current through the vectorized model."""
+    return float(model.currents(stored_bit, gate_on, v_cell))
 
 
 class TestCellCurrent:
@@ -40,12 +37,12 @@ class TestCellCurrent:
         m = DeviceModel.sram8t()
         assert cell_current(m, 0, 1, m.v_nominal) == pytest.approx(m.i_off, rel=1e-12)
 
-    def test_negative_bias_rejected(self):
-        m = DeviceModel.sram8t()
-        with pytest.raises(DomainError):
-            cell_current(m, 1, 1, -0.1)
-        with pytest.raises(DomainError):
-            cell_current(m, 2, 1, 0.1)
+    def test_negative_bias_conducts_nothing(self):
+        # reverse bias clamps to zero on the gate-on branch; gate-off leaks
+        m = DeviceModel.reram1t1r()
+        assert cell_current(m, 1, 1, -0.1) == 0.0
+        assert cell_current(m, 0, 1, -0.1) == 0.0
+        assert cell_current(m, 1, 0, -0.1) == m.i_off
 
     def test_monotone_in_bias(self):
         for m in (DeviceModel.sram8t(), DeviceModel.reram1t1r(),
@@ -71,21 +68,15 @@ class TestCellCurrent:
 
 
 class TestWire:
-    def test_geometry_product(self):
-        assert wire_resistance_from_geometry(100.0, 0.2) == pytest.approx(20.0)
-
-    def test_geometry_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            wire_resistance_from_geometry(0.0, 0.2)
-        with pytest.raises(DomainError):
-            wire_resistance_from_geometry(100.0, -1.0)
-
     def test_preset_round_trip(self):
-        # a custom model built from (rho, height) matches a direct entry
-        direct = WireModel(20.0, 20.0)
-        via_geom = WireModel.from_geometry(100.0, 0.2)
-        assert via_geom.r_bl_per_cell == direct.r_bl_per_cell
-        assert via_geom.r_sl_per_cell == direct.r_sl_per_cell
+        # a preset named in the config builds the preset's per-cell wire on
+        # both lines, and a custom entry keeps its resistances
+        for tag, r in WIRE_PRESETS.items():
+            built = build_wire(load_run_config(None, [f"wire.preset={tag}"]))
+            assert built == WireModel.preset(tag) == WireModel(r, r, preset_tag=tag)
+        custom = build_wire(load_run_config(None, [
+            "wire.preset=custom", "wire.r_bl_per_cell=20", "wire.r_sl_per_cell=30"]))
+        assert custom == WireModel(20.0, 30.0)
 
     def test_preset_ordering(self):
         assert WIRE_PRESETS["M3"] > WIRE_PRESETS["M4"] > WIRE_PRESETS["M6"]
@@ -133,6 +124,20 @@ class TestLut:
         lut.lookup(-1.0, 5.0)
         assert lut.clamp_events == 3
 
+    def test_scalar_in_scalar_out(self):
+        lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
+        for query in (lut.lookup, lut.slope_vd):
+            assert type(query(0.5, 0.5)) is float
+            one = query(np.array([0.5]), np.array([0.5]))
+            assert isinstance(one, np.ndarray) and one.shape == (1,)
+            assert query(np.full((2, 3), 0.5), 0.5).shape == (2, 3)
+        # the slope of the interpolant is bot - top over one device-axis step
+        assert lut.slope_vd(0.5, 0.5) == pytest.approx(2e-6, rel=1e-12)
+        # only lookups count clamped queries
+        assert lut.clamp_events == 0
+        lut.slope_vd(2.0, 5.0)
+        assert lut.clamp_events == 0
+
     def test_validation(self):
         with pytest.raises(ParseError):
             DeviceLut([0.0, 0.0], [0.0, 1.0], [[0, 0], [0, 0]])  # flat axis
@@ -173,10 +178,6 @@ class TestLutCsv:
         with pytest.raises(ParseError, match="gate-voltage"):
             load_device_lut(p)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_device_lut(tmp_path / "x.bin", format="binary")
-
 
 class TestLutOverride:
     def test_lut_from_model_agrees_within_1pct(self):
@@ -201,3 +202,24 @@ class TestLutOverride:
         g = m.conductances(1, 1, 0.3)
         # slope of the interpolant approximates the parametric slope
         assert g == pytest.approx(base.conductances(1, 1, 0.3), rel=0.05)
+
+
+class TestConductances:
+    @pytest.mark.parametrize("backing", ["tanh", "linear", "lut"])
+    @pytest.mark.parametrize("kind", ["sram8t", "reram1t1r"])
+    def test_derivative_of_currents(self, kind, backing):
+        # conductances are the Newton Jacobian: d(currents)/d(cell voltage)
+        factory = DeviceModel.sram8t if kind == "sram8t" else DeviceModel.reram1t1r
+        m = factory(curve="linear" if backing == "linear" else "tanh")
+        if backing == "lut":
+            m.lut_stored1 = make_lut_from_model(factory(), 1)
+            m.lut_stored0 = make_lut_from_model(factory(), 0)
+        # midway between the LUT's 33 device-axis knots, so that v +- h
+        # never straddles a kink of the interpolant
+        v = (np.arange(32) + 0.5) * m.v_nominal / 32
+        h = 3e-6
+        for stored in (0, 1):
+            for gate in (0, 1):
+                diff = (m.currents(stored, gate, v + h) - m.currents(stored, gate, v - h)) / (2 * h)
+                g = m.conductances(stored, gate, v)
+                assert np.abs(g - diff).max() <= 1e-9 * m.i_on, (stored, gate)

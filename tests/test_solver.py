@@ -7,9 +7,7 @@ from binsparx.solver import (
     ColumnProblem,
     _cell_voltages,
     _cumsum_rows,
-    ideal_column_current,
     solve_column_dense,
-    solve_column_fast,
     solve_column_linear_ladder,
     solve_columns_fast,
 )
@@ -35,6 +33,12 @@ def _problem(stored, gates, device=None, wire=None, topology="opposite"):
     )
 
 
+def _fast(p, **kw):
+    """``solve_columns_fast`` on one problem: a batch of one column."""
+    return solve_columns_fast(p.stored_bits, p.gate_bits, p.device, p.wire, p.v_drive,
+                              p.topology, **kw)
+
+
 def _columns_with_on(rng, xs, n=64):
     """(stored, gates) columns with xs[b] coincident ON cells; the other
     rows draw uniformly from the three non-ON pairs."""
@@ -56,24 +60,15 @@ class TestDegenerate:
         gates = rng.integers(0, 2, 64)
         k = int(((stored > 0) & (gates > 0)).sum())
         p = _problem(stored, gates, dev, wire)
-        for res in (solve_column_fast(p), solve_column_dense(p)):
-            assert res.converged
-            assert res.i_out == pytest.approx(k * 1e-6, rel=1e-12)
-            assert res.i_out == pytest.approx(ideal_column_current(p), rel=1e-12)
+        fast, dense = _fast(p), solve_column_dense(p)
+        assert fast.converged[0] and dense.converged
+        assert fast.i_out[0] == pytest.approx(k * 1e-6, rel=1e-12)
+        assert dense.i_out == pytest.approx(k * 1e-6, rel=1e-12)
 
     def test_all_gates_off(self):
         dev = DeviceModel.sram8t()
         p = _problem(np.ones(16, int), np.zeros(16, int), dev, WireModel.preset("M4"))
-        res = solve_column_fast(p)
-        assert res.i_out == pytest.approx(16 * dev.i_off, rel=1e-9)
-
-    def test_ideal_current_examples(self):
-        stored = np.zeros(64, int)
-        stored[:19] = 1
-        p = _problem(stored, stored)
-        assert ideal_column_current(p) == pytest.approx(19e-6)
-        p0 = _problem(np.zeros(64, int), np.ones(64, int))
-        assert ideal_column_current(p0) == 0.0
+        assert _fast(p).i_out[0] == pytest.approx(16 * dev.i_off, rel=1e-9)
 
 
 class TestFastVsDense:
@@ -82,10 +77,10 @@ class TestFastVsDense:
         stored = np.array([1, 1, 1, 0])
         gates = np.array([1, 1, 1, 1])
         p = _problem(stored, gates, DeviceModel.sram8t(), wire)
-        a = solve_column_fast(p, tol=1e-9)
+        a = _fast(p, tol=1e-9)
         b = solve_column_dense(p, tol=1e-9)
-        assert a.converged and b.converged
-        assert abs(a.i_out - b.i_out) / b.i_out < 1e-3
+        assert a.converged[0] and b.converged
+        assert abs(a.i_out[0] - b.i_out) / b.i_out < 1e-3
 
     @pytest.mark.parametrize("preset", ["M3", "M4", "M6"])
     @pytest.mark.parametrize("i_on", [1e-6, 2e-6])
@@ -96,23 +91,23 @@ class TestFastVsDense:
             stored = rng.integers(0, 2, 64)
             gates = rng.integers(0, 2, 64)
             p = _problem(stored, gates, dev, wire)
-            a = solve_column_fast(p, tol=1e-9, max_iter=2000)
+            a = _fast(p, tol=1e-9, max_iter=2000)
             b = solve_column_dense(p, tol=1e-9)
-            assert a.converged and b.converged
+            assert a.converged[0] and b.converged
             ref = max(b.i_out, dev.i_off * 64)
-            assert abs(a.i_out - b.i_out) / ref < 0.005
+            assert abs(a.i_out[0] - b.i_out) / ref < 0.005
 
     def test_same_end_topology(self, rng):
         dev = DeviceModel.sram8t()
         wire = WireModel.preset("M3")
         stored = rng.integers(0, 2, 32)
         gates = rng.integers(0, 2, 32)
-        a = solve_column_fast(_problem(stored, gates, dev, wire, "same"), tol=1e-10)
+        a = _fast(_problem(stored, gates, dev, wire, "same"), tol=1e-10).i_out[0]
         b = solve_column_dense(_problem(stored, gates, dev, wire, "same"), tol=1e-10)
-        assert abs(a.i_out - b.i_out) / b.i_out < 1e-6
+        assert abs(a - b.i_out) / b.i_out < 1e-6
         # opposite-end sensing is the worst case for this drive layout
-        c = solve_column_fast(_problem(stored, gates, dev, wire, "opposite"), tol=1e-10)
-        assert c.i_out <= a.i_out + 1e-12
+        c = _fast(_problem(stored, gates, dev, wire, "opposite"), tol=1e-10).i_out[0]
+        assert c <= a + 1e-12
 
 
 class TestDenseOracle:
@@ -208,35 +203,33 @@ class TestLinearLadder:
 class TestResultInvariants:
     def test_conservation_and_bounds(self, rng):
         p = _problem(rng.integers(0, 2, 64), rng.integers(0, 2, 64))
-        for res in (solve_column_fast(p, tol=1e-8), solve_column_dense(p, tol=1e-8)):
-            assert res.i_out == pytest.approx(res.i_cell.sum(), rel=1e-9)
-            assert np.all(res.v_bl >= -1e-12) and np.all(res.v_bl <= V + 1e-12)
-            assert np.all(res.v_sl >= -1e-12) and np.all(res.v_sl <= V + 1e-12)
-            assert np.all(res.v_bl - res.v_sl >= -1e-12)  # no reverse-biased cells
+        res = solve_column_dense(p, tol=1e-8)
+        assert res.i_out == pytest.approx(res.i_cell.sum(), rel=1e-9)
+        assert np.all(res.v_bl >= -1e-12) and np.all(res.v_bl <= V + 1e-12)
+        assert np.all(res.v_sl >= -1e-12) and np.all(res.v_sl <= V + 1e-12)
+        assert np.all(res.v_bl - res.v_sl >= -1e-12)  # no reverse-biased cells
 
     def test_monotone_degradation(self):
         stored = np.ones(64, int)
         prev = np.inf
         for r in (0.0, 5.0, 20.0, 40.0, 100.0):
-            res = solve_column_fast(
-                _problem(stored, stored, wire=WireModel(r, r, 1000.0, 0.0)), tol=1e-9
-            )
-            assert res.i_out <= prev + 1e-15
-            prev = res.i_out
+            i_out = _fast(_problem(stored, stored, wire=WireModel(r, r, 1000.0, 0.0)),
+                          tol=1e-9).i_out[0]
+            assert i_out <= prev + 1e-15
+            prev = i_out
         prev = np.inf
         for rd in (0.0, 500.0, 1000.0, 5000.0):
-            res = solve_column_fast(
-                _problem(stored, stored, wire=WireModel(20.0, 20.0, rd, 0.0)), tol=1e-9
-            )
-            assert res.i_out <= prev + 1e-15
-            prev = res.i_out
+            i_out = _fast(_problem(stored, stored, wire=WireModel(20.0, 20.0, rd, 0.0)),
+                          tol=1e-9).i_out[0]
+            assert i_out <= prev + 1e-15
+            prev = i_out
 
     def test_nonconvergence_is_flagged(self):
         p = _problem(np.ones(64, int), np.ones(64, int))
-        res = solve_column_fast(p, tol=1e-12, max_iter=2)
-        assert not res.converged
-        assert res.residual > 1e-12
-        assert res.iterations == 2
+        res = _fast(p, tol=1e-12, max_iter=2)
+        assert not res.converged[0]
+        assert res.residual[0] > 1e-12
+        assert res.iterations[0] == 2
 
     def test_batch_matches_single(self, rng):
         stored = rng.integers(0, 2, (10, 32))
@@ -245,10 +238,8 @@ class TestResultInvariants:
             stored, gates, DeviceModel.sram8t(), WireModel.preset("M4"), V, tol=1e-9
         )
         for b in (0, 3, 9):
-            single = solve_column_fast(
-                _problem(stored[b], gates[b], wire=WireModel.preset("M4")), tol=1e-9
-            )
-            assert batch.i_out[b] == pytest.approx(single.i_out, rel=1e-12)
+            single = _fast(_problem(stored[b], gates[b], wire=WireModel.preset("M4")), tol=1e-9)
+            assert batch.i_out[b] == pytest.approx(single.i_out[0], rel=1e-12)
         assert batch.converged.all()
 
     @pytest.mark.parametrize("width", [1, 255, 256, 700])
@@ -331,7 +322,7 @@ class TestProblemValidation:
     def test_solver_arg_validation(self):
         p = _problem(np.ones(4, int), np.ones(4, int))
         with pytest.raises(DomainError):
-            solve_column_fast(p, tol=0.0)
+            _fast(p, tol=0.0)
         with pytest.raises(DomainError):
             solve_columns_fast(np.ones(4), np.ones(4), DeviceModel.sram8t(),
                                WireModel.preset("M3"), V, topology="diagonal")
