@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .devices import WIRE_PRESETS, DeviceModel, WireModel
+from . import engine as _engine
 from .engine import Engine, RunStats
 from .errors import ConfigError, DomainError, ShapeError
 from .readout import dummy_compensate
@@ -142,11 +143,12 @@ def sweep_deviation(
     engine has it enabled.
 
     Every x draws its columns from ``rng`` in turn, in the same order as
-    one call per x.  Then every drawn column is solved together, and so is
-    every dummy column where the engine has one, through
-    :meth:`Engine.solve_rows` in chunks of at most ``_MAX_BATCH_ELEMS``
-    cells.  A column's solve does not depend on its batch, so the result
-    equals one call per x bit for bit.
+    one call per x.  Whole x values are drawn and solved in groups of about
+    ``_MAX_BATCH_ELEMS`` cells, so memory stays bounded however many
+    trials; each group is one :meth:`Engine.solve_rows` call, which solves
+    the dummy column beside every drawn column where the engine has one.
+    A column's solve does not depend on its batch, so the result equals
+    one call per x bit for bit.
     """
     if trials_per_x < 1:
         raise DomainError("trials_per_x must be >= 1")
@@ -160,26 +162,27 @@ def sweep_deviation(
     # quantum already accounts for the subtracted per-row HRS share
     quantum = engine.adc.quantum
 
-    stored = np.empty((len(xs), trials_per_x, n), dtype=np.int8)
-    gates = np.empty((len(xs), trials_per_x, n), dtype=np.int8)
-    for i, x in enumerate(xs):
-        # first x slots of a random permutation hold the coincident ONs
-        order = np.argsort(rng.random((trials_per_x, n)), axis=1)
-        on = order < x
-        combo = rng.integers(0, 3, size=(trials_per_x, n))
-        stored[i] = on | (combo == 2)
-        gates[i] = on | (combo == 1)
-    gates = gates.reshape(-1, n)
-    i_out, conv = engine.solve_rows(stored.reshape(-1, 1, n), gates)
-    if engine.dummy.enabled:
-        # the all-zero dummy column under every drawn gate row, broadcast
-        # rather than stored
-        i_dummy, dconv = engine.solve_rows(np.zeros((1, 1, n), dtype=np.int8), gates)
-        conv = conv & dconv
-        i_out = dummy_compensate(i_out, i_dummy)
     shape = (len(xs), trials_per_x)
-    dev = (xs[:, None] * quantum - i_out.reshape(shape)) / quantum
-    conv = conv.reshape(shape)
+    i_out = np.empty(shape)
+    conv = np.empty(shape, dtype=bool)
+    group = max(1, _engine._MAX_BATCH_ELEMS // (trials_per_x * n))
+    for g0 in range(0, len(xs), group):
+        g1 = min(len(xs), g0 + group)
+        stored = np.empty((g1 - g0, trials_per_x, n), dtype=np.int8)
+        gates = np.empty_like(stored)
+        for i, x in enumerate(xs[g0:g1]):
+            # first x slots of a random permutation hold the coincident ONs
+            order = np.argsort(rng.random((trials_per_x, n)), axis=1)
+            on = order < x
+            combo = rng.integers(0, 3, size=(trials_per_x, n))
+            stored[i] = on | (combo == 2)
+            gates[i] = on | (combo == 1)
+        cur, ok = engine.solve_rows(stored.reshape(-1, 1, n), gates.reshape(-1, n))
+        if engine.dummy.enabled:
+            cur[:, 0] = dummy_compensate(cur[:, 0], cur[:, 1])
+        i_out[g0:g1] = cur[:, 0].reshape(-1, trials_per_x)
+        conv[g0:g1] = ok.all(axis=1).reshape(-1, trials_per_x)
+    dev = (xs[:, None] * quantum - i_out) / quantum
 
     means = np.empty(len(xs))
     mns = np.empty(len(xs))

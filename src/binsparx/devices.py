@@ -160,10 +160,11 @@ class DeviceModel:
     """One bitcell's electrical behavior.
 
     ``i_on``: conduction current at nominal bias for stored 1 with the gate
-    on.  ``i_hrs``: same for stored 0 (high-resistance path; relevant for
-    ReRAM).  ``i_off``: gate-off leakage, drawn regardless of cell bias.
-    Attach LUTs (per stored state) to override the parametric curve; the
-    gate query voltage is 0 or ``v_nominal``.
+    on.  ``i_hrs``: same for stored 0, either kind (high-resistance path;
+    the SRAM factory makes it ``i_off``).  ``i_off``: gate-off leakage,
+    drawn regardless of cell bias.  Attach LUTs (per stored state) to
+    override the parametric curve; the gate query voltage is 0 or
+    ``v_nominal``.
     """
 
     kind: str = "sram8t"
@@ -204,12 +205,7 @@ class DeviceModel:
 
     def _branch_target(self, stored):
         """Conduction target at nominal bias for the gate-on branch."""
-        stored = np.asarray(stored)
-        if self.kind == "reram1t1r":
-            lo = self.i_hrs
-        else:
-            lo = self.i_off  # SRAM stored-0 conducts only leakage
-        return np.where(stored > 0, self.i_on, lo)
+        return np.where(np.asarray(stored) > 0, self.i_on, self.i_hrs)
 
     def _curve(self, target, v):
         if self.curve == "linear":

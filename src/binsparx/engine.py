@@ -3,14 +3,15 @@
 :meth:`Engine.prepare` lays a signed weight matrix out on n x m arrays as
 one :class:`~binsparx.bnn.TiledWeights` record, column-flipped when BinSparX
 is on.  :meth:`Engine.vmm_batch` then works one row tile at a time: the
-dynamic activation flip, per column tile an exact ON-cell count (ideal
-path) or a per-column electrical solve with optional dummy-column
-compensation and ADC quantization, and the sign-corrected dot-product
-recovery.  Partial sums add up across row tiles as exact integers, so only
-intra-column analog effects are non-ideal.
+dynamic activation flip, an exact ON-cell count of every column (ideal
+path) or one electrical read of the whole row tile, and the
+sign-corrected dot-product recovery.  The electrical read is one
+:meth:`Engine.solve_rows` call over every column tile's columns, with the
+all-HRS dummy column beside them when it is on, then one
+dummy-compensation and ADC step.  Partial sums add up across row tiles as
+exact integers, so only intra-column analog effects are non-ideal.
 
-Each distinct post-flip gate row of a row tile is solved once, and the
-dummy column and every column tile share that de-duplication.  Conv
+Each distinct post-flip gate row of a row tile is solved once.  Conv
 patches repeat, and the dynamic flip maps a sub-vector and its complement
 to one gate row, so a conv layer often has far fewer distinct gate rows
 than inputs.
@@ -18,7 +19,8 @@ It is exact: a column's solve depends only on its stored bits and gate
 row, never on the other columns of its batch
 (``test_column_alone_equals_column_in_batch``), and the solved currents
 are expanded back to every input before compensation, quantization and
-counting, so clamps and non-convergence still count once per input.
+counting, so clamps and non-convergence still count once per input (see
+:class:`RunStats` for the dummy).
 
 Exactness contract, with non-idealities off, for every tile geometry:
 
@@ -67,7 +69,9 @@ __all__ = [
     "im2col",
 ]
 
-# cap on cells (columns x rows) per solve_columns call.  A call's (rows,
+# cap on cells (columns x rows) per solve_columns call, except that one
+# gate row's columns always share a call (a row tile of more than
+# 2**18 / n - 1 columns, 4095 at n=64, exceeds it).  A call's (rows,
 # columns) float64 arrays are then 2 MB each, about one core's L2 cache,
 # and the solver keeps about a dozen live, so its working set stays near
 # 25 MB however large the run.  Wider calls buy nothing: at n=64 (SRAM,
@@ -93,7 +97,6 @@ class EngineConfig:
     adc_rounding: str = "half_even"
     dummy_enabled: bool | str = "auto"  # "auto" -> on for ReRAM
     dummy_domain: str = "analog"
-    v_drive: float | str = "auto"       # "auto" -> device v_nominal
     solver_tol: float = 1e-6
     solver_max_iter: int = 200
     topology: str = "opposite"
@@ -132,12 +135,16 @@ class EngineConfig:
             enabled = bool(self.dummy_enabled)
         return DummyColumnConfig(enabled=enabled, domain=self.dummy_domain)
 
-    def resolved_v_drive(self) -> float:
-        return self.device.v_nominal if self.v_drive == "auto" else float(self.v_drive)
-
 
 class RunStats:
-    """Mutable per-run aggregates: ideal-sum histograms, deviations, events."""
+    """Mutable per-run aggregates: ideal-sum histograms, deviations, events.
+
+    ``clamp_events`` and ``nonconverged`` count once per input and column.
+    In hardware every column-tile array reads its own dummy column, so a
+    dummy solve that does not converge, or a digital-domain dummy level
+    that clamps, counts once per array: ceil(cols / m) times per row tile,
+    though the engine solves the dummy once.
+    """
 
     def __init__(self, hist_bins: int):
         self.hist_bins = hist_bins
@@ -195,7 +202,6 @@ class Engine:
         self.config = config
         self.adc = config.resolved_adc()
         self.dummy = config.resolved_dummy()
-        self.v_drive = config.resolved_v_drive()
 
     # -- weight preparation ------------------------------------------------
 
@@ -207,13 +213,14 @@ class Engine:
     # -- electrical helpers --------------------------------------------------
 
     def solve_columns(self, stored: np.ndarray, gates: np.ndarray):
-        """Solve stored/gate bit arrays (broadcast to (B, n)) per config.
+        """Solve stored/gate bit arrays (broadcast to (B, n)) per config,
+        driven at the device's ``v_nominal``.
 
         Returns (i_out (B,), converged (B,) bool).
         """
         cfg = self.config
         res = solve_columns_fast(
-            stored, gates, cfg.device, cfg.wire, self.v_drive, cfg.topology,
+            stored, gates, cfg.device, cfg.wire, cfg.device.v_nominal, cfg.topology,
             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
         )
         return res.i_out, res.converged
@@ -223,81 +230,29 @@ class Engine:
 
         Each of row u's ``ml`` stored columns is solved with gate row
         ``gates[u]``; a leading 1 gives every row the same stored columns.
-        Returns (i_out (U, ml), converged (U, ml)).  Rows go to
-        :meth:`solve_columns` in chunks of at most ``_MAX_BATCH_ELEMS``
-        cells; this is the only chunk loop, for VMMs and sweeps alike.
+        With the dummy column on, an all-zero stored column rides along
+        with every gate row as column ``ml``.  Returns (i_out (U, ml + d),
+        converged (U, ml + d)), d = 1 with the dummy on and 0 otherwise.
+        Rows go to :meth:`solve_columns` in chunks of at most
+        ``_MAX_BATCH_ELEMS`` cells (one row at least); this is the only
+        chunk loop, for VMMs and sweeps alike.
         """
         U, n_phys = gates.shape
         ml = stored.shape[1]
+        width = ml + self.dummy.enabled
         stored = np.broadcast_to(stored, (U, ml, n_phys))
-        i_out = np.empty((U, ml))
-        conv = np.empty((U, ml), dtype=bool)
-        chunk = max(1, _MAX_BATCH_ELEMS // max(1, ml * n_phys))
+        i_out = np.empty((U, width))
+        conv = np.empty((U, width), dtype=bool)
+        chunk = max(1, _MAX_BATCH_ELEMS // max(1, width * n_phys))
         for b0 in range(0, U, chunk):
             b1 = min(U, b0 + chunk)
-            nb = b1 - b0
-            stored_rep = stored[b0:b1].reshape(-1, n_phys)
-            gates_rep = np.repeat(gates[b0:b1], ml, axis=0)
-            i, c = self.solve_columns(stored_rep, gates_rep)
-            i_out[b0:b1] = i.reshape(nb, ml)
-            conv[b0:b1] = c.reshape(nb, ml)
+            cells = np.zeros((b1 - b0, width, n_phys), dtype=stored.dtype)
+            cells[:, :ml] = stored[b0:b1]
+            i, c = self.solve_columns(cells.reshape(-1, n_phys),
+                                      np.repeat(gates[b0:b1], width, axis=0))
+            i_out[b0:b1] = i.reshape(-1, width)
+            conv[b0:b1] = c.reshape(-1, width)
         return i_out, conv
-
-    def _solve_dummy(self, gates: np.ndarray, inverse: np.ndarray):
-        """The all-HRS dummy column of one row tile for B inputs.
-
-        ``gates`` is (U, n_phys), the row tile's distinct gate rows, and
-        ``inverse`` (B,) gives each input's row.  The dummy depends only on
-        the row tile's gates, so every column tile of the row tile shares
-        this one solve.  Returns (dummy (B,), non-converged solves, ADC
-        clamps), counted per input: the dummy current for analog
-        subtraction, its ADC level for digital.
-        """
-        i_dummy, conv = self.solve_rows(np.zeros((1, 1, gates.shape[1]), dtype=np.int8), gates)
-        i_dummy, conv = i_dummy[inverse, 0], conv[inverse, 0]
-        nonconv = int((~conv).sum())
-        if self.dummy.domain == "analog":
-            return i_dummy, nonconv, 0
-        lv_dummy, clamps = self.adc.quantize_array(i_dummy)
-        return lv_dummy, nonconv, clamps
-
-    def _digitize_tile(
-        self,
-        stored: np.ndarray,     # (n_phys, ml) int8, the tile's logical columns
-        gates: np.ndarray,      # (U, n_phys) int8, distinct post-flip rows, padding zeroed
-        inverse: np.ndarray,    # (B,) row of ``gates`` for each input
-        dummy,                  # _solve_dummy(gates, inverse), or None without the dummy column
-        stats: RunStats | None,
-        layer: str,
-    ) -> np.ndarray:
-        """Solve + compensate + quantize one tile for B inputs -> (B, ml) levels.
-
-        Every input and every array counts its own solves: non-convergence
-        and clamps count once per input, and the shared dummy solve's once
-        per column tile.
-        """
-        i_out, conv = self.solve_rows(np.ascontiguousarray(stored.T)[None], gates)
-        i_out, conv = i_out[inverse], conv[inverse]
-        ref, nonconv, clamps = (None, 0, 0) if dummy is None else dummy
-        nonconv += int((~conv).sum())
-        if ref is None:
-            levels, c = self.adc.quantize_array(i_out)
-        elif self.dummy.domain == "analog":
-            levels, c = self.adc.quantize_array(dummy_compensate(i_out, ref[:, None]))
-        else:
-            levels, c = self.adc.quantize_array(i_out)
-            levels = np.maximum(0, levels - ref[:, None])
-        clamps += c
-        if nonconv:
-            if stats is not None:
-                stats.nonconverged += nonconv
-            if not self.config.best_effort:
-                raise NonConvergenceError(
-                    f"{nonconv} column solve(s) did not converge in layer {layer!r}"
-                )
-        if stats is not None:
-            stats.clamp_events += clamps
-        return levels
 
     # -- the VMM -------------------------------------------------------------
 
@@ -318,7 +273,7 @@ class Engine:
             raise DomainError("activations must be in {-1,+1}")
         cfg = self.config
         B = acts.shape[0]
-        row_tiles, n, _, m = prepared.stored.shape
+        row_tiles, n, col_tiles, _ = prepared.stored.shape
         cols = prepared.cols
         n_logical = prepared.n_logical
         mapped = np.zeros((B, row_tiles * n), dtype=np.int8)
@@ -330,6 +285,7 @@ class Engine:
         sum_wprime = prepared.sum_wprime.reshape(row_tiles, -1)[:, :cols]
         w_flip = prepared.column_flip.reshape(row_tiles, -1)[:, :cols]
         out = np.zeros((B, cols), dtype=np.int64)
+        digital_dummy = self.dummy.enabled and self.dummy.domain == "digital"
 
         for r, nl in enumerate(n_logical):
             g = np.ascontiguousarray(gates[:, r])  # (B, n)
@@ -349,20 +305,37 @@ class Engine:
                     key.view(np.dtype((np.void, key.shape[1]))).ravel(),
                     return_index=True, return_inverse=True,
                 )
-                distinct = g[first]
-                dummy = self._solve_dummy(distinct, inverse) if self.dummy.enabled else None
-                raw = np.empty_like(ideal)
-                for c0 in range(0, cols, m):
-                    tile = slice(c0, min(cols, c0 + m))
-                    raw[:, tile] = self._digitize_tile(stored[:, tile], distinct, inverse,
-                                                       dummy, stats, layer)
+                i_out, conv = self.solve_rows(np.ascontiguousarray(stored.T)[None], g[first])
+                i_out, conv = i_out[inverse], conv[inverse]
+                # column ``cols`` is the dummy when it is on; every
+                # column-tile array reads its own, so the shared dummy's
+                # failures and clamps count once per array
+                data, dummy = i_out[:, :cols], i_out[:, cols:]
+                nonconv = (int((~conv[:, :cols]).sum())
+                           + col_tiles * int((~conv[:, cols:]).sum()))
+                clamps = 0
+                if digital_dummy:
+                    dummy, c = self.adc.quantize_array(dummy)
+                    clamps = col_tiles * c
+                elif self.dummy.enabled:
+                    data = dummy_compensate(data, dummy)
+                raw, c = self.adc.quantize_array(data)
+                clamps += c
+                if digital_dummy:
+                    raw = np.maximum(0, raw - dummy)
             else:
                 # parasitic-free: the ADC sees exactly "count" quanta, so
                 # digitization reduces to integer saturation
                 raw = np.minimum(ideal, self.adc.levels - 1)
-                if stats is not None:
-                    stats.clamp_events += int((ideal > self.adc.levels - 1).sum())
+                nonconv, clamps = 0, int((ideal > self.adc.levels - 1).sum())
             if stats is not None:
+                stats.nonconverged += nonconv
+            if nonconv and not cfg.best_effort:
+                raise NonConvergenceError(
+                    f"{nonconv} column solve(s) did not converge in layer {layer!r}"
+                )
+            if stats is not None:
+                stats.clamp_events += clamps
                 stats.add_deviation(layer, np.abs(raw - ideal))
             out += postprocess(raw, sum_i[:, r, None], a_flip[:, r, None],
                                sum_wprime[r], w_flip[r], nl)

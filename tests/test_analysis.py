@@ -99,14 +99,18 @@ def test_sweep_chunks_equal_one_batch(monkeypatch):
     solve = Engine.solve_columns
 
     def counting(self, stored, gates):
-        calls.append(len(gates))
+        # (columns, all-zero stored columns) per call
+        calls.append((len(gates), int((~np.asarray(stored).any(axis=1)).sum())))
         return solve(self, stored, gates)
 
     monkeypatch.setattr(Engine, "solve_columns", counting)
-    # 3 columns of 32 rows per call: 45 data columns, then 45 dummy columns
-    monkeypatch.setattr(engine_module, "_MAX_BATCH_ELEMS", 3 * 32)
+    # 6 columns of 32 rows per call, 3 drawn and 3 dummy; one x of 5 trials
+    # per group: each x is a call of 3 drawn columns and one of 2, every
+    # drawn column with its dummy beside it
+    monkeypatch.setattr(engine_module, "_MAX_BATCH_ELEMS", 6 * 32)
     chunked = sweep_deviation(eng, range(0, 33, 4), 5, rng=np.random.default_rng(7))
-    assert calls == [3] * 30
+    assert calls == [(6, 3), (4, 2)] * 9
+    assert sum(c - z for c, z in calls) == sum(z for _, z in calls) == 45
     _assert_same_sweep(chunked, whole)
 
 

@@ -176,9 +176,10 @@ class TestNonIdealPath:
         assert stats.nonconverged > 0
 
     def test_solve_columns_passes_settings(self, rng):
-        # v_drive and topology reach the solver: the answer is the oracle's
-        dev, wire = DeviceModel.sram8t(), WireModel.preset("M3")
-        base = dict(n=32, m=32, device=dev, wire=wire, v_drive=0.55, topology="same")
+        # the device's v_nominal drives the array and the topology reaches
+        # the solver: the answer is the oracle's
+        dev, wire = DeviceModel.sram8t(v_nominal=0.55), WireModel.preset("M3")
+        base = dict(n=32, m=32, device=dev, wire=wire, topology="same")
         stored = rng.integers(0, 2, (6, 32))
         gates = rng.integers(0, 2, (6, 32))
         i_out, conv = Engine(EngineConfig(**base, solver_tol=1e-10)).solve_columns(stored, gates)
@@ -198,13 +199,12 @@ class TestNonIdealPath:
 
     def test_dummy_solved_once_per_row_tile(self, rng, monkeypatch):
         # the dummy depends only on a row tile's gates: 2 row tiles x 2 column
-        # tiles need 2 dummy solves, not 4
+        # tiles need 2 dummy solves, not 4, each riding in its row tile's call
         dummy_batches = []
         solve = Engine.solve_columns
 
         def counting(self, stored, gates):
-            if not np.any(stored):
-                dummy_batches.append(len(gates))
+            dummy_batches.append(int((~np.asarray(stored).any(axis=1)).sum()))
             return solve(self, stored, gates)
 
         monkeypatch.setattr(Engine, "solve_columns", counting)
@@ -219,15 +219,19 @@ class TestNonIdealPath:
 
     @pytest.mark.parametrize("binsparx", [False, True])
     @pytest.mark.parametrize("domain", ["analog", "digital"])
-    def test_reram_dummy_exact_without_parasitics(self, rng, domain, binsparx):
+    @pytest.mark.parametrize("device", [
+        DeviceModel.reram1t1r(curve="linear"),
+        # an SRAM stored-0 cell draws the configured i_hrs too
+        DeviceModel.sram8t(curve="linear", i_hrs=1e-7),
+    ], ids=["reram", "sram-i_hrs"])
+    def test_dummy_exact_without_parasitics(self, rng, device, domain, binsparx):
         # linear cells, zero wire resistance: the dummy cancels the HRS term
         # and the compensated quantum i_on - i_hrs reads every count exactly
         W = rng.choice([-1, 1], size=(64, 32)).astype(np.int8)
         A = rng.choice([-1, 1], size=(16, 64)).astype(np.int8)
         cfg = EngineConfig(n=64, m=64, binsparx=binsparx, nonidealities=True,
-                           device=DeviceModel.reram1t1r(curve="linear"),
-                           wire=WireModel(0.0, 0.0, 0.0, 0.0), adc_bits="full",
-                           dummy_domain=domain)
+                           device=device, wire=WireModel(0.0, 0.0, 0.0, 0.0),
+                           adc_bits="full", dummy_enabled=True, dummy_domain=domain)
         eng = Engine(cfg)
         assert eng.dummy.enabled
         out = eng.vmm_batch(eng.prepare(W), A)
@@ -301,7 +305,9 @@ class TestColumnDeduplication:
         solve = Engine.solve_columns
 
         def counting(self, stored, gates):
-            (data_columns if np.any(stored) else dummy_columns).append(len(gates))
+            zero = int((~np.asarray(stored).any(axis=1)).sum())
+            data_columns.append(len(gates) - zero)
+            dummy_columns.append(zero)
             return solve(self, stored, gates)
 
         monkeypatch.setattr(Engine, "solve_columns", counting)
@@ -317,8 +323,49 @@ class TestColumnDeduplication:
                                   device=DeviceModel.reram1t1r()))
         out = eng.vmm_batch(eng.prepare(W), A)
         assert np.array_equal(out, signed_vmm(A, W))
-        assert sum(data_columns) == 2 * distinct * (64 + 16)
+        # one call per row tile, its dummy beside both column tiles' columns
+        assert data_columns == [distinct * (64 + 16)] * 2
         assert dummy_columns == [distinct, distinct]
+
+    @pytest.mark.parametrize("domain", ["analog", "digital"])
+    def test_dummy_counts_once_per_array(self, rng, domain):
+        # each column-tile array reads its own dummy, so a dummy solve that
+        # fails, or a digital dummy level that clamps, counts once per
+        # array.  Hand count: every array's columns and its dummy solved
+        # on their own, one row tile at a time.
+        n, m, cols, B = 16, 4, 10, 12  # column tiles of 4, 4 and 2
+        W = rng.choice([-1, 1], size=(2 * n, cols)).astype(np.int8)
+        A = rng.choice([-1, 1], size=(B, 2 * n)).astype(np.int8)
+        # a small quantum and a 3-bit ADC: some dummy levels clamp, some not
+        eng = Engine(EngineConfig(n=n, m=m, binsparx=False,
+                                  device=DeviceModel.reram1t1r(i_hrs=2.5e-7), wire=STIFF,
+                                  dummy_domain=domain, adc_bits=3, adc_quantum=4e-8,
+                                  solver_max_iter=3, best_effort=True))
+        stats = RunStats(n)
+        eng.vmm_batch(eng.prepare(W), A, stats=stats)
+
+        nonconv = clamps = dummy_nonconv = dummy_clamps = 0
+        for r0 in (0, n):
+            gates = (A[:, r0 : r0 + n] > 0).astype(np.int8)
+            for c0 in range(0, cols, m):
+                i_dummy, d_conv = eng.solve_columns(np.zeros_like(gates), gates)
+                dummy_nonconv += int((~d_conv).sum())
+                nonconv += int((~d_conv).sum())
+                if domain == "digital":
+                    c = eng.adc.quantize_array(i_dummy)[1]
+                    dummy_clamps += c
+                    clamps += c
+                for col in range(c0, min(cols, c0 + m)):
+                    stored = (W[r0 : r0 + n, col] > 0).astype(np.int8)
+                    i_out, conv = eng.solve_columns(stored, gates)
+                    nonconv += int((~conv).sum())
+                    if domain == "analog":
+                        i_out = np.maximum(0.0, i_out - i_dummy)
+                    clamps += eng.adc.quantize_array(i_out)[1]
+        assert (stats.nonconverged, stats.clamp_events) == (nonconv, clamps)
+        # the case pins the multiplier only if the dummy's own counts are not 0
+        assert dummy_nonconv > 0
+        assert dummy_clamps > 0 or domain == "analog"
 
     @pytest.mark.parametrize("nonidealities", [False, True])
     def test_empty_batch(self, rng, nonidealities):
