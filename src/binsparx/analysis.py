@@ -223,10 +223,9 @@ def cost_report(engine: Engine, rows: int | None = None, cols: int | None = None
     tiles = rt * ct
     bsx = cfg.binsparx
 
-    if n >= 2 and (n & (n - 1)) == 0:
-        bits_base = adc_bits_required(n, False)
-        bits_bsx = bits_base - 1
-    else:
+    try:
+        bits_base, bits_bsx = (adc_bits_required(n, on) for on in (False, True))
+    except ConfigError:  # n is not a power of two
         bits_base = bits_bsx = None
 
     return {
@@ -269,7 +268,8 @@ def solver_validation_suite(
     Also runs two anchored checks: a zero-parasitic column must hit
     k * i_on exactly, and a linear-device column must match the
     closed-form ladder solution to 1e-9 relative.  Returns a dict with
-    per-corner max/mean relative error and an overall ``passed`` flag.
+    per-corner max/mean relative error, an overall ``passed`` flag, and
+    under ``settings`` the arguments the run used.
     """
     rng = np.random.default_rng(seed)
     corners = []
@@ -338,6 +338,10 @@ def solver_validation_suite(
 
     passed = worst <= budget and zero_err <= 1e-9 and linear_err <= 1e-9
     return {
+        "settings": {"n": n, "device_kind": device_kind, "v_nominal": v_nominal,
+                     "presets": list(presets), "on_currents": list(on_currents),
+                     "solver_tol": solver_tol, "budget": budget, "trials": trials,
+                     "seed": seed},
         "corners": corners,
         "max_rel_error": worst,
         "budget": budget,

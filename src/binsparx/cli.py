@@ -247,6 +247,7 @@ def cmd_sparsify(args) -> int:
                 f"sparsified mapping of layer {name!r} failed the exactness probe"
             )
 
+    adc_bits = analysis.cost_report(engine)["adc_bits"]
     map_dir = out / "mapping"
     map_dir.mkdir(parents=True, exist_ok=True)
     report_layers = []
@@ -283,7 +284,6 @@ def cmd_sparsify(args) -> int:
         ones_before = np.where(flips, n_logical[:, None] - ones_after, ones_after)
         total_cols = flips.size
         flipped = int(flips.sum())
-        is_pow2 = n >= 2 and (n & (n - 1)) == 0
         report_layers.append(
             {
                 "name": name,
@@ -292,8 +292,8 @@ def cmd_sparsify(args) -> int:
                 "flip_fraction": flipped / total_cols,
                 "mean_column_ones_before": float(ones_before.mean()),
                 "mean_column_ones_after": float(ones_after.mean()),
-                "adc_bits_before": n.bit_length() - 1 if is_pow2 else None,
-                "adc_bits_after": n.bit_length() - 2 if is_pow2 else None,
+                "adc_bits_before": adc_bits["baseline"],
+                "adc_bits_after": adc_bits["binsparx"],
             }
         )
         map_layers.append(

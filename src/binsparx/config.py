@@ -218,9 +218,6 @@ def build_wire(cfg: dict) -> WireModel:
 
 
 def build_engine_config(cfg: dict) -> EngineConfig:
-    adc_bits = cfg["adc"]["bits"]
-    if isinstance(adc_bits, float):
-        adc_bits = int(adc_bits)
     return EngineConfig(
         n=cfg["array"]["n"],
         m=cfg["array"]["m"],
@@ -228,7 +225,7 @@ def build_engine_config(cfg: dict) -> EngineConfig:
         nonidealities=cfg["run"]["nonidealities"],
         device=build_device(cfg),
         wire=build_wire(cfg),
-        adc_bits=adc_bits,
+        adc_bits=cfg["adc"]["bits"],
         adc_quantum=cfg["adc"]["quantum"],
         adc_offset=cfg["adc"]["offset"],
         adc_rounding=cfg["adc"]["rounding"],

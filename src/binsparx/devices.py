@@ -10,9 +10,10 @@ parametric curve
 
 which is monotone, zero at zero bias, and reaches I_target at the nominal
 read voltage; ``curve="linear"`` replaces it with I_target * v / v_nominal
-for ohmic validation cases.  Measured tables can override the parametric
-curve entirely: a :class:`DeviceLut` maps (gate voltage, cell voltage) to
-current with bilinear interpolation, one table per stored state.
+for ohmic validation cases.  A measured table per stored state can
+replace the parametric curve: a :class:`DeviceLut` samples current over
+(gate voltage, cell voltage), and the model reads it only at the gate
+voltage ``v_nominal``, interpolating linearly in the cell voltage.
 
 Wire parasitics are plain per-cell series resistances.  The M3/M4/M6
 presets encode only the expected ordering (lower metal = thinner wire =
@@ -33,12 +34,16 @@ __all__ = ["DeviceLut", "DeviceModel", "WireModel", "WIRE_PRESETS", "load_device
 
 
 class DeviceLut:
-    """Bilinear lookup of cell current over (gate voltage, cell voltage).
+    """Measured cell current over (gate voltage, cell voltage).
 
-    Axes must be strictly increasing and currents non-negative.  Queries
-    outside the grid clamp to the boundary; each such query bumps
-    ``clamp_events`` (a plain counter, reset by the caller if needed;
-    lookups are otherwise read-only).
+    Axes must be strictly increasing and currents non-negative.  A query
+    takes one scalar gate voltage, whose two gate columns are blended
+    once; the cell voltage is then interpolated linearly in that slice, so
+    every value is the bilinear interpolant of the grid.  The gate axis
+    only locates the slice: a :class:`DeviceModel` reads it at
+    ``v_nominal``.  Coordinates outside the grid clamp to the boundary,
+    each clamped coordinate of a lookup bumping ``clamp_events`` (a plain
+    counter; lookups are otherwise read-only).
     """
 
     def __init__(self, v_gate, v_dev, current):
@@ -53,59 +58,46 @@ class DeviceLut:
             raise ParseError(
                 f"DeviceLut: current grid {cur.shape} != ({len(vd)}, {len(vg)})"
             )
-        if np.any(np.diff(vg) <= 0):
-            raise ParseError("DeviceLut: gate-voltage axis not strictly increasing")
-        if np.any(np.diff(vd) <= 0):
-            raise ParseError("DeviceLut: device-voltage axis not strictly increasing")
-        if np.any(~np.isfinite(cur)):
-            raise ParseError("DeviceLut: non-finite current sample")
-        if np.any(cur < 0):
-            raise ParseError("DeviceLut: negative current sample")
-        self.v_gate = vg
-        self.v_dev = vd
-        self.current = cur
+        for name, axis in (("gate", vg), ("device", vd)):
+            if np.any(np.diff(axis) <= 0):
+                raise ParseError(f"DeviceLut: {name}-voltage axis not strictly increasing")
+        if not np.all(np.isfinite(cur) & (cur >= 0)):
+            raise ParseError("DeviceLut: current samples must be finite and >= 0")
+        self.v_gate, self.v_dev, self.current = vg, vd, cur
         self.clamp_events = 0
 
-    def _coords(self, axis: np.ndarray, x: np.ndarray):
+    def _coords(self, axis: np.ndarray, x):
         clamped = (x < axis[0]) | (x > axis[-1])
         xc = np.clip(x, axis[0], axis[-1])
-        hi = np.clip(np.searchsorted(axis, xc, side="right"), 1, len(axis) - 1)
-        lo = hi - 1
-        frac = (xc - axis[lo]) / (axis[hi] - axis[lo])
-        return lo, frac, int(clamped.sum())
+        lo = np.clip(np.searchsorted(axis, xc, side="right"), 1, len(axis) - 1) - 1
+        return lo, (xc - axis[lo]) / (axis[lo + 1] - axis[lo]), int(clamped.sum())
 
-    def _gate_interp(self, vg, vd):
-        """The corner fetch of both queries: the current at the device-axis
-        knots below (``top``) and above (``bot``) each query, interpolated
-        along the gate axis, with the lower knot index, the device-axis
-        fraction, the broadcast shape and the count of clamped coordinates."""
-        vg_b, vd_b = np.broadcast_arrays(np.asarray(vg, dtype=np.float64),
-                                         np.asarray(vd, dtype=np.float64))
-        gi, gf, c1 = self._coords(self.v_gate, vg_b.ravel())
-        di, df, c2 = self._coords(self.v_dev, vd_b.ravel())
-        top = self.current[di, gi] * (1 - gf) + self.current[di, gi + 1] * gf
-        bot = self.current[di + 1, gi] * (1 - gf) + self.current[di + 1, gi + 1] * gf
-        return top, bot, di, df, vg_b.shape, c1 + c2
+    def _slice(self, vg, vd):
+        """Current at each device knot at gate voltage ``vg``, the knot below
+        each ``vd`` with its fraction to the next, and the count of clamped
+        coordinates (a clamped gate counts once per ``vd``)."""
+        vd = np.asarray(vd, dtype=np.float64)
+        gi, gf, gate_clamped = self._coords(self.v_gate, float(vg))
+        column = self.current[:, gi] * (1 - gf) + self.current[:, gi + 1] * gf
+        di, df, dev_clamped = self._coords(self.v_dev, vd)
+        return column, di, df, gate_clamped * vd.size + dev_clamped
 
     @staticmethod
-    def _out(values, shape, vg, vd):
-        """Scalar in, scalar out: a float when both queries are scalars."""
-        if np.isscalar(vg) and np.isscalar(vd):
-            return float(values[0])
-        return values.reshape(shape)
+    def _out(values):
+        """Scalar in, scalar out: a float for a scalar cell voltage."""
+        return float(values) if np.ndim(values) == 0 else values
 
     def lookup(self, vg, vd):
-        """Bilinearly interpolated current; scalar in, scalar out."""
-        top, bot, _, df, shape, clamped = self._gate_interp(vg, vd)
+        """Interpolated current at one gate voltage, per cell voltage."""
+        column, di, df, clamped = self._slice(vg, vd)
         self.clamp_events += clamped
-        return self._out(top * (1 - df) + bot * df, shape, vg, vd)
+        return self._out(column[di] * (1 - df) + column[di + 1] * df)
 
     def slope_vd(self, vg, vd):
-        """Exact d(current)/d(cell voltage) of the bilinear interpolant;
-        scalar in, scalar out."""
-        top, bot, di, _, shape, _ = self._gate_interp(vg, vd)
-        dv = self.v_dev[di + 1] - self.v_dev[di]
-        return self._out((bot - top) / dv, shape, vg, vd)
+        """Exact d(current)/d(cell voltage) of the interpolant at one gate
+        voltage, per cell voltage."""
+        column, di, _, _ = self._slice(vg, vd)
+        return self._out((column[di + 1] - column[di]) / (self.v_dev[di + 1] - self.v_dev[di]))
 
 
 def load_device_lut(path) -> DeviceLut:
@@ -162,9 +154,11 @@ class DeviceModel:
     ``i_on``: conduction current at nominal bias for stored 1 with the gate
     on.  ``i_hrs``: same for stored 0, either kind (high-resistance path;
     the SRAM factory makes it ``i_off``).  ``i_off``: gate-off leakage,
-    drawn regardless of cell bias.  Attach LUTs (per stored state) to
-    override the parametric curve; the gate query voltage is 0 or
-    ``v_nominal``.
+    drawn regardless of cell bias.  A gate-on cell under reverse bias
+    draws its 0 V current (nothing, on the parametric curve).  A LUT
+    attached for a stored state replaces that state's parametric branch;
+    it is read at gate voltage ``v_nominal``, the only gate voltage a
+    gate-on cell sees.
     """
 
     kind: str = "sram8t"
@@ -203,80 +197,55 @@ class DeviceModel:
         gate-off leakage i_on/1e5 unless ``kw`` sets ``i_off``."""
         return cls(kind="reram1t1r", i_on=i_on, i_hrs=i_hrs, **{"i_off": i_on / 1e5, **kw})
 
-    def _branch_target(self, stored):
-        """Conduction target at nominal bias for the gate-on branch."""
-        return np.where(np.asarray(stored) > 0, self.i_on, self.i_hrs)
-
-    def _curve(self, target, v):
+    def _curve(self, target, v, slope: bool):
+        """The parametric gate-on branch at bias ``v``, or its slope in ``v``."""
         if self.curve == "linear":
-            return target * (v / self.v_nominal)
+            return target / self.v_nominal if slope else target * (v / self.v_nominal)
         norm = math.tanh(self.v_nominal / self.v_knee)
+        if slope:
+            return target / (self.v_knee * norm) / np.cosh(v / self.v_knee) ** 2
         return target * np.tanh(v / self.v_knee) / norm
 
-    def _curve_slope(self, target, v):
-        if self.curve == "linear":
-            return target / self.v_nominal
-        norm = math.tanh(self.v_nominal / self.v_knee)
-        return target / (self.v_knee * norm) / np.cosh(v / self.v_knee) ** 2
+    def _evaluate(self, stored, gate, v_cell, slope: bool) -> np.ndarray:
+        """Cell current, or with ``slope`` its derivative in the cell
+        voltage, broadcast over stored bit, gate bit and bias.
+
+        Gate off draws ``i_off`` whatever the bias, and a gate-on cell
+        under reverse bias draws its 0 V current: both are flat, slope 0.
+        A gate-on cell at bias v >= 0 follows its stored state's branch:
+        the LUT if one is attached, read at ``v_nominal``, the parametric
+        curve otherwise."""
+        stored, gate, v = np.broadcast_arrays(
+            np.asarray(stored), np.asarray(gate), np.asarray(v_cell, dtype=np.float64))
+        on = gate > 0
+        if slope:
+            on &= v >= 0
+            flat = 0.0
+        else:
+            v = np.clip(v, 0.0, None)
+            flat = self.i_off
+        s1 = stored > 0
+        if self.lut_stored1 is None and self.lut_stored0 is None:
+            return np.where(on, self._curve(np.where(s1, self.i_on, self.i_hrs), v, slope), flat)
+        out = np.full(v.shape, flat)
+        for cells, lut, target in ((on & s1, self.lut_stored1, self.i_on),
+                                   (on & ~s1, self.lut_stored0, self.i_hrs)):
+            if lut is None:
+                out[cells] = self._curve(target, v[cells], slope)
+            elif slope:
+                out[cells] = lut.slope_vd(self.v_nominal, v[cells])
+            else:
+                out[cells] = lut.lookup(self.v_nominal, v[cells])
+        return out
 
     def currents(self, stored, gate, v_cell) -> np.ndarray:
-        """Cell current, broadcast over stored bit, gate bit and bias.
-
-        Gate off draws ``i_off`` regardless of bias; gate on follows the
-        stored-state branch (LUT if attached, parametric otherwise), with
-        negative bias clamped to zero."""
-        stored = np.asarray(stored)
-        gate = np.asarray(gate)
-        v = np.clip(np.asarray(v_cell, dtype=np.float64), 0.0, None)
-        stored_b, gate_b, v_b = np.broadcast_arrays(stored, gate, v)
-        out = np.full(v_b.shape, self.i_off, dtype=np.float64)
-        on = gate_b > 0
-        if np.any(on):
-            if self.lut_stored1 is not None or self.lut_stored0 is not None:
-                vg = np.where(gate_b, self.v_nominal, 0.0)
-                para = self._curve(self._branch_target(stored_b), v_b)
-                c1 = (
-                    np.asarray(self.lut_stored1.lookup(vg, v_b))
-                    if self.lut_stored1 is not None
-                    else para
-                )
-                c0 = (
-                    np.asarray(self.lut_stored0.lookup(vg, v_b))
-                    if self.lut_stored0 is not None
-                    else para
-                )
-                out = np.where(on, np.where(stored_b > 0, c1, c0), out)
-            else:
-                out = np.where(on, self._curve(self._branch_target(stored_b), v_b), out)
-        return out
+        """Cell current, broadcast over stored bit, gate bit and bias."""
+        return self._evaluate(stored, gate, v_cell, slope=False)
 
     def conductances(self, stored, gate, v_cell) -> np.ndarray:
-        """d(current)/d(cell voltage) matching :meth:`currents`."""
-        stored = np.asarray(stored)
-        gate = np.asarray(gate)
-        v = np.clip(np.asarray(v_cell, dtype=np.float64), 0.0, None)
-        stored_b, gate_b, v_b = np.broadcast_arrays(stored, gate, v)
-        out = np.zeros(v_b.shape, dtype=np.float64)
-        on = gate_b > 0
-        if np.any(on):
-            if self.lut_stored1 is not None or self.lut_stored0 is not None:
-                vg = np.where(gate_b, self.v_nominal, 0.0)
-                s1 = stored_b > 0
-                para = self._curve_slope(self._branch_target(stored_b), v_b)
-                g1 = (
-                    np.asarray(self.lut_stored1.slope_vd(vg, v_b))
-                    if self.lut_stored1 is not None
-                    else para
-                )
-                g0 = (
-                    np.asarray(self.lut_stored0.slope_vd(vg, v_b))
-                    if self.lut_stored0 is not None
-                    else para
-                )
-                out = np.where(on, np.where(s1, g1, g0), out)
-            else:
-                out = np.where(on, self._curve_slope(self._branch_target(stored_b), v_b), out)
-        return out
+        """d(current)/d(cell voltage) matching :meth:`currents`: 0 where the
+        current is flat (gate off, or reverse bias)."""
+        return self._evaluate(stored, gate, v_cell, slope=True)
 
 
 WIRE_PRESETS = {"M3": 40.0, "M4": 25.0, "M6": 8.0}  # ohm per cell, BL and SL

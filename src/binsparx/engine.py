@@ -55,7 +55,7 @@ from .errors import (
     ShapeError,
 )
 from .readout import AdcModel, DummyColumnConfig, dummy_compensate
-from .solver import solve_columns_fast
+from .solver import TOPOLOGIES, solve_columns_fast
 from .sparsify import adc_bits_required, postprocess, sparsify_activations, sparsify_tile
 
 __all__ = [
@@ -106,6 +106,14 @@ class EngineConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError("EngineConfig: tile geometry must be >= 1")
+        if self.topology not in TOPOLOGIES:
+            raise ConfigError(f"EngineConfig: topology must be one of {TOPOLOGIES}, "
+                              f"got {self.topology!r}")
+        if not self.solver_tol > 0:
+            raise ConfigError(f"EngineConfig: solver_tol must be > 0, got {self.solver_tol}")
+        if self.solver_max_iter < 1:
+            raise ConfigError(
+                f"EngineConfig: solver_max_iter must be >= 1, got {self.solver_max_iter}")
 
     def resolved_adc(self) -> AdcModel:
         if self.adc_bits == "auto":

@@ -298,12 +298,13 @@ def solve_columns_fast(
     instead from the exact currents of its ohmic ladder, which one sweep
     gives: gate-on cells at their chord conductance f(v_drive)/v_drive,
     gate-off cells at their constant leakage.  Each further iteration
-    linearizes every cell at its current bias as i = g*v + c (g = 0 under
-    reverse bias), solves that linear ladder exactly with an O(n) sweep,
-    and backtracks - halving the step while a column's residual does not
-    fall.  Converged columns leave the active set at once.  Non-convergent
-    problems are returned flagged (with their last f(v(i))), never
-    silently.
+    linearizes every cell at its current bias as i = g*v + c, with g from
+    ``device.conductances`` (which owns the reverse-bias rule: g = 0 where
+    the current is flat), solves that linear ladder exactly with an O(n)
+    sweep, and backtracks - halving the step while a column's residual
+    does not fall.  Converged columns leave the active set at once.
+    Non-convergent problems are returned flagged (with their last
+    f(v(i))), never silently.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
@@ -350,13 +351,14 @@ def solve_columns_fast(
             active = active[keep]
             if not active.size:
                 break
-            i_cell, v, f, res = i_cell[:, keep], v[:, keep], f[:, keep], res[keep]
-            stored, gates = stored[:, keep], gates[:, keep]
+            # np.compress keeps rows contiguous; a[:, keep] is column-major
+            i_cell, v, f, stored, gates = (np.compress(keep, a, axis=1)
+                                           for a in (i_cell, v, f, stored, gates))
+            res = res[keep]
         if it == max_iter:
             break
         # each (n, B) array is dropped once spent: wide batches are memory-bound
         g = device.conductances(stored, gates, v)
-        g[v < 0] = 0.0
         f -= g * v  # f now holds c of the linearization i = g*v + c
         del v
         step = _ladder_sweep(g, f, wire, v_drive, topology)
@@ -423,9 +425,10 @@ def solve_column_dense(
     cell is a two-terminal branch stamped straight into the unknowns, a
     pinned end stamping nothing.  The wire is linear, so its conductance
     block and its pad terms are stamped once per solve; each Newton step
-    adds only the cells' currents and small-signal conductances, then
-    solves the (unknowns x unknowns) system.  The residual is the largest
-    KCL violation across unknowns, normalized by i_on.  A singular
+    adds only the cells' currents and small-signal conductances, both
+    straight from the device model (0 S under reverse bias is its rule),
+    then solves the (unknowns x unknowns) system.  The residual is the
+    largest KCL violation across unknowns, normalized by i_on.  A singular
     Jacobian raises :class:`SolverError`; running out of iterations
     returns a flagged result.
     """
@@ -472,7 +475,7 @@ def solve_column_dense(
         pot = np.append(u, 0.0)[idx] + fixed
         vd = pot[bl] - pot[sl]
         icell = p.device.currents(p.stored_bits, p.gate_bits, vd)
-        gcell = np.where(vd >= 0, p.device.conductances(p.stored_bits, p.gate_bits, vd), 0.0)
+        gcell = p.device.conductances(p.stored_bits, p.gate_bits, vd)
         F = J_wire @ u + F_pads + _stamp(cell_kcl, icell, nu)
         J = J_wire + _stamp(cell_jac, gcell, nu * nu).reshape(nu, nu)
         return F, J, pot, icell

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch (loops, direct
 formulas) so it cannot share a bug with the library code it checks;
-``make_lut_from_model`` only samples a device model into a LUT.
+``make_lut_from_model`` only samples a device model into a LUT, and
+``write_lut_csv`` writes that sample as a LUT file.
 """
 
 import os
@@ -119,6 +120,17 @@ def make_lut_from_model(model, stored_bit: int) -> DeviceLut:
     vd = np.linspace(0.0, model.v_nominal, 33)
     grid = np.column_stack([model.currents(stored_bit, gate, vd) for gate in (0, 1)])
     return DeviceLut(vg, vd, grid)
+
+
+def write_lut_csv(path, model, stored_bit: int):
+    """Write ``make_lut_from_model(model, stored_bit)`` as a CSV that
+    ``load_device_lut`` reads back bit for bit; returns ``path``."""
+    lut = make_lut_from_model(model, stored_bit)
+    lines = ["vg," + ",".join(repr(float(g)) for g in lut.v_gate)]
+    for vd, row in zip(lut.v_dev, lut.current):
+        lines.append(",".join(repr(float(x)) for x in (vd, *row)))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def nodal_reference_linear(g_cells, r_bl, r_sl, r_driver, v_drive, topology="opposite"):

@@ -11,7 +11,9 @@ import pytest
 
 from binsparx import analysis, cli, modelio
 
-from conftest import software_bnn_forward
+from binsparx.devices import DeviceModel
+
+from conftest import software_bnn_forward, write_lut_csv
 
 N = M = 8
 TILES = ["--set", f"array.n={N}", "--set", f"array.m={M}"]
@@ -119,6 +121,53 @@ def test_exit_codes(tmp_path, model):
                      "--set", "run.no_such_key=1"]) == 2
 
 
+def _dataset(tmp_path, rng, count):
+    """A CSV dataset of ``count`` random +-1 inputs, all labeled 0."""
+    X = rng.choice([-1, 1], size=(count, int(np.prod(IN_SHAPE))))
+    data = tmp_path / "data.csv"
+    data.write_text("".join("0," + ",".join(f"{v:.1f}" for v in row) + "\n" for row in X))
+    return data
+
+
+BAD_SOLVER = ["solver.topology=diagonal", "solver.tol=0", "solver.tol=-1e-6",
+              "solver.max_iter=0", "solver.max_iter=-3"]
+
+
+@pytest.mark.parametrize("bad", BAD_SOLVER)
+@pytest.mark.parametrize("ideal", [False, True], ids=["electrical", "ideal"])
+def test_bad_solver_values_are_config_errors_for_infer(tmp_path, rng, model, bad, ideal):
+    out = tmp_path / "out"
+    argv = ["infer", "--model", str(model[0]), "--dataset", str(_dataset(tmp_path, rng, 2)),
+            "--out", str(out), "--set", bad, *TILES, *(["--ideal"] if ideal else [])]
+    assert cli.main(argv) == 2
+    assert not (out / "infer_stats.json").exists()
+
+
+@pytest.mark.parametrize("bad", BAD_SOLVER)
+@pytest.mark.parametrize("best_effort", [False, True], ids=["strict", "best-effort"])
+def test_bad_solver_values_are_config_errors_for_sweep(tmp_path, bad, best_effort):
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--set", "run.trials=2", "--set", bad, *TILES,
+            *(["--best-effort"] if best_effort else [])]
+    assert cli.main(argv) == 2
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["sram8t", "reram1t1r"])
+def test_infer_with_both_luts(tmp_path, rng, model, kind):
+    factory = DeviceModel.sram8t if kind == "sram8t" else DeviceModel.reram1t1r
+    luts = [write_lut_csv(tmp_path / f"lut{bit}.csv", factory(), bit) for bit in (1, 0)]
+    out = tmp_path / "out"
+    argv = ["infer", "--model", str(model[0]), "--dataset", str(_dataset(tmp_path, rng, 4)),
+            "--out", str(out), *TILES, "--set", f"device.kind={kind}",
+            "--set", f"device.lut_stored1={luts[0]}", "--set", f"device.lut_stored0={luts[1]}"]
+    assert cli.main(argv) == 0
+    stats = json.loads((out / "infer_stats.json").read_text())
+    assert stats["inputs"] == 4
+    assert stats["config"]["device"]["lut_stored1"] == str(luts[0])
+    assert stats["stats"]["nonconverged_columns"] == 0
+
+
 def _csv_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -143,12 +192,9 @@ def test_sweep_nonconvergence_exit_code(tmp_path):
 
 
 def test_profile_writes_histograms(tmp_path, rng, model):
-    path = model[0]
-    X = rng.choice([-1, 1], size=(6, int(np.prod(IN_SHAPE))))
-    data = tmp_path / "data.csv"
-    data.write_text("".join("0," + ",".join(f"{v:.1f}" for v in row) + "\n" for row in X))
+    data = _dataset(tmp_path, rng, 6)
     out = tmp_path / "out"
-    argv = ["profile", "--model", str(path), "--dataset", str(data), "--out", str(out), *TILES]
+    argv = ["profile", "--model", str(model[0]), "--dataset", str(data), "--out", str(out), *TILES]
     assert cli.main(argv) == 0
     for name in ("profile_baseline.csv", "profile_binsparx.csv"):
         rows = _csv_rows(out / name)
@@ -159,13 +205,24 @@ def test_profile_writes_histograms(tmp_path, rng, model):
 
 
 def test_validate_solver_takes_its_own_trials(tmp_path):
+    # the suite fixes its own tolerance and presets: [solver] and [wire]
+    # values are only echoed in the config, and the report's settings say
+    # what ran
     out = tmp_path / "out"
-    assert cli.main(["validate-solver", "--trials", "2", "--out", str(out)]) == 0
+    argv = ["validate-solver", "--trials", "2", "--out", str(out), "--seed", "5",
+            "--set", "solver.tol=1e-3", "--set", "wire.preset=M6"]
+    assert cli.main(argv) == 0
     doc = json.loads((out / "validate_report.json").read_text())
     corners = doc["report"]["corners"]
     assert len(corners) == 6 and all(c["trials"] == 2 for c in corners)
     assert doc["report"]["passed"]
     assert "method" not in doc["config"]["solver"]
+    settings = doc["report"]["settings"]
+    assert settings["solver_tol"] == 1e-9 and doc["config"]["solver"]["tol"] == 1e-3
+    assert settings["presets"] == ["M3", "M4", "M6"]
+    assert settings["on_currents"] == [1e-6, 2e-6]
+    assert (settings["trials"], settings["seed"], settings["budget"]) == (2, 5, 0.005)
+    assert (settings["n"], settings["device_kind"], settings["v_nominal"]) == (64, "sram8t", 0.7)
 
 
 def test_validation_failure_exit_code(tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from binsparx.config import build_device, build_engine_config, load_run_config
 from binsparx.devices import DeviceModel
 from binsparx.errors import ConfigError
+
+from conftest import make_lut_from_model, write_lut_csv
 
 
 class TestSolverSection:
@@ -57,6 +60,21 @@ class TestDeviceSection:
         cfg = load_run_config(overrides=["device.kind=sram8t", "device.i_hrs=1e-9"])
         dev = build_device(cfg)
         assert (dev.i_hrs, dev.i_off) == (1e-9, DeviceModel.sram8t().i_off)
+
+    @pytest.mark.parametrize("kind,factory", [("sram8t", DeviceModel.sram8t),
+                                              ("reram1t1r", DeviceModel.reram1t1r)])
+    def test_luts_reach_the_model(self, tmp_path, kind, factory):
+        paths = {bit: write_lut_csv(tmp_path / f"lut{bit}.csv", factory(), bit) for bit in (1, 0)}
+        both = build_device(load_run_config(overrides=[
+            f"device.kind={kind}", f"device.lut_stored1={paths[1]}",
+            f"device.lut_stored0={paths[0]}"]))
+        for bit in (1, 0):
+            got, want = getattr(both, f"lut_stored{bit}"), make_lut_from_model(factory(), bit)
+            for axis in ("v_gate", "v_dev", "current"):
+                assert np.array_equal(getattr(got, axis), getattr(want, axis)), (bit, axis)
+        one = build_device(load_run_config(overrides=[
+            f"device.kind={kind}", f"device.lut_stored1={paths[1]}"]))
+        assert one.lut_stored1 is not None and one.lut_stored0 is None
 
 
 class TestRunSection:

@@ -109,11 +109,17 @@ class TestLut:
         vg[0], vd[0] = 0.0, 0.0
         grid = rng.uniform(0, 1e-6, (16, 16))
         lut = DeviceLut(vg, vd, grid)
-        for _ in range(200):
-            qg = rng.uniform(-0.1, 1.1)
-            qd = rng.uniform(-0.1, 1.1)
-            want = bilinear_reference(vg, vd, grid, qg, qd)
-            assert lut.lookup(qg, qd) == pytest.approx(want, rel=1e-12, abs=1e-18)
+        # one gate voltage per query, the cell voltages as one array
+        queries = rng.uniform(-0.1, 1.1, 50)
+        for qg in rng.uniform(-0.1, 1.1, 8):
+            want = [bilinear_reference(vg, vd, grid, qg, qd) for qd in queries]
+            np.testing.assert_allclose(lut.lookup(qg, queries), want, rtol=1e-12, atol=1e-18)
+        # a device model reads the table at v_nominal, here between gate knots
+        v_nominal = float((vg[7] + vg[8]) / 2)
+        m = DeviceModel.sram8t(v_nominal=v_nominal, lut_stored1=lut)
+        cells = np.abs(queries)
+        want = [bilinear_reference(vg, vd, grid, v_nominal, qd) for qd in cells]
+        np.testing.assert_allclose(m.currents(1, 1, cells), want, rtol=1e-12, atol=1e-18)
 
     def test_clamp_counting(self):
         lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
@@ -128,15 +134,21 @@ class TestLut:
         lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
         for query in (lut.lookup, lut.slope_vd):
             assert type(query(0.5, 0.5)) is float
-            one = query(np.array([0.5]), np.array([0.5]))
+            one = query(0.5, np.array([0.5]))
             assert isinstance(one, np.ndarray) and one.shape == (1,)
-            assert query(np.full((2, 3), 0.5), 0.5).shape == (2, 3)
+            assert query(0.5, np.full((2, 3), 0.5)).shape == (2, 3)
+            # the gate voltage is one scalar per query
+            with pytest.raises(TypeError):
+                query(np.full((2, 3), 0.5), 0.5)
         # the slope of the interpolant is bot - top over one device-axis step
         assert lut.slope_vd(0.5, 0.5) == pytest.approx(2e-6, rel=1e-12)
         # only lookups count clamped queries
         assert lut.clamp_events == 0
         lut.slope_vd(2.0, 5.0)
         assert lut.clamp_events == 0
+        # a clamped gate counts once per cell voltage
+        lut.lookup(2.0, np.array([0.2, 0.4, 1.5]))
+        assert lut.clamp_events == 4
 
     def test_validation(self):
         with pytest.raises(ParseError):
@@ -194,6 +206,24 @@ class TestLutOverride:
             scale = max(base.i_on * 1e-4, float(np.abs(a).max()))
             assert np.abs(a - b).max() <= 0.01 * scale
 
+    @pytest.mark.parametrize("attached", [1, 0])
+    @pytest.mark.parametrize("factory", [DeviceModel.sram8t, DeviceModel.reram1t1r])
+    def test_other_state_is_the_plain_model(self, factory, attached):
+        # one table replaces only its own stored state's branch
+        base = factory()
+        m = factory()
+        setattr(m, f"lut_stored{attached}", make_lut_from_model(base, attached))
+        v = np.linspace(-0.2, 1.0, 121)
+        for gate in (0, 1):
+            for query in ("currents", "conductances"):
+                got = getattr(m, query)(1 - attached, gate, v)
+                assert np.array_equal(got, getattr(base, query)(1 - attached, gate, v))
+        mixed = (np.arange(121) % 2, np.arange(121) // 2 % 2)
+        for query in ("currents", "conductances"):
+            got, want = getattr(m, query)(*mixed, v), getattr(base, query)(*mixed, v)
+            other = mixed[0] != attached
+            assert np.array_equal(got[other], want[other])
+
     def test_lut_used_by_solver_path(self):
         base = DeviceModel.sram8t()
         m = DeviceModel.sram8t()
@@ -215,8 +245,9 @@ class TestConductances:
             m.lut_stored1 = make_lut_from_model(factory(), 1)
             m.lut_stored0 = make_lut_from_model(factory(), 0)
         # midway between the LUT's 33 device-axis knots, so that v +- h
-        # never straddles a kink of the interpolant
-        v = (np.arange(32) + 0.5) * m.v_nominal / 32
+        # never straddles a kink of the interpolant; reverse bias is flat
+        v = np.concatenate((-np.array([0.5, 0.1, 0.01]) * m.v_nominal,
+                            (np.arange(32) + 0.5) * m.v_nominal / 32))
         h = 3e-6
         for stored in (0, 1):
             for gate in (0, 1):

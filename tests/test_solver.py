@@ -12,7 +12,7 @@ from binsparx.solver import (
     solve_columns_fast,
 )
 
-from conftest import nodal_reference_linear
+from conftest import make_lut_from_model, nodal_reference_linear
 
 V = 0.7
 EXTREME = WireModel(1e5, 1e5, 1e6, 0.0)
@@ -96,6 +96,23 @@ class TestFastVsDense:
             assert a.converged[0] and b.converged
             ref = max(b.i_out, dev.i_off * 64)
             assert abs(a.i_out[0] - b.i_out) / ref < 0.005
+
+    @pytest.mark.parametrize("wire", [WireModel.preset("M3"), WireModel.preset("M4"), EXTREME],
+                             ids=["M3", "M4", "extreme"])
+    @pytest.mark.parametrize("factory", [DeviceModel.sram8t, DeviceModel.reram1t1r])
+    def test_lut_backed_cells(self, rng, factory, wire):
+        dev = factory()
+        dev.lut_stored1 = make_lut_from_model(factory(), 1)
+        dev.lut_stored0 = make_lut_from_model(factory(), 0)
+        stored, gates = rng.integers(0, 2, (2, 8, 64))
+        stored[0] = gates[0] = 1
+        fast = solve_columns_fast(stored, gates, dev, wire, V, tol=1e-9, max_iter=2000)
+        assert fast.converged.all()
+        for t in range(len(stored)):
+            b = solve_column_dense(_problem(stored[t], gates[t], dev, wire), tol=1e-9)
+            assert b.converged
+            ref = max(b.i_out, dev.i_off * 64)
+            assert abs(fast.i_out[t] - b.i_out) / ref < 0.005
 
     def test_same_end_topology(self, rng):
         dev = DeviceModel.sram8t()
