@@ -196,9 +196,9 @@ def build_device(cfg: dict) -> DeviceModel:
         **explicit,
     )
     if dev["lut_stored1"]:
-        model.lut_stored1 = load_device_lut(dev["lut_stored1"])
+        model.lut_stored1 = load_device_lut(dev["lut_stored1"], dev["v_nominal"])
     if dev["lut_stored0"]:
-        model.lut_stored0 = load_device_lut(dev["lut_stored0"])
+        model.lut_stored0 = load_device_lut(dev["lut_stored0"], dev["v_nominal"])
     return model
 
 
@@ -213,7 +213,6 @@ def build_wire(cfg: dict) -> WireModel:
         r_sl_per_cell=wire["r_sl_per_cell"],
         r_driver=wire["r_driver"],
         r_sink=wire["r_sink"],
-        preset_tag="custom",
     )
 
 

@@ -11,9 +11,11 @@ parametric curve
 which is monotone, zero at zero bias, and reaches I_target at the nominal
 read voltage; ``curve="linear"`` replaces it with I_target * v / v_nominal
 for ohmic validation cases.  A measured table per stored state can
-replace the parametric curve: a :class:`DeviceLut` samples current over
-(gate voltage, cell voltage), and the model reads it only at the gate
-voltage ``v_nominal``, interpolating linearly in the cell voltage.
+replace the parametric curve: :func:`load_device_lut` reads current over
+(gate voltage, cell voltage) and slices it once, at the gate voltage
+``v_nominal`` that a gate-on cell sees, into a :class:`DeviceLut` curve.
+The curve is linear between its cell-voltage knots and flat, with slope
+0, outside its device axis.
 
 Wire parasitics are plain per-cell series resistances.  The M3/M4/M6
 presets encode only the expected ordering (lower metal = thinner wire =
@@ -24,87 +26,76 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ConfigWarning, ParseError
 
 __all__ = ["DeviceLut", "DeviceModel", "WireModel", "WIRE_PRESETS", "load_device_lut"]
 
 
-class DeviceLut:
-    """Measured cell current over (gate voltage, cell voltage).
+def _increasing(axis: np.ndarray) -> bool:
+    """True for a finite, strictly increasing axis."""
+    return bool(np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0))
 
-    Axes must be strictly increasing and currents non-negative.  A query
-    takes one scalar gate voltage, whose two gate columns are blended
-    once; the cell voltage is then interpolated linearly in that slice, so
-    every value is the bilinear interpolant of the grid.  The gate axis
-    only locates the slice: a :class:`DeviceModel` reads it at
-    ``v_nominal``.  Coordinates outside the grid clamp to the boundary,
-    each clamped coordinate of a lookup bumping ``clamp_events`` (a plain
-    counter; lookups are otherwise read-only).
+
+def _locate(axis: np.ndarray, x):
+    """The knot below each ``x`` clipped into ``axis``, and the clipped
+    coordinate's fraction of the way to the next knot."""
+    xc = np.clip(x, axis[0], axis[-1])
+    lo = np.clip(np.searchsorted(axis, xc, side="right"), 1, len(axis) - 1) - 1
+    return lo, (xc - axis[lo]) / (axis[lo + 1] - axis[lo])
+
+
+class DeviceLut:
+    """A gate-on cell's measured current over cell voltage.
+
+    ``v_dev`` must be finite and strictly increasing with at least two
+    knots, ``current`` one finite, non-negative sample per knot.  Between
+    knots the current is interpolated linearly; outside the axis it is
+    flat at the boundary sample, with slope 0.  :func:`load_device_lut`
+    builds one from a measured (gate voltage, cell voltage) table.
     """
 
-    def __init__(self, v_gate, v_dev, current):
-        vg = np.asarray(v_gate, dtype=np.float64)
+    def __init__(self, v_dev, current):
         vd = np.asarray(v_dev, dtype=np.float64)
         cur = np.asarray(current, dtype=np.float64)
-        if vg.ndim != 1 or vd.ndim != 1:
-            raise ParseError("DeviceLut: axes must be 1-D")
-        if len(vg) < 2 or len(vd) < 2:
-            raise ParseError("DeviceLut: need at least a 2x2 grid")
-        if cur.shape != (len(vd), len(vg)):
-            raise ParseError(
-                f"DeviceLut: current grid {cur.shape} != ({len(vd)}, {len(vg)})"
-            )
-        for name, axis in (("gate", vg), ("device", vd)):
-            if np.any(np.diff(axis) <= 0):
-                raise ParseError(f"DeviceLut: {name}-voltage axis not strictly increasing")
+        if vd.ndim != 1 or len(vd) < 2:
+            raise ParseError("DeviceLut: device-voltage axis must be 1-D with at least two knots")
+        if cur.shape != vd.shape:
+            raise ParseError(f"DeviceLut: current samples {cur.shape} != ({len(vd)},)")
+        if not _increasing(vd):
+            raise ParseError("DeviceLut: device-voltage axis not finite and strictly increasing")
         if not np.all(np.isfinite(cur) & (cur >= 0)):
             raise ParseError("DeviceLut: current samples must be finite and >= 0")
-        self.v_gate, self.v_dev, self.current = vg, vd, cur
-        self.clamp_events = 0
+        self.v_dev, self.current = vd, cur
 
-    def _coords(self, axis: np.ndarray, x):
-        clamped = (x < axis[0]) | (x > axis[-1])
-        xc = np.clip(x, axis[0], axis[-1])
-        lo = np.clip(np.searchsorted(axis, xc, side="right"), 1, len(axis) - 1) - 1
-        return lo, (xc - axis[lo]) / (axis[lo + 1] - axis[lo]), int(clamped.sum())
+    def lookup(self, vd):
+        """Interpolated current per cell voltage."""
+        lo, f = _locate(self.v_dev, vd)
+        return self.current[lo] * (1 - f) + self.current[lo + 1] * f
 
-    def _slice(self, vg, vd):
-        """Current at each device knot at gate voltage ``vg``, the knot below
-        each ``vd`` with its fraction to the next, and the count of clamped
-        coordinates (a clamped gate counts once per ``vd``)."""
-        vd = np.asarray(vd, dtype=np.float64)
-        gi, gf, gate_clamped = self._coords(self.v_gate, float(vg))
-        column = self.current[:, gi] * (1 - gf) + self.current[:, gi + 1] * gf
-        di, df, dev_clamped = self._coords(self.v_dev, vd)
-        return column, di, df, gate_clamped * vd.size + dev_clamped
-
-    @staticmethod
-    def _out(values):
-        """Scalar in, scalar out: a float for a scalar cell voltage."""
-        return float(values) if np.ndim(values) == 0 else values
-
-    def lookup(self, vg, vd):
-        """Interpolated current at one gate voltage, per cell voltage."""
-        column, di, df, clamped = self._slice(vg, vd)
-        self.clamp_events += clamped
-        return self._out(column[di] * (1 - df) + column[di + 1] * df)
-
-    def slope_vd(self, vg, vd):
-        """Exact d(current)/d(cell voltage) of the interpolant at one gate
-        voltage, per cell voltage."""
-        column, di, _, _ = self._slice(vg, vd)
-        return self._out((column[di + 1] - column[di]) / (self.v_dev[di + 1] - self.v_dev[di]))
+    def slope_vd(self, vd):
+        """Exact d(current)/d(cell voltage) of :meth:`lookup` per cell
+        voltage: the segment's slope inside the axis, 0 outside it."""
+        axis, cur = self.v_dev, self.current
+        lo, _ = _locate(axis, vd)
+        slope = (cur[lo + 1] - cur[lo]) / (axis[lo + 1] - axis[lo])
+        return np.where((vd < axis[0]) | (vd > axis[-1]), 0.0, slope)
 
 
-def load_device_lut(path) -> DeviceLut:
-    """Read a LUT from CSV: header row = gate-voltage axis, first column =
-    device-voltage axis, body = currents in amperes.
+def load_device_lut(path, v_gate: float) -> DeviceLut:
+    """Read a measured table from CSV and slice it at gate voltage ``v_gate``.
 
-    Parse failures report the offending row/column (1-based).
+    Header row = gate-voltage axis, first column = device-voltage axis,
+    body = currents in amperes; both axes must be finite and strictly
+    increasing.  The two gate columns around ``v_gate`` are blended
+    linearly, once, into the returned curve.  A ``v_gate`` outside the
+    gate axis reads the boundary column and issues a
+    :class:`ConfigWarning`.  Parse failures report the offending
+    row/column (1-based).
     """
     rows = []
     with open(path, newline="") as fh:
@@ -117,9 +108,11 @@ def load_device_lut(path) -> DeviceLut:
     if width < 3:
         raise ParseError(f"{path}: need at least two gate-voltage columns")
     try:
-        v_gate = [float(x) for x in rows[0][1:]]
+        gates = np.array([float(x) for x in rows[0][1:]])
     except ValueError as exc:
         raise ParseError(f"{path}: row 1: bad gate voltage ({exc})") from exc
+    if not _increasing(gates):
+        raise ParseError(f"{path}: gate-voltage axis not finite and strictly increasing")
     v_dev = []
     body = []
     for r, row in enumerate(rows[1:], start=2):
@@ -135,14 +128,20 @@ def load_device_lut(path) -> DeviceLut:
                 x = float(cell)
             except ValueError as exc:
                 raise ParseError(f"{path}: row {r}, col {c}: bad current") from exc
-            if math.isnan(x):
-                raise ParseError(f"{path}: row {r}, col {c}: NaN current")
+            if not math.isfinite(x):
+                raise ParseError(f"{path}: row {r}, col {c}: non-finite current")
             if x < 0:
                 raise ParseError(f"{path}: row {r}, col {c}: negative current")
             vals.append(x)
         body.append(vals)
+    if not gates[0] <= v_gate <= gates[-1]:
+        warnings.warn(f"{path}: gate voltage {v_gate} V is outside the table's gate axis "
+                      f"[{gates[0]}, {gates[-1]}] V; reading its boundary column",
+                      ConfigWarning, stacklevel=2)
+    cur = np.array(body)
+    gi, gf = _locate(gates, float(v_gate))
     try:
-        return DeviceLut(v_gate, v_dev, body)
+        return DeviceLut(v_dev, cur[:, gi] * (1 - gf) + cur[:, gi + 1] * gf)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -157,8 +156,8 @@ class DeviceModel:
     drawn regardless of cell bias.  A gate-on cell under reverse bias
     draws its 0 V current (nothing, on the parametric curve).  A LUT
     attached for a stored state replaces that state's parametric branch;
-    it is read at gate voltage ``v_nominal``, the only gate voltage a
-    gate-on cell sees.
+    it is the gate-on curve, a measured table that
+    :func:`load_device_lut` sliced at ``v_nominal``.
     """
 
     kind: str = "sram8t"
@@ -213,8 +212,7 @@ class DeviceModel:
         Gate off draws ``i_off`` whatever the bias, and a gate-on cell
         under reverse bias draws its 0 V current: both are flat, slope 0.
         A gate-on cell at bias v >= 0 follows its stored state's branch:
-        the LUT if one is attached, read at ``v_nominal``, the parametric
-        curve otherwise."""
+        the LUT if one is attached, the parametric curve otherwise."""
         stored, gate, v = np.broadcast_arrays(
             np.asarray(stored), np.asarray(gate), np.asarray(v_cell, dtype=np.float64))
         on = gate > 0
@@ -233,9 +231,9 @@ class DeviceModel:
             if lut is None:
                 out[cells] = self._curve(target, v[cells], slope)
             elif slope:
-                out[cells] = lut.slope_vd(self.v_nominal, v[cells])
+                out[cells] = lut.slope_vd(v[cells])
             else:
-                out[cells] = lut.lookup(self.v_nominal, v[cells])
+                out[cells] = lut.lookup(v[cells])
         return out
 
     def currents(self, stored, gate, v_cell) -> np.ndarray:
@@ -263,7 +261,6 @@ class WireModel:
     r_sl_per_cell: float
     r_driver: float = 1000.0
     r_sink: float = 1000.0
-    preset_tag: str = "custom"
 
     def __post_init__(self):
         for name in ("r_bl_per_cell", "r_sl_per_cell", "r_driver", "r_sink"):
@@ -275,4 +272,4 @@ class WireModel:
         if tag not in WIRE_PRESETS:
             raise ConfigError(f"unknown wire preset {tag!r}; choose from {sorted(WIRE_PRESETS)}")
         r = WIRE_PRESETS[tag]
-        return cls(r, r, r_driver=r_driver, r_sink=r_sink, preset_tag=tag)
+        return cls(r, r, r_driver=r_driver, r_sink=r_sink)

@@ -349,20 +349,6 @@ class Engine:
                                sum_wprime[r], w_flip[r], nl)
         return out
 
-    def vmm(
-        self,
-        prepared: TiledWeights,
-        activations,
-        stats: RunStats | None = None,
-    ) -> np.ndarray:
-        """Single activation row -> per-output-column signed integers."""
-        if isinstance(activations, BinaryTensor):
-            activations = activations.values
-        a = np.asarray(activations)
-        if a.ndim != 1:
-            raise ShapeError("vmm expects a 1-D activation vector")
-        return self.vmm_batch(prepared, a[None, :], stats=stats)[0]
-
     # -- inference -----------------------------------------------------------
 
     def infer(

@@ -3,7 +3,7 @@
 Everything here is deliberately written from scratch (loops, direct
 formulas) so it cannot share a bug with the library code it checks;
 ``make_lut_from_model`` only samples a device model into a LUT, and
-``write_lut_csv`` writes that sample as a LUT file.
+``write_table`` / ``write_lut_csv`` write a measured table as a CSV.
 """
 
 import os
@@ -23,6 +23,13 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from binsparx.devices import DeviceLut  # noqa: E402
+
+
+def pytest_configure(config):
+    # A ConfigWarning that no test expects fails the test.  Registered here
+    # rather than in pyproject.toml: pytest imports an ini filter's warning
+    # class, and with it numpy, before this file pins the BLAS threads.
+    config.addinivalue_line("filterwarnings", "error::binsparx.errors.ConfigWarning")
 
 
 def signed_dot(i_signed, w_signed) -> int:
@@ -110,27 +117,29 @@ def untile(tiled) -> np.ndarray:
 
 
 def make_lut_from_model(model, stored_bit: int) -> DeviceLut:
-    """Sample a parametric device into a LUT for one stored state.
-
-    The gate axis is [0, v_nominal], the binary wordline swing, so the two
-    operating gate voltages sit on knots; the device axis has 33 knots
-    over [0, v_nominal].
-    """
-    vg = np.array([0.0, model.v_nominal])
+    """Sample a parametric device's gate-on branch for one stored state
+    into a LUT with 33 device-axis knots over [0, v_nominal]."""
     vd = np.linspace(0.0, model.v_nominal, 33)
-    grid = np.column_stack([model.currents(stored_bit, gate, vd) for gate in (0, 1)])
-    return DeviceLut(vg, vd, grid)
+    return DeviceLut(vd, model.currents(stored_bit, 1, vd))
+
+
+def write_table(path, vg, vd, grid):
+    """Write a measured-table CSV, gate axis ``vg`` by device axis ``vd``,
+    that ``load_device_lut`` reads back bit for bit; returns ``path``."""
+    lines = ["vg," + ",".join(repr(float(g)) for g in vg)]
+    lines += [",".join(repr(float(x)) for x in (v, *row)) for v, row in zip(vd, grid)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def write_lut_csv(path, model, stored_bit: int):
-    """Write ``make_lut_from_model(model, stored_bit)`` as a CSV that
-    ``load_device_lut`` reads back bit for bit; returns ``path``."""
-    lut = make_lut_from_model(model, stored_bit)
-    lines = ["vg," + ",".join(repr(float(g)) for g in lut.v_gate)]
-    for vd, row in zip(lut.v_dev, lut.current):
-        lines.append(",".join(repr(float(x)) for x in (vd, *row)))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    """Write a measured table of one stored state: gate axis [0, v_nominal],
+    the binary wordline swing, and the device axis of
+    ``make_lut_from_model``, which ``load_device_lut(path, v_nominal)``
+    returns bit for bit."""
+    vd = np.linspace(0.0, model.v_nominal, 33)
+    grid = np.column_stack([model.currents(stored_bit, gate, vd) for gate in (0, 1)])
+    return write_table(path, (0.0, model.v_nominal), vd, grid)
 
 
 def nodal_reference_linear(g_cells, r_bl, r_sl, r_driver, v_drive, topology="opposite"):

@@ -70,7 +70,7 @@ class TestDeviceSection:
             f"device.lut_stored0={paths[0]}"]))
         for bit in (1, 0):
             got, want = getattr(both, f"lut_stored{bit}"), make_lut_from_model(factory(), bit)
-            for axis in ("v_gate", "v_dev", "current"):
+            for axis in ("v_dev", "current"):
                 assert np.array_equal(getattr(got, axis), getattr(want, axis)), (bit, axis)
         one = build_device(load_run_config(overrides=[
             f"device.kind={kind}", f"device.lut_stored1={paths[1]}"]))

@@ -1,11 +1,13 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from binsparx.config import build_wire, load_run_config
 from binsparx.devices import WIRE_PRESETS, DeviceLut, DeviceModel, WireModel, load_device_lut
-from binsparx.errors import ConfigError, ParseError
+from binsparx.errors import ConfigError, ConfigWarning, ParseError
 
-from conftest import bilinear_reference, make_lut_from_model
+from conftest import bilinear_reference, make_lut_from_model, write_table
 
 
 def cell_current(model, stored_bit, gate_on, v_cell) -> float:
@@ -73,7 +75,7 @@ class TestWire:
         # both lines, and a custom entry keeps its resistances
         for tag, r in WIRE_PRESETS.items():
             built = build_wire(load_run_config(None, [f"wire.preset={tag}"]))
-            assert built == WireModel.preset(tag) == WireModel(r, r, preset_tag=tag)
+            assert built == WireModel.preset(tag) == WireModel(r, r)
         custom = build_wire(load_run_config(None, [
             "wire.preset=custom", "wire.r_bl_per_cell=20", "wire.r_sl_per_cell=30"]))
         assert custom == WireModel(20.0, 30.0)
@@ -91,72 +93,80 @@ class TestWire:
             WireModel(-1.0, 1.0)
 
 
+GRID_CSV = "vg,0.0,1.0\n0.0,0.0,1e-6\n1.0,2e-6,3e-6\n"
+
+
 class TestLut:
-    def test_grid_points_exact(self):
-        lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
-        assert lut.lookup(0.0, 0.0) == 0.0
-        assert lut.lookup(1.0, 0.0) == 1e-6
-        assert lut.lookup(0.0, 1.0) == 2e-6
-        assert lut.lookup(1.0, 1.0) == 3e-6
+    def test_grid_points_exact(self, tmp_path):
+        p = tmp_path / "lut.csv"
+        p.write_text(GRID_CSV)
+        knots = np.array([0.0, 1.0])
+        assert np.array_equal(load_device_lut(p, 0.0).lookup(knots), [0.0, 2e-6])
+        assert np.array_equal(load_device_lut(p, 1.0).lookup(knots), [1e-6, 3e-6])
+        lut = DeviceLut([0.0, 0.5, 1.0], [4e-7, 0.0, 9e-7])
+        assert np.array_equal(lut.lookup(np.array([1.0, 0.5, 0.0])), [9e-7, 0.0, 4e-7])
 
-    def test_cell_center_average(self):
-        lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
-        assert lut.lookup(0.5, 0.5) == pytest.approx((0 + 1e-6 + 2e-6 + 3e-6) / 4)
+    def test_cell_center_average(self, tmp_path):
+        p = tmp_path / "lut.csv"
+        p.write_text(GRID_CSV)
+        got = load_device_lut(p, 0.5).lookup(np.array([0.5]))
+        assert got[0] == pytest.approx((0 + 1e-6 + 2e-6 + 3e-6) / 4)
 
-    def test_against_independent_reimplementation(self, rng):
+    def test_against_independent_reimplementation(self, tmp_path, rng):
         vg = np.sort(rng.uniform(0, 1, 16))
         vd = np.sort(rng.uniform(0, 1, 16))
         vg[0], vd[0] = 0.0, 0.0
         grid = rng.uniform(0, 1e-6, (16, 16))
-        lut = DeviceLut(vg, vd, grid)
-        # one gate voltage per query, the cell voltages as one array
+        p = write_table(tmp_path / "lut.csv", vg, vd, grid)
+        # the table sliced at a gate voltage, queried over cell voltages; a
+        # gate voltage off the gate axis reads the boundary column
         queries = rng.uniform(-0.1, 1.1, 50)
         for qg in rng.uniform(-0.1, 1.1, 8):
+            outside = not vg[0] <= qg <= vg[-1]
+            with pytest.warns(ConfigWarning) if outside else contextlib.nullcontext():
+                lut = load_device_lut(p, qg)
             want = [bilinear_reference(vg, vd, grid, qg, qd) for qd in queries]
-            np.testing.assert_allclose(lut.lookup(qg, queries), want, rtol=1e-12, atol=1e-18)
-        # a device model reads the table at v_nominal, here between gate knots
+            np.testing.assert_allclose(lut.lookup(queries), want, rtol=1e-12, atol=1e-18)
+        # a device model reads the table sliced at v_nominal, between gate knots
         v_nominal = float((vg[7] + vg[8]) / 2)
-        m = DeviceModel.sram8t(v_nominal=v_nominal, lut_stored1=lut)
+        m = DeviceModel.sram8t(v_nominal=v_nominal, lut_stored1=load_device_lut(p, v_nominal))
         cells = np.abs(queries)
         want = [bilinear_reference(vg, vd, grid, v_nominal, qd) for qd in cells]
         np.testing.assert_allclose(m.currents(1, 1, cells), want, rtol=1e-12, atol=1e-18)
 
-    def test_clamp_counting(self):
-        lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
-        lut.lookup(0.5, 0.5)
-        assert lut.clamp_events == 0
-        lut.lookup(2.0, 0.5)
-        assert lut.clamp_events == 1
-        lut.lookup(-1.0, 5.0)
-        assert lut.clamp_events == 3
+    def test_flat_outside_device_axis(self):
+        lut = DeviceLut([0.0, 1.0], [2e-6, 4e-6])
+        v = np.array([[-1.0, 0.0, 0.5], [1.0, 1.5, 5.0]])
+        assert np.array_equal(lut.lookup(v), [[2e-6, 2e-6, 3e-6], [4e-6, 4e-6, 4e-6]])
+        # the slope of the interpolant is one segment's rise over its run
+        # inside the axis, and 0 where the lookup clamps
+        assert np.array_equal(lut.slope_vd(v) != 0, [[False, True, True], [True, False, False]])
+        assert lut.slope_vd(np.array([0.5]))[0] == pytest.approx(2e-6, rel=1e-12)
 
-    def test_scalar_in_scalar_out(self):
-        lut = DeviceLut([0.0, 1.0], [0.0, 1.0], [[0.0, 1e-6], [2e-6, 3e-6]])
-        for query in (lut.lookup, lut.slope_vd):
-            assert type(query(0.5, 0.5)) is float
-            one = query(0.5, np.array([0.5]))
-            assert isinstance(one, np.ndarray) and one.shape == (1,)
-            assert query(0.5, np.full((2, 3), 0.5)).shape == (2, 3)
-            # the gate voltage is one scalar per query
-            with pytest.raises(TypeError):
-                query(np.full((2, 3), 0.5), 0.5)
-        # the slope of the interpolant is bot - top over one device-axis step
-        assert lut.slope_vd(0.5, 0.5) == pytest.approx(2e-6, rel=1e-12)
-        # only lookups count clamped queries
-        assert lut.clamp_events == 0
-        lut.slope_vd(2.0, 5.0)
-        assert lut.clamp_events == 0
-        # a clamped gate counts once per cell voltage
-        lut.lookup(2.0, np.array([0.2, 0.4, 1.5]))
-        assert lut.clamp_events == 4
+    def test_gate_outside_axis_warns_once_and_reads_the_boundary(self, tmp_path):
+        p = tmp_path / "lut.csv"
+        p.write_text(GRID_CSV)
+        knots = np.array([0.0, 1.0])
+        for v_gate, edge in ((2.0, 1.0), (-1.0, 0.0)):
+            with pytest.warns(ConfigWarning, match="lut.csv") as record:
+                lut = load_device_lut(p, v_gate)
+            assert len(record) == 1
+            assert np.array_equal(lut.lookup(knots), load_device_lut(p, edge).lookup(knots))
 
     def test_validation(self):
         with pytest.raises(ParseError):
-            DeviceLut([0.0, 0.0], [0.0, 1.0], [[0, 0], [0, 0]])  # flat axis
+            DeviceLut([0.0, 0.0], [0, 0])  # flat axis
         with pytest.raises(ParseError):
-            DeviceLut([0.0, 1.0], [0.0, 1.0], [[0, -1e-9], [0, 0]])  # negative
+            DeviceLut([0.0, 1.0], [0, -1e-9])  # negative
         with pytest.raises(ParseError):
-            DeviceLut([0.0, 1.0], [0.0, 1.0], [[0, np.nan], [0, 0]])  # NaN
+            DeviceLut([0.0, 1.0], [0, np.nan])  # NaN current
+        with pytest.raises(ParseError):
+            DeviceLut([0.0, 1.0], [0, 0, 0])  # one sample per knot
+        with pytest.raises(ParseError):
+            DeviceLut([0.0], [0])  # one knot
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParseError, match="device-voltage"):
+                DeviceLut([0.0, bad, 2.0], [0, 0, 0])  # non-finite axis
 
 
 class TestLutCsv:
@@ -167,28 +177,46 @@ class TestLutCsv:
 
     def test_load_and_query(self, tmp_path):
         p = self._write(tmp_path, "vg,0.0,0.7\n0.0,0.0,0.0\n0.7,0.0,1e-6\n")
-        lut = load_device_lut(p)
-        assert lut.lookup(0.7, 0.7) == pytest.approx(1e-6)
+        lut = load_device_lut(p, 0.7)
+        assert lut.lookup(np.array([0.7]))[0] == pytest.approx(1e-6)
 
     def test_ragged_row_position(self, tmp_path):
         p = self._write(tmp_path, "vg,0.0,0.7\n0.0,0.0\n0.7,0.0,1e-6\n")
         with pytest.raises(ParseError, match="row 2"):
-            load_device_lut(p)
+            load_device_lut(p, 0.7)
 
     def test_bad_current_position(self, tmp_path):
         p = self._write(tmp_path, "vg,0.0,0.7\n0.0,0.0,oops\n0.7,0.0,1e-6\n")
         with pytest.raises(ParseError, match="row 2, col 3"):
-            load_device_lut(p)
+            load_device_lut(p, 0.7)
 
     def test_negative_current_position(self, tmp_path):
         p = self._write(tmp_path, "vg,0.0,0.7\n0.0,0.0,-1e-9\n0.7,0.0,1e-6\n")
         with pytest.raises(ParseError, match="row 2, col 3"):
-            load_device_lut(p)
+            load_device_lut(p, 0.7)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_current_position(self, tmp_path, cell):
+        p = self._write(tmp_path, f"vg,0.0,0.7\n0.0,0.0,0.0\n0.7,0.0,{cell}\n")
+        with pytest.raises(ParseError, match="row 3, col 3"):
+            load_device_lut(p, 0.7)
 
     def test_non_monotone_axis(self, tmp_path):
         p = self._write(tmp_path, "vg,0.7,0.0\n0.0,0.0,0.0\n0.7,0.0,1e-6\n")
         with pytest.raises(ParseError, match="gate-voltage"):
-            load_device_lut(p)
+            load_device_lut(p, 0.7)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_device_axis(self, tmp_path, bad):
+        p = self._write(tmp_path, f"vg,0.0,0.7\n0.0,0.0,0.0\n{bad},0.0,1e-6\n")
+        with pytest.raises(ParseError, match="device-voltage"):
+            load_device_lut(p, 0.7)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_gate_axis(self, tmp_path, bad):
+        p = self._write(tmp_path, f"vg,0.0,{bad}\n0.0,0.0,0.0\n0.7,0.0,1e-6\n")
+        with pytest.raises(ParseError, match="gate-voltage"):
+            load_device_lut(p, 0.7)
 
 
 class TestLutOverride:
@@ -235,7 +263,7 @@ class TestLutOverride:
 
 
 class TestConductances:
-    @pytest.mark.parametrize("backing", ["tanh", "linear", "lut"])
+    @pytest.mark.parametrize("backing", ["tanh", "linear", "lut", "short-lut"])
     @pytest.mark.parametrize("kind", ["sram8t", "reram1t1r"])
     def test_derivative_of_currents(self, kind, backing):
         # conductances are the Newton Jacobian: d(currents)/d(cell voltage)
@@ -244,10 +272,16 @@ class TestConductances:
         if backing == "lut":
             m.lut_stored1 = make_lut_from_model(factory(), 1)
             m.lut_stored0 = make_lut_from_model(factory(), 0)
-        # midway between the LUT's 33 device-axis knots, so that v +- h
-        # never straddles a kink of the interpolant; reverse bias is flat
+        if backing == "short-lut":
+            # a stored-1 table sampled on [0, v_nominal / 2] only: above it
+            # the lookup clamps, flat
+            vd = np.linspace(0.0, m.v_nominal / 2, 17)
+            m.lut_stored1 = DeviceLut(vd, factory().currents(1, 1, vd))
+        # midway between the LUT knots (spacing v_nominal / 32), so that
+        # v +- h never straddles a kink of the interpolant; reverse bias is
+        # flat; 0.5 and 0.6 V lie beyond the short table's axis
         v = np.concatenate((-np.array([0.5, 0.1, 0.01]) * m.v_nominal,
-                            (np.arange(32) + 0.5) * m.v_nominal / 32))
+                            (np.arange(32) + 0.5) * m.v_nominal / 32, [0.5, 0.6]))
         h = 3e-6
         for stored in (0, 1):
             for gate in (0, 1):

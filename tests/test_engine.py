@@ -45,8 +45,8 @@ class TestGoldenExactness:
         W = -np.ones((64, 64), dtype=np.int8)
         np.fill_diagonal(W, 1)
         eng = _ideal()
-        out = eng.vmm(eng.prepare(W), np.ones(64, dtype=np.int8))
-        assert np.all(out == -62)
+        out = eng.vmm_batch(eng.prepare(W), np.ones((1, 64), dtype=np.int8))
+        assert out.shape == (1, 64) and np.all(out == -62)
 
     def test_tile_grid_independence(self, rng):
         W = rng.choice([-1, 1], size=(128, 128)).astype(np.int8)
@@ -70,9 +70,9 @@ class TestGoldenExactness:
         eng = _ideal()
         prep = eng.prepare(rng.choice([-1, 1], size=(64, 8)))
         with pytest.raises(ShapeError):
-            eng.vmm(prep, np.ones(63, dtype=np.int8))
+            eng.vmm_batch(prep, np.ones((1, 63), dtype=np.int8))
         with pytest.raises(DomainError):
-            eng.vmm(prep, np.zeros(64, dtype=np.int8))
+            eng.vmm_batch(prep, np.zeros((1, 64), dtype=np.int8))
 
 
 def _corner_counts(A, W, n):
