@@ -38,7 +38,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .readout import AdcModel, DummyColumnConfig, dummy_compensate
+from .readout import AdcModel, dummy_compensate
 from .solver import (
     ColumnProblem,
     ColumnSolveResult,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .devices import WIRE_PRESETS, DeviceModel, WireModel
+from .devices import DEVICE_FACTORIES, WIRE_PRESETS, DeviceModel, WireModel
 from . import engine as _engine
 from .engine import Engine, RunStats
 from .errors import ConfigError, DomainError, ShapeError
@@ -178,7 +178,7 @@ def sweep_deviation(
             stored[i] = on | (combo == 2)
             gates[i] = on | (combo == 1)
         cur, ok = engine.solve_rows(stored.reshape(-1, 1, n), gates.reshape(-1, n))
-        if engine.dummy.enabled:
+        if engine.dummy:
             cur[:, 0] = dummy_compensate(cur[:, 0], cur[:, 1])
         i_out[g0:g1] = cur[:, 0].reshape(-1, trials_per_x)
         conv[g0:g1] = ok.all(axis=1).reshape(-1, trials_per_x)
@@ -252,6 +252,13 @@ def cost_report(engine: Engine, rows: int | None = None, cols: int | None = None
     }
 
 
+# the corners solver_validation_suite runs, and the tolerance both of its
+# solvers converge to
+_SUITE_PRESETS = tuple(WIRE_PRESETS)
+_SUITE_ON_CURRENTS = (1e-6, 2e-6)
+_SUITE_TOL = 1e-9
+
+
 def solver_validation_suite(
     trials: int,
     seed: int,
@@ -259,9 +266,6 @@ def solver_validation_suite(
     device_kind: str = "sram8t",
     v_nominal: float = 0.7,
     budget: float = 0.005,
-    presets=tuple(WIRE_PRESETS),
-    on_currents=(1e-6, 2e-6),
-    solver_tol: float = 1e-9,
 ) -> dict:
     """Fast-vs-dense agreement on random columns, per wire/current corner.
 
@@ -271,17 +275,15 @@ def solver_validation_suite(
     per-corner max/mean relative error, an overall ``passed`` flag, and
     under ``settings`` the arguments the run used.
     """
+    if device_kind not in DEVICE_FACTORIES:
+        raise ConfigError(f"solver_validation_suite: unknown device kind {device_kind!r}")
+    factory = DEVICE_FACTORIES[device_kind]
     rng = np.random.default_rng(seed)
     corners = []
     worst = 0.0
-    for preset in presets:
-        for i_on in on_currents:
-            if device_kind == "reram1t1r":
-                device = DeviceModel.reram1t1r(i_on=i_on, v_nominal=v_nominal,
-                                               v_knee=v_nominal / 2)
-            else:
-                device = DeviceModel.sram8t(i_on=i_on, v_nominal=v_nominal,
-                                            v_knee=v_nominal / 2)
+    for preset in _SUITE_PRESETS:
+        for i_on in _SUITE_ON_CURRENTS:
+            device = factory(i_on=i_on, v_nominal=v_nominal, v_knee=v_nominal / 2)
             wire = WireModel.preset(preset)
             # same draw order as one problem at a time, solved as one batch
             stored = np.empty((trials, n), dtype=np.int64)
@@ -290,11 +292,11 @@ def solver_validation_suite(
                 stored[t] = rng.integers(0, 2, n)
                 gates[t] = rng.integers(0, 2, n)
             fast = solve_columns_fast(stored, gates, device, wire, v_nominal,
-                                      tol=solver_tol, max_iter=2000)
+                                      tol=_SUITE_TOL, max_iter=2000)
             errs = np.empty(trials)
             for t in range(trials):
                 p = ColumnProblem(n, stored[t], gates[t], device, wire, v_nominal)
-                b = solve_column_dense(p, tol=solver_tol)
+                b = solve_column_dense(p, tol=_SUITE_TOL)
                 ref = max(abs(b.i_out), device.i_off * n, 1e-15)
                 errs[t] = abs(fast.i_out[t] - b.i_out) / ref
             corner = {
@@ -339,8 +341,8 @@ def solver_validation_suite(
     passed = worst <= budget and zero_err <= 1e-9 and linear_err <= 1e-9
     return {
         "settings": {"n": n, "device_kind": device_kind, "v_nominal": v_nominal,
-                     "presets": list(presets), "on_currents": list(on_currents),
-                     "solver_tol": solver_tol, "budget": budget, "trials": trials,
+                     "presets": list(_SUITE_PRESETS), "on_currents": list(_SUITE_ON_CURRENTS),
+                     "solver_tol": _SUITE_TOL, "budget": budget, "trials": trials,
                      "seed": seed},
         "corners": corners,
         "max_rel_error": worst,

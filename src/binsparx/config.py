@@ -4,17 +4,28 @@ Precedence is flag > environment > file > default.  Unknown sections or
 keys are rejected, every key has a documented default, and the fully
 resolved document is echoed into every output artifact so a run can be
 reproduced from any of its outputs.
+
+Each key's domain is ``|``-separated alternatives, and a value takes the
+first it fits: ``int``; ``float``, finite only; ``bool`` (1/true/yes/on or
+0/false/no/off, any case); ``str``, for paths; or a literal token, where
+``auto`` and ``full`` match in any case and a choice key's choices match
+exactly.  A value that fits none raises :class:`ConfigError` naming its
+``[section] key``.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from pathlib import Path
 
-from .devices import WIRE_PRESETS, DeviceModel, WireModel, load_device_lut
+from .devices import (CURVES, DEVICE_FACTORIES, WIRE_PRESETS, DeviceModel, WireModel,
+                      load_device_lut)
 from .engine import EngineConfig
 from .errors import ConfigError
+from .readout import DUMMY_DOMAINS, ROUNDINGS
+from .solver import TOPOLOGIES
 
 __all__ = [
     "SCHEMA",
@@ -27,39 +38,40 @@ __all__ = [
 
 _AUTO = "auto"
 
-# section -> key -> (type, default, help); type "num" accepts "auto"
+# section -> key -> (domain, default, help)
 SCHEMA = {
     "array": {
         "n": ("int", 64, "rows per tile"),
         "m": ("int", 64, "columns per tile"),
     },
     "device": {
-        "kind": ("str", "sram8t", "sram8t | reram1t1r"),
+        "kind": ("|".join(DEVICE_FACTORIES), "sram8t", "bitcell technology"),
         "i_on": ("float", 1e-6, "ON current at nominal bias (A)"),
-        "i_hrs": ("num", _AUTO, "stored-0 gate-on current (A); auto derives from kind"),
-        "i_off": ("num", _AUTO, "gate-off leakage (A); auto derives from kind"),
+        "i_hrs": ("auto|float", _AUTO, "stored-0 gate-on current (A); auto derives from kind"),
+        "i_off": ("auto|float", _AUTO, "gate-off leakage (A); auto derives from kind"),
         "v_nominal": ("float", 0.7, "read voltage (V)"),
-        "v_knee": ("num", _AUTO, "saturation knee (V); auto = v_nominal/2"),
-        "curve": ("str", "tanh", "tanh | linear"),
+        "v_knee": ("auto|float", _AUTO, "saturation knee (V); auto = v_nominal/2"),
+        "curve": ("|".join(CURVES), "tanh", "gate-on I-V branch"),
         "lut_stored1": ("str", "", "CSV LUT for stored-1 cells (optional)"),
         "lut_stored0": ("str", "", "CSV LUT for stored-0 cells (optional)"),
     },
     "wire": {
-        "preset": ("str", "M4", " | ".join([*WIRE_PRESETS, "custom"])),
-        "r_bl_per_cell": ("num", _AUTO, "ohm/cell; required when preset=custom"),
-        "r_sl_per_cell": ("num", _AUTO, "ohm/cell; required when preset=custom"),
+        "preset": ("|".join([*WIRE_PRESETS, "custom"]), "M4", "per-cell wire resistance"),
+        "r_bl_per_cell": ("auto|float", _AUTO, "ohm/cell; required when preset=custom"),
+        "r_sl_per_cell": ("auto|float", _AUTO, "ohm/cell; required when preset=custom"),
         "r_driver": ("float", 1000.0, "driver lump (ohm)"),
         "r_sink": ("float", 1000.0, "sink lump (ohm); canceled by op-amp sensing"),
     },
     "adc": {
-        "bits": ("num", _AUTO, "auto | full | integer bit width"),
-        "quantum": ("num", _AUTO, "A per level; auto = i_on, or i_on - i_hrs with the dummy on"),
+        "bits": ("auto|full|int", _AUTO,
+                 "bit width; auto = log2 n (minus 1 with BinSparX), full never saturates"),
+        "quantum": ("auto|float", _AUTO, "A per level; auto = i_on (i_on - i_hrs with the dummy)"),
         "offset": ("float", 0.0, "A"),
-        "rounding": ("str", "half_even", "half_even | half_up"),
+        "rounding": ("|".join(ROUNDINGS), "half_even", "tie rule"),
     },
     "dummy": {
-        "enabled": ("num", _AUTO, "auto | true | false; auto = on for ReRAM"),
-        "domain": ("str", "analog", "analog | digital subtraction"),
+        "enabled": ("auto|bool", _AUTO, "all-HRS dummy column; auto = on for ReRAM"),
+        "domain": ("|".join(DUMMY_DOMAINS), "analog", "subtract before or after the ADC"),
     },
     "binsparx": {
         "enabled": ("bool", True, "static+dynamic sparsification on/off"),
@@ -67,7 +79,7 @@ SCHEMA = {
     "solver": {
         "tol": ("float", 1e-6, "relative convergence tolerance"),
         "max_iter": ("int", 200, "Newton iteration cap"),
-        "topology": ("str", "opposite", "opposite | same sense-pad end"),
+        "topology": ("|".join(TOPOLOGIES), "opposite", "sense-pad end"),
     },
     "run": {
         "seed": ("int", 0, "root seed for all randomness"),
@@ -79,38 +91,32 @@ SCHEMA = {
     },
 }
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_ANY_CASE = ("auto", "full")
 
 
-def _parse_value(section: str, key: str, raw, kind):
-    if not isinstance(raw, str):
-        return raw
+def _parse_value(section: str, key: str, raw: str):
+    """``raw`` read as the first alternative of the key's domain it fits."""
+    domain = SCHEMA[section][key][0]
     text = raw.strip()
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "bool":
-            low = text.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if kind == "num":
-            low = text.lower()
-            if low in (_AUTO, "full"):
-                return low
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            return float(text)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    low = text.lower()
+    for alt in domain.split("|"):
+        if alt == "str":
+            return text
+        if alt == "bool":
+            if low in _BOOLS:
+                return _BOOLS[low]
+        elif alt in ("int", "float"):
+            try:
+                value = int(text) if alt == "int" else float(text)
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                return value
+        elif alt == (low if alt in _ANY_CASE else text):
+            return alt
+    raise ConfigError(f"[{section}] {key}: expected {domain}, got {text!r}")
 
 
 def _defaults() -> dict:
@@ -140,7 +146,7 @@ def load_run_config(path=None, overrides=None) -> dict:
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"{p}: unknown key [{section}] {key}")
-                cfg[section][key] = _parse_value(section, key, raw, SCHEMA[section][key][0])
+                cfg[section][key] = _parse_value(section, key, raw)
 
     env_out = os.environ.get("BINSPARX_OUTPUT_DIR")
     if env_out:
@@ -153,32 +159,18 @@ def load_run_config(path=None, overrides=None) -> dict:
         section, key = target.split(".", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown config key {section}.{key}")
-        cfg[section][key] = _parse_value(section, key, value, SCHEMA[section][key][0])
+        cfg[section][key] = _parse_value(section, key, value)
 
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: dict):
-    dev = cfg["device"]
-    if dev["kind"] not in ("sram8t", "reram1t1r"):
-        raise ConfigError(f"[device] kind: unknown {dev['kind']!r}")
     wire = cfg["wire"]
-    if wire["preset"] not in (*WIRE_PRESETS, "custom"):
-        raise ConfigError(f"[wire] preset: unknown {wire['preset']!r}")
     if wire["preset"] == "custom":
         for k in ("r_bl_per_cell", "r_sl_per_cell"):
             if wire[k] == _AUTO:
                 raise ConfigError(f"[wire] {k} required when preset=custom")
-    adc = cfg["adc"]
-    if isinstance(adc["bits"], float):
-        if adc["bits"] != int(adc["bits"]):
-            raise ConfigError("[adc] bits must be an integer, 'auto', or 'full'")
-        adc["bits"] = int(adc["bits"])
-    if adc["bits"] is True or adc["bits"] is False:
-        raise ConfigError("[adc] bits must be an integer, 'auto', or 'full'")
-    if cfg["dummy"]["enabled"] not in (True, False, _AUTO):
-        raise ConfigError("[dummy] enabled must be true, false, or auto")
     if cfg["run"]["trials"] < 1:
         raise ConfigError("[run] trials must be >= 1")
 
@@ -186,12 +178,9 @@ def _validate(cfg: dict):
 def build_device(cfg: dict) -> DeviceModel:
     """The kind's factory model, with explicit ``i_hrs`` / ``i_off`` on top."""
     dev = cfg["device"]
-    v_knee = dev["v_knee"]
-    if v_knee == _AUTO:
-        v_knee = dev["v_nominal"] / 2
-    factory = DeviceModel.sram8t if dev["kind"] == "sram8t" else DeviceModel.reram1t1r
+    v_knee = dev["v_nominal"] / 2 if dev["v_knee"] == _AUTO else dev["v_knee"]
     explicit = {k: dev[k] for k in ("i_hrs", "i_off") if dev[k] != _AUTO}
-    model = factory(
+    model = DEVICE_FACTORIES[dev["kind"]](
         i_on=dev["i_on"], v_nominal=dev["v_nominal"], v_knee=v_knee, curve=dev["curve"],
         **explicit,
     )
@@ -243,7 +232,7 @@ def describe_defaults() -> str:
     lines = []
     for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (kind, default, doc) in keys.items():
-            lines.append(f"  {key} = {default}    ; {kind}: {doc}")
+        for key, (domain, default, doc) in keys.items():
+            lines.append(f"  {key} = {default}    ; {domain}: {doc}")
         lines.append("")
     return "\n".join(lines)

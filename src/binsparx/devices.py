@@ -33,7 +33,10 @@ import numpy as np
 
 from .errors import ConfigError, ConfigWarning, ParseError
 
-__all__ = ["DeviceLut", "DeviceModel", "WireModel", "WIRE_PRESETS", "load_device_lut"]
+__all__ = ["CURVES", "DEVICE_FACTORIES", "DeviceLut", "DeviceModel", "WireModel", "WIRE_PRESETS",
+           "load_device_lut"]
+
+CURVES = ("tanh", "linear")
 
 
 def _increasing(axis: np.ndarray) -> bool:
@@ -171,17 +174,19 @@ class DeviceModel:
     lut_stored0: DeviceLut | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sram8t", "reram1t1r"):
+        if self.kind not in DEVICE_FACTORIES:
             raise ConfigError(f"DeviceModel: unknown kind {self.kind!r}")
-        if self.curve not in ("tanh", "linear"):
+        if self.curve not in CURVES:
             raise ConfigError(f"DeviceModel: unknown curve {self.curve!r}")
-        if not (self.i_on > self.i_hrs >= self.i_off >= 0):
+        if not (math.isfinite(self.i_on) and self.i_on > self.i_hrs >= self.i_off >= 0):
             raise ConfigError(
-                "DeviceModel: require i_on > i_hrs >= i_off >= 0, got "
+                "DeviceModel: require finite i_on > i_hrs >= i_off >= 0, got "
                 f"i_on={self.i_on}, i_hrs={self.i_hrs}, i_off={self.i_off}"
             )
-        if self.v_nominal <= 0 or self.v_knee <= 0:
-            raise ConfigError("DeviceModel: voltages must be positive")
+        for name in ("v_nominal", "v_knee"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigError(f"DeviceModel: {name} must be finite and > 0, got {v}")
 
     @classmethod
     def sram8t(cls, i_on: float = 1e-6, **kw) -> "DeviceModel":
@@ -246,6 +251,9 @@ class DeviceModel:
         return self._evaluate(stored, gate, v_cell, slope=True)
 
 
+# device kind -> factory of its default model; the keys are the legal kinds
+DEVICE_FACTORIES = {"sram8t": DeviceModel.sram8t, "reram1t1r": DeviceModel.reram1t1r}
+
 WIRE_PRESETS = {"M3": 40.0, "M4": 25.0, "M6": 8.0}  # ohm per cell, BL and SL
 
 
@@ -264,8 +272,9 @@ class WireModel:
 
     def __post_init__(self):
         for name in ("r_bl_per_cell", "r_sl_per_cell", "r_driver", "r_sink"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"WireModel: {name} must be >= 0")
+            r = getattr(self, name)
+            if not (r >= 0 and math.isfinite(r)):
+                raise ConfigError(f"WireModel: {name} must be finite and >= 0, got {r}")
 
     @classmethod
     def preset(cls, tag: str, r_driver: float = 1000.0, r_sink: float = 1000.0) -> "WireModel":

@@ -54,7 +54,7 @@ from .errors import (
     NonConvergenceError,
     ShapeError,
 )
-from .readout import AdcModel, DummyColumnConfig, dummy_compensate
+from .readout import DUMMY_DOMAINS, AdcModel, dummy_compensate
 from .solver import TOPOLOGIES, solve_columns_fast
 from .sparsify import adc_bits_required, postprocess, sparsify_activations, sparsify_tile
 
@@ -96,7 +96,7 @@ class EngineConfig:
     adc_offset: float = 0.0
     adc_rounding: str = "half_even"
     dummy_enabled: bool | str = "auto"  # "auto" -> on for ReRAM
-    dummy_domain: str = "analog"
+    dummy_domain: str = "analog"        # one of readout.DUMMY_DOMAINS
     solver_tol: float = 1e-6
     solver_max_iter: int = 200
     topology: str = "opposite"
@@ -114,6 +114,12 @@ class EngineConfig:
         if self.solver_max_iter < 1:
             raise ConfigError(
                 f"EngineConfig: solver_max_iter must be >= 1, got {self.solver_max_iter}")
+        if self.dummy_enabled not in (True, False, "auto"):
+            raise ConfigError(f"EngineConfig: dummy_enabled must be True, False or 'auto', "
+                              f"got {self.dummy_enabled!r}")
+        if self.dummy_domain not in DUMMY_DOMAINS:
+            raise ConfigError(f"EngineConfig: dummy_domain must be one of {DUMMY_DOMAINS}, "
+                              f"got {self.dummy_domain!r}")
 
     def resolved_adc(self) -> AdcModel:
         if self.adc_bits == "auto":
@@ -127,7 +133,7 @@ class EngineConfig:
         if self.adc_quantum == "auto":
             # dummy compensation subtracts i_hrs for every asserted row, so
             # one compensated ON cell is worth i_on - i_hrs, not i_on
-            if self.resolved_dummy().enabled:
+            if self.resolved_dummy():
                 quantum = self.device.i_on - self.device.i_hrs
             else:
                 quantum = self.device.i_on
@@ -136,12 +142,11 @@ class EngineConfig:
         return AdcModel(bits=bits, quantum=quantum, offset=self.adc_offset,
                         rounding=self.adc_rounding)
 
-    def resolved_dummy(self) -> DummyColumnConfig:
+    def resolved_dummy(self) -> bool:
+        """Whether the all-HRS dummy column is on."""
         if self.dummy_enabled == "auto":
-            enabled = self.device.kind == "reram1t1r"
-        else:
-            enabled = bool(self.dummy_enabled)
-        return DummyColumnConfig(enabled=enabled, domain=self.dummy_domain)
+            return self.device.kind == "reram1t1r"
+        return bool(self.dummy_enabled)
 
 
 class RunStats:
@@ -209,7 +214,7 @@ class Engine:
     def __init__(self, config: EngineConfig):
         self.config = config
         self.adc = config.resolved_adc()
-        self.dummy = config.resolved_dummy()
+        self.dummy = config.resolved_dummy()  # the all-HRS dummy column is on
 
     # -- weight preparation ------------------------------------------------
 
@@ -247,7 +252,7 @@ class Engine:
         """
         U, n_phys = gates.shape
         ml = stored.shape[1]
-        width = ml + self.dummy.enabled
+        width = ml + self.dummy
         stored = np.broadcast_to(stored, (U, ml, n_phys))
         i_out = np.empty((U, width))
         conv = np.empty((U, width), dtype=bool)
@@ -293,7 +298,7 @@ class Engine:
         sum_wprime = prepared.sum_wprime.reshape(row_tiles, -1)[:, :cols]
         w_flip = prepared.column_flip.reshape(row_tiles, -1)[:, :cols]
         out = np.zeros((B, cols), dtype=np.int64)
-        digital_dummy = self.dummy.enabled and self.dummy.domain == "digital"
+        digital_dummy = self.dummy and cfg.dummy_domain == "digital"
 
         for r, nl in enumerate(n_logical):
             g = np.ascontiguousarray(gates[:, r])  # (B, n)
@@ -325,7 +330,7 @@ class Engine:
                 if digital_dummy:
                     dummy, c = self.adc.quantize_array(dummy)
                     clamps = col_tiles * c
-                elif self.dummy.enabled:
+                elif self.dummy:
                     data = dummy_compensate(data, dummy)
                 raw, c = self.adc.quantize_array(data)
                 clamps += c

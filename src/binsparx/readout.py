@@ -14,15 +14,18 @@ i_on - i_hrs to match (``EngineConfig.resolved_adc``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["AdcModel", "DummyColumnConfig", "dummy_compensate"]
+__all__ = ["AdcModel", "DUMMY_DOMAINS", "ROUNDINGS", "dummy_compensate"]
 
 ROUNDINGS = ("half_even", "half_up")
+# subtract the dummy column before ("analog") or after ("digital") the ADC
+DUMMY_DOMAINS = ("analog", "digital")
 
 # ratios within this many ulps of a half-level count as exact ties
 _TIE_ULPS = 4
@@ -48,8 +51,10 @@ class AdcModel:
     def __post_init__(self):
         if self.bits < 1:
             raise ConfigError(f"AdcModel: bits must be >= 1, got {self.bits}")
-        if self.quantum <= 0:
-            raise ConfigError(f"AdcModel: quantum must be > 0, got {self.quantum}")
+        if not (self.quantum > 0 and math.isfinite(self.quantum)):
+            raise ConfigError(f"AdcModel: quantum must be finite and > 0, got {self.quantum}")
+        if not math.isfinite(self.offset):
+            raise ConfigError(f"AdcModel: offset must be finite, got {self.offset}")
         if self.rounding not in ROUNDINGS:
             raise ConfigError(f"AdcModel: rounding must be one of {ROUNDINGS}")
 
@@ -73,18 +78,6 @@ class AdcModel:
         raw = self._round((x - self.offset) / self.quantum)
         clamped = int(((raw < 0) | (raw > self.levels - 1)).sum())
         return np.clip(raw, 0, self.levels - 1).astype(np.int64), clamped
-
-
-@dataclass(frozen=True)
-class DummyColumnConfig:
-    """All-HRS reference column sharing the data columns' activations."""
-
-    enabled: bool = False
-    domain: str = "analog"  # subtract before ("analog") or after ("digital") the ADC
-
-    def __post_init__(self):
-        if self.domain not in ("analog", "digital"):
-            raise ConfigError(f"DummyColumnConfig: bad domain {self.domain!r}")
 
 
 def dummy_compensate(i_data, i_dummy):

@@ -14,7 +14,7 @@ from binsparx.analysis import (
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import Engine, EngineConfig, LayerSpec
-from binsparx.errors import DomainError
+from binsparx.errors import ConfigError, DomainError
 
 ZERO_WIRE = WireModel(0.0, 0.0, 0.0, 0.0)
 
@@ -135,7 +135,7 @@ def test_sweep_draw_order(config):
         combo = rng.integers(0, 3, size=(trials, 16))
         stored, gates = np.where(on | (combo == 2), 1, 0), np.where(on | (combo == 1), 1, 0)
         i_out, conv = eng.solve_columns(stored, gates)
-        if eng.dummy.enabled:
+        if eng.dummy:
             i_dummy, dconv = eng.solve_columns(np.zeros_like(stored), gates)
             dummy_only_failed += int((conv & ~dconv).sum())
             i_out, conv = np.maximum(0.0, i_out - i_dummy), conv & dconv
@@ -143,7 +143,7 @@ def test_sweep_draw_order(config):
         assert (sweep.samples[i], sweep.nonconverged[i]) == (conv.sum(), (~conv).sum())
         if dev.size:
             assert (sweep.mean[i], sweep.mn[i], sweep.mx[i]) == (dev.mean(), dev.min(), dev.max())
-    assert dummy_only_failed > 0 or not eng.dummy.enabled
+    assert dummy_only_failed > 0 or not eng.dummy
 
 
 def test_partial_sum_reduction_on_random_data(rng):
@@ -175,6 +175,15 @@ def test_solver_validation_suite_passes():
     assert rep["zero_parasitic_rel_error"] <= 1e-9
     assert rep["linear_closed_form_rel_error"] <= 1e-9
     assert rep["passed"] is True
+
+
+def test_solver_validation_suite_rejects_an_unknown_kind_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a corner")
+
+    monkeypatch.setattr("binsparx.analysis.solve_columns_fast", no_solve)
+    with pytest.raises(ConfigError, match="pcm"):
+        solver_validation_suite(trials=1, seed=0, device_kind="pcm")
 
 
 def test_solver_validation_suite_fails_over_budget():

@@ -121,6 +121,34 @@ def test_exit_codes(tmp_path, model):
                      "--set", "run.no_such_key=1"]) == 2
 
 
+@pytest.mark.parametrize("probe", [
+    "adc.quantum=full", "device.v_knee=full", "device.i_hrs=full", "wire.r_bl_per_cell=full",
+    "adc.quantum=true", "wire.r_bl_per_cell=true", "device.v_nominal=nan", "wire.r_driver=nan",
+    "dummy.enabled=1.0",
+])
+def test_bad_values_exit_2_before_any_work(tmp_path, capsys, probe):
+    # the custom wire makes the r_*_per_cell keys live
+    target = probe.split("=", 1)[0]
+    section, key = target.split(".")
+    out = tmp_path / "out"
+    custom = ["--set", "wire.preset=custom", "--set", "wire.r_bl_per_cell=25",
+              "--set", "wire.r_sl_per_cell=25"]
+    argv = ["sweep", "--out", str(out), "--set", "run.trials=2", *TILES, *custom,
+            "--set", probe]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_one_bit_adc_runs(tmp_path):
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--set", "run.trials=2", *TILES, "--set", "adc.bits=1"]
+    assert cli.main(argv) == 0
+    assert len(_csv_rows(out / "sweep.csv")) == N + 1
+
+
 def _dataset(tmp_path, rng, count):
     """A CSV dataset of ``count`` random +-1 inputs, all labeled 0."""
     X = rng.choice([-1, 1], size=(count, int(np.prod(IN_SHAPE))))

@@ -68,6 +68,12 @@ class TestCellCurrent:
         with pytest.raises(ConfigError):
             DeviceModel(kind="sram8t", i_on=1e-6, i_hrs=1e-8, i_off=1e-7)
 
+    @pytest.mark.parametrize("name", ["i_on", "i_hrs", "i_off", "v_nominal", "v_knee"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            DeviceModel(**{name: value})
+
 
 class TestWire:
     def test_preset_round_trip(self):
@@ -91,6 +97,14 @@ class TestWire:
     def test_negative_resistance_rejected(self):
         with pytest.raises(ConfigError):
             WireModel(-1.0, 1.0)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_resistance_rejected(self, index, value):
+        r = [1.0, 1.0, 1.0, 1.0]
+        r[index] = value
+        with pytest.raises(ConfigError):
+            WireModel(*r)
 
 
 GRID_CSV = "vg,0.0,1.0\n0.0,0.0,1e-6\n1.0,2e-6,3e-6\n"

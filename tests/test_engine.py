@@ -233,7 +233,7 @@ class TestNonIdealPath:
                            device=device, wire=WireModel(0.0, 0.0, 0.0, 0.0),
                            adc_bits="full", dummy_enabled=True, dummy_domain=domain)
         eng = Engine(cfg)
-        assert eng.dummy.enabled
+        assert eng.dummy
         out = eng.vmm_batch(eng.prepare(W), A)
         assert np.array_equal(out, signed_vmm(A, W))
 
@@ -536,13 +536,22 @@ class TestConfig:
         assert EngineConfig(device=dev, dummy_enabled=False).resolved_adc().quantum == dev.i_on
 
     def test_dummy_auto(self):
-        assert not Engine(EngineConfig(nonidealities=False)).dummy.enabled
+        assert not Engine(EngineConfig(nonidealities=False)).dummy
         assert Engine(
             EngineConfig(device=DeviceModel.reram1t1r(), nonidealities=False)
-        ).dummy.enabled
+        ).dummy
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             EngineConfig(n=0)
         with pytest.raises(ConfigError):
             Engine(EngineConfig(adc_bits="many"))
+
+    def test_dummy_domain_validation(self):
+        with pytest.raises(ConfigError, match="dummy_domain"):
+            EngineConfig(dummy_domain="optical")
+
+    @pytest.mark.parametrize("enabled", ["on", "true", None, 0.5])
+    def test_dummy_enabled_validation(self, enabled):
+        with pytest.raises(ConfigError, match="dummy_enabled"):
+            EngineConfig(dummy_enabled=enabled)

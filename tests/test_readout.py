@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import EngineConfig
 from binsparx.errors import ConfigError, DomainError
-from binsparx.readout import AdcModel, DummyColumnConfig, dummy_compensate
+from binsparx.readout import AdcModel, dummy_compensate
 from binsparx.solver import solve_columns_fast
 
 
@@ -69,6 +69,13 @@ class TestAdc:
         with pytest.raises(ConfigError):
             AdcModel(bits=4, quantum=1e-6, rounding="floor")
 
+    @pytest.mark.parametrize("kw", [{"quantum": float("nan")}, {"quantum": float("inf")},
+                                    {"offset": float("nan")}, {"offset": float("-inf")}],
+                             ids=["quantum-nan", "quantum-inf", "offset-nan", "offset-inf"])
+    def test_non_finite_values_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            AdcModel(bits=3, **{"quantum": 1e-6, **kw})
+
     @settings(max_examples=300, derandomize=True)
     @given(st.floats(min_value=0.0, max_value=15.49))
     def test_error_at_most_half_quantum_in_range(self, level_units):
@@ -101,10 +108,6 @@ class TestDummy:
         # 3e-6 - 1e-6 is 2.0000000000000003e-06 in binary floating point
         assert out.tolist() == pytest.approx([2e-6, 0.0], rel=1e-12)
         assert out[1] == 0.0
-
-    def test_domain_validation(self):
-        with pytest.raises(ConfigError):
-            DummyColumnConfig(enabled=True, domain="optical")
 
     def test_exact_cancellation_linear_no_parasitics(self, rng):
         # with ohmic cells and no wire resistance the dummy current equals
