@@ -277,6 +277,8 @@ def solver_validation_suite(
     """
     if device_kind not in DEVICE_FACTORIES:
         raise ConfigError(f"solver_validation_suite: unknown device kind {device_kind!r}")
+    if trials < 1:
+        raise ConfigError(f"solver_validation_suite: trials must be >= 1, got {trials}")
     factory = DEVICE_FACTORIES[device_kind]
     rng = np.random.default_rng(seed)
     corners = []

@@ -8,10 +8,11 @@ stores and applies them in the {0,1} domain via v = 2*v' - 1.  The identity
 turns the signed dot product into an AND-plane count plus integer pre/post
 arithmetic, so a plain AND-capable memory array can compute it (the
 arithmetic itself is :func:`binsparx.sparsify.postprocess`).  A weight
-matrix goes onto n x m arrays as one :class:`TiledWeights` record: the
-padded mapped matrix reshaped to (row_tiles, n, col_tiles, m) plus
-per-column flip bits and one-counts.  Everything in this module is exact
-integer math; no floating point is involved.
+matrix goes onto n-row arrays as one :class:`TiledWeights` record: the
+mapped matrix as (row_tiles, n, cols) plus per-column flip bits and
+one-counts.  Columns are not tiled: no column's read depends on its
+neighbours, so the m-column split matters only where arrays are counted.
+Everything in this module is exact integer math.
 """
 
 from __future__ import annotations
@@ -67,17 +68,16 @@ class BinaryTensor:
 
 @dataclass(frozen=True, eq=False)
 class TiledWeights:
-    """One signed weight matrix laid out on n x m crossbar tiles.
+    """One signed weight matrix laid out on n-row crossbar tiles.
 
-    ``stored`` (row_tiles, n, col_tiles, m) int8 holds the {0,1} cells as
-    deployed; tile (r, c) covers matrix rows r*n.. and columns c*m...
-    Padding cells (past ``rows``/``cols``) store 0 and always see
-    activation 0, so they are exact no-ops in the dot-product accounting.
-    ``column_flip`` (row_tiles, col_tiles, m) bool marks stored columns
-    that are the complement of the mapped matrix over the tile's logical
-    rows (all False: sparsification off), and ``sum_wprime`` (row_tiles,
-    col_tiles, m) int64 is each stored column's one-count.  The arrays
-    must not be mutated.
+    ``stored`` (row_tiles, n, cols) int8 holds the {0,1} cells as deployed;
+    row tile r covers matrix rows r*n...  Padding rows (past ``rows``)
+    store 0 and always see activation 0, so they are exact no-ops in the
+    dot-product accounting.  ``column_flip`` (row_tiles, cols) bool marks
+    stored columns that are the complement of the mapped matrix over the
+    tile's logical rows (all False: sparsification off), and
+    ``sum_wprime`` (row_tiles, cols) int64 is each stored column's
+    one-count.  The arrays must not be mutated.
     """
 
     rows: int
@@ -93,27 +93,27 @@ class TiledWeights:
         return np.minimum(n, self.rows - n * np.arange(row_tiles, dtype=np.int64))
 
 
-def tile_weights(w, n: int, m: int) -> TiledWeights:
-    """Map a signed (rows, cols) weight matrix onto n x m tiles, unflipped.
+def tile_weights(w, n: int) -> TiledWeights:
+    """Map a signed (rows, cols) weight matrix onto n-row tiles, unflipped.
 
-    The mapped matrix is zero-padded to whole tiles and reshaped, so padded
-    cells store 0 and contribute nothing to any sum.
+    The mapped matrix is zero-padded to whole row tiles and reshaped, so
+    padding rows store 0 and contribute nothing to any sum.
     """
     if not isinstance(w, BinaryTensor):
         w = BinaryTensor(w)
     if w.ndim != 2:
         raise ShapeError("tile_weights expects a 2-D weight matrix")
     rows, cols = w.shape
-    if rows < 1 or cols < 1 or n < 1 or m < 1:
-        raise ShapeError(f"tile_weights: cannot tile a {rows}x{cols} matrix on {n}x{m} arrays")
-    row_tiles, col_tiles = -(-rows // n), -(-cols // m)
-    padded = np.zeros((row_tiles * n, col_tiles * m), dtype=np.int8)
-    padded[:rows, :cols] = (w.values + 1) // 2  # v' = (v + 1) / 2
-    stored = padded.reshape(row_tiles, n, col_tiles, m)
+    if rows < 1 or cols < 1 or n < 1:
+        raise ShapeError(f"tile_weights: cannot tile a {rows}x{cols} matrix on {n}-row arrays")
+    row_tiles = -(-rows // n)
+    padded = np.zeros((row_tiles * n, cols), dtype=np.int8)
+    padded[:rows] = (w.values + 1) // 2  # v' = (v + 1) / 2
+    stored = padded.reshape(row_tiles, n, cols)
     return TiledWeights(
         rows=rows,
         cols=cols,
         stored=stored,
-        column_flip=np.zeros((row_tiles, col_tiles, m), dtype=bool),
+        column_flip=np.zeros((row_tiles, cols), dtype=bool),
         sum_wprime=stored.sum(axis=1, dtype=np.int64),
     )

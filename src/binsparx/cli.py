@@ -129,7 +129,6 @@ def _load_dataset(args) -> modelio.Dataset:
 
 def cmd_validate_solver(args) -> int:
     cfg = _resolve_config(args)
-    out = _outdir(cfg)
     report = analysis.solver_validation_suite(
         trials=args.trials,
         seed=cfg["run"]["seed"],
@@ -147,18 +146,17 @@ def cmd_validate_solver(args) -> int:
     print(f"linear closed-form rel error: {report['linear_closed_form_rel_error']:.3e}")
     verdict = "PASS" if report["passed"] else "FAIL"
     print(f"overall max {report['max_rel_error']:.3e} vs budget {report['budget']:.3e}: {verdict}")
-    modelio.write_json(out / "validate_report.json",
+    modelio.write_json(_outdir(cfg) / "validate_report.json",
                        {**_echo(cfg, "validate-solver"), "report": report})
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
 def cmd_profile(args) -> int:
     cfg = _resolve_config(args)
-    out = _outdir(cfg)
+    engine = Engine(replace(build_engine_config(cfg), nonidealities=False, adc_bits="full"))
     layers = modelio.load_model(args.model)
     ds = _load_dataset(args)
-    ideal_cfg = replace(build_engine_config(cfg), nonidealities=False, adc_bits="full")
-    engine = Engine(ideal_cfg)
+    out = _outdir(cfg)
     thr = cfg["run"]["binarize_threshold"]
     feats = np.where(ds.features > thr, 1.0, -1.0)
     hist_off = analysis.profile_partial_sums(engine, layers, feats, binsparx=False)
@@ -184,8 +182,8 @@ def cmd_profile(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    out = _outdir(cfg)
     engine = Engine(build_engine_config(cfg))
+    out = _outdir(cfg)
     rng = np.random.default_rng(cfg["run"]["seed"])
     xs = range(0, cfg["array"]["n"] + 1)
     sweep = analysis.sweep_deviation(engine, xs, cfg["run"]["trials"], rng=rng)
@@ -200,10 +198,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _resolve_config(args)
-    out = _outdir(cfg)
+    engine = Engine(build_engine_config(cfg))
     layers = modelio.load_model(args.model)
     ds = _load_dataset(args)
-    engine = Engine(build_engine_config(cfg))
+    out = _outdir(cfg)
     stats = RunStats(cfg["array"]["n"])
     result = engine.infer(
         layers, ds.features, ds.labels,
@@ -225,14 +223,13 @@ def cmd_infer(args) -> int:
 
 def cmd_sparsify(args) -> int:
     cfg = _resolve_config(args)
-    out = _outdir(cfg)
-    layers = modelio.load_model(args.model)
-    ideal_cfg = replace(
+    engine = Engine(replace(
         build_engine_config(cfg), binsparx=True, nonidealities=False, adc_bits="full"
-    )
-    engine = Engine(ideal_cfg)
+    ))
+    layers = modelio.load_model(args.model)
+    out = _outdir(cfg)
     rng = np.random.default_rng(cfg["run"]["seed"])
-    n = cfg["array"]["n"]
+    n, m = cfg["array"]["n"], cfg["array"]["m"]
     matrices = [(layer.name, layer.matrix()) for layer in layers
                 if layer.kind in ("dense", "conv")]
     prepared = [engine.prepare(w2d) for _, w2d in matrices]
@@ -254,33 +251,29 @@ def cmd_sparsify(args) -> int:
     map_layers = []
     for (name, _), tiles in zip(matrices, prepared):
         rows, cols = tiles.rows, tiles.cols
-        row_tiles, _, col_tiles, m = tiles.stored.shape
         n_logical = tiles.n_logical
+        flips, ones_after = tiles.column_flip, tiles.sum_wprime
+        # each m-column array of a row tile is cut out, the last zero-padded
+        pad = -cols % m
+        cells = np.pad(tiles.stored, ((0, 0), (0, 0), (0, pad))).astype("<i1")
+        flip_bits = np.pad(flips, ((0, 0), (0, pad))).astype("<u1")
         tile_entries = []
-        for r in range(row_tiles):
-            for c in range(col_tiles):
-                ml = min(m, cols - c * m)
-                stem = f"{name}__r{r * n}_c{c * m}"
-                (map_dir / f"{stem}.bin").write_bytes(
-                    tiles.stored[r, :, c, :].astype("<i1").tobytes(order="C")
-                )
-                (map_dir / f"{stem}_flip.bin").write_bytes(
-                    tiles.column_flip[r, c].astype("<u1").tobytes(order="C")
-                )
+        for r in range(len(n_logical)):
+            for c in range(0, cols, m):
+                stem = f"{name}__r{r * n}_c{c}"
+                (map_dir / f"{stem}.bin").write_bytes(cells[r, :, c : c + m].tobytes())
+                (map_dir / f"{stem}_flip.bin").write_bytes(flip_bits[r, c : c + m].tobytes())
                 tile_entries.append(
                     {
                         "row_start": r * n,
-                        "col_start": c * m,
+                        "col_start": c,
                         "n_logical": int(n_logical[r]),
-                        "m_logical": ml,
+                        "m_logical": min(m, cols - c),
                         "file": f"mapping/{stem}.bin",
                         "flip_file": f"mapping/{stem}_flip.bin",
-                        "sum_wprime": tiles.sum_wprime[r, c, :ml].tolist(),
+                        "sum_wprime": ones_after[r, c : c + m].tolist(),
                     }
                 )
-        # per row tile, the logical columns of every column tile
-        flips = tiles.column_flip.reshape(row_tiles, -1)[:, :cols]
-        ones_after = tiles.sum_wprime.reshape(row_tiles, -1)[:, :cols]
         ones_before = np.where(flips, n_logical[:, None] - ones_after, ones_after)
         total_cols = flips.size
         flipped = int(flips.sum())

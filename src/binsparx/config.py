@@ -171,8 +171,12 @@ def _validate(cfg: dict):
         for k in ("r_bl_per_cell", "r_sl_per_cell"):
             if wire[k] == _AUTO:
                 raise ConfigError(f"[wire] {k} required when preset=custom")
-    if cfg["run"]["trials"] < 1:
-        raise ConfigError("[run] trials must be >= 1")
+    # integer floors; a bits value of auto or full has none
+    for section, key, least in (("array", "n", 1), ("array", "m", 1), ("adc", "bits", 1),
+                                ("run", "trials", 1), ("run", "seed", 0)):
+        value = cfg[section][key]
+        if isinstance(value, int) and value < least:
+            raise ConfigError(f"[{section}] {key}: must be >= {least}, got {value}")
 
 
 def build_device(cfg: dict) -> DeviceModel:

@@ -1,13 +1,13 @@
 """End-to-end vector-matrix-multiply engine and desk-scale BNN inference.
 
-:meth:`Engine.prepare` lays a signed weight matrix out on n x m arrays as
+:meth:`Engine.prepare` lays a signed weight matrix out on n-row arrays as
 one :class:`~binsparx.bnn.TiledWeights` record, column-flipped when BinSparX
 is on.  :meth:`Engine.vmm_batch` then works one row tile at a time: the
 dynamic activation flip, an exact ON-cell count of every column (ideal
 path) or one electrical read of the whole row tile, and the
 sign-corrected dot-product recovery.  The electrical read is one
-:meth:`Engine.solve_rows` call over every column tile's columns, with the
-all-HRS dummy column beside them when it is on, then one
+:meth:`Engine.solve_rows` call over all of the row tile's columns, with
+the all-HRS dummy column beside them when it is on, then one
 dummy-compensation and ADC step.  Partial sums add up across row tiles as
 exact integers, so only intra-column analog effects are non-ideal.
 
@@ -109,8 +109,9 @@ class EngineConfig:
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"EngineConfig: topology must be one of {TOPOLOGIES}, "
                               f"got {self.topology!r}")
-        if not self.solver_tol > 0:
-            raise ConfigError(f"EngineConfig: solver_tol must be > 0, got {self.solver_tol}")
+        if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ConfigError(
+                f"EngineConfig: solver_tol must be finite and > 0, got {self.solver_tol}")
         if self.solver_max_iter < 1:
             raise ConfigError(
                 f"EngineConfig: solver_max_iter must be >= 1, got {self.solver_max_iter}")
@@ -153,7 +154,7 @@ class RunStats:
     """Mutable per-run aggregates: ideal-sum histograms, deviations, events.
 
     ``clamp_events`` and ``nonconverged`` count once per input and column.
-    In hardware every column-tile array reads its own dummy column, so a
+    In hardware every m-column array reads its own dummy column, so a
     dummy solve that does not converge, or a digital-domain dummy level
     that clamps, counts once per array: ceil(cols / m) times per row tile,
     though the engine solves the dummy once.
@@ -220,7 +221,7 @@ class Engine:
 
     def prepare(self, w) -> TiledWeights:
         """Tile a signed (rows, cols) weight matrix; flip columns when BinSparX is on."""
-        tiles = tile_weights(w, self.config.n, self.config.m)
+        tiles = tile_weights(w, self.config.n)
         return sparsify_tile(tiles) if self.config.binsparx else tiles
 
     # -- electrical helpers --------------------------------------------------
@@ -286,23 +287,20 @@ class Engine:
             raise DomainError("activations must be in {-1,+1}")
         cfg = self.config
         B = acts.shape[0]
-        row_tiles, n, col_tiles, _ = prepared.stored.shape
-        cols = prepared.cols
+        row_tiles, n, cols = prepared.stored.shape
         n_logical = prepared.n_logical
         mapped = np.zeros((B, row_tiles * n), dtype=np.int8)
         mapped[:, : prepared.rows] = (acts + 1) // 2
         gates, sum_i, a_flip = sparsify_activations(
             mapped.reshape(B, row_tiles, n), n_logical, cfg.binsparx
         )
-        # per row tile, every column tile side by side: index = output column
-        sum_wprime = prepared.sum_wprime.reshape(row_tiles, -1)[:, :cols]
-        w_flip = prepared.column_flip.reshape(row_tiles, -1)[:, :cols]
+        arrays = -(-cols // cfg.m)  # one dummy column per m-column array
         out = np.zeros((B, cols), dtype=np.int64)
         digital_dummy = self.dummy and cfg.dummy_domain == "digital"
 
         for r, nl in enumerate(n_logical):
             g = np.ascontiguousarray(gates[:, r])  # (B, n)
-            stored = prepared.stored[r].reshape(n, -1)[:, :cols]
+            stored = prepared.stored[r]
             ideal = g.astype(np.int64) @ stored.astype(np.int64)  # (B, cols)
             if cfg.binsparx:
                 cap = (nl + 1) // 2
@@ -320,16 +318,16 @@ class Engine:
                 )
                 i_out, conv = self.solve_rows(np.ascontiguousarray(stored.T)[None], g[first])
                 i_out, conv = i_out[inverse], conv[inverse]
-                # column ``cols`` is the dummy when it is on; every
-                # column-tile array reads its own, so the shared dummy's
-                # failures and clamps count once per array
+                # column ``cols`` is the dummy when it is on; every array
+                # reads its own, so the shared dummy's failures and clamps
+                # count once per array
                 data, dummy = i_out[:, :cols], i_out[:, cols:]
                 nonconv = (int((~conv[:, :cols]).sum())
-                           + col_tiles * int((~conv[:, cols:]).sum()))
+                           + arrays * int((~conv[:, cols:]).sum()))
                 clamps = 0
                 if digital_dummy:
                     dummy, c = self.adc.quantize_array(dummy)
-                    clamps = col_tiles * c
+                    clamps = arrays * c
                 elif self.dummy:
                     data = dummy_compensate(data, dummy)
                 raw, c = self.adc.quantize_array(data)
@@ -351,7 +349,7 @@ class Engine:
                 stats.clamp_events += clamps
                 stats.add_deviation(layer, np.abs(raw - ideal))
             out += postprocess(raw, sum_i[:, r, None], a_flip[:, r, None],
-                               sum_wprime[r], w_flip[r], nl)
+                               prepared.sum_wprime[r], prepared.column_flip[r], nl)
         return out
 
     # -- inference -----------------------------------------------------------

@@ -306,8 +306,8 @@ def solve_columns_fast(
     Non-convergent problems are returned flagged (with their last
     f(v(i))), never silently.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     if topology not in TOPOLOGIES:
         raise DomainError(f"topology must be one of {TOPOLOGIES}")
     stored = np.atleast_2d(np.asarray(stored) > 0)
@@ -432,8 +432,8 @@ def solve_column_dense(
     Jacobian raises :class:`SolverError`; running out of iterations
     returns a flagged result.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     n, wire = p.n, p.wire
     # nodes: bitline 0..n-1, sense line n..2n-1, driver pad 2n, 0 V pad 2n+1;
     # each path starts at its pad, r[k] is the segment arriving at path[k+1]

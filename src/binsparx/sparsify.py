@@ -1,6 +1,6 @@
 """BinSparX: static weight and dynamic activation flips with exact sign repair.
 
-Three rules, each written once here and vectorized over whole tile grids:
+Three rules, each written once here and vectorized over every row tile:
 
 * :func:`sparsify_tile` stores a weight column negated whenever its signed
   sum over the tile's logical rows is >= 0 (ties included);
@@ -13,8 +13,8 @@ Three rules, each written once here and vectorized over whole tile grids:
 Both flips cap the number of 1s at about half the rows, shrinking column
 currents.  One flip bit per column (kept in a peripheral register) and one
 per activation vector record what happened; the sign repair is exact
-because sum(I*W) = sum((-I)*(-W)) = -sum((-I)*W).  Padding rows and
-columns are never flipped and stay 0.
+because sum(I*W) = sum((-I)*(-W)) = -sum((-I)*W).  Padding rows are never
+flipped and stay 0.
 """
 
 from __future__ import annotations
@@ -44,24 +44,23 @@ def _logical_rows(n: int, n_logical: np.ndarray) -> np.ndarray:
 
 
 def sparsify_tile(tiles: TiledWeights) -> TiledWeights:
-    """Static weight sparsification of every logical column of a tile grid.
+    """Static weight sparsification of every column of every row tile.
 
     A column is stored complemented over its tile's logical rows when
     2*ones >= n_logical, i.e. when its signed sum is >= 0; such a column
-    then holds at most floor(n_logical/2) ones.  Padding columns (no ones)
-    never flip.  ``column_flip`` toggles for each flipped column, so the
-    record still says which stored columns complement the original.
+    then holds at most floor(n_logical/2) ones.  ``column_flip`` toggles
+    for each flipped column, so the record still says which stored columns
+    complement the original.
     """
     n = tiles.stored.shape[1]
     n_logical = tiles.n_logical
-    flip = 2 * tiles.sum_wprime >= n_logical[:, None, None]
-    cells = flip[:, None, :, :] & _logical_rows(n, n_logical)[:, :, None, None]
+    flip = 2 * tiles.sum_wprime >= n_logical[:, None]
+    cells = flip[:, None, :] & _logical_rows(n, n_logical)[:, :, None]
     return replace(
         tiles,
         stored=np.where(cells, 1 - tiles.stored, tiles.stored).astype(np.int8, copy=False),
         column_flip=tiles.column_flip ^ flip,
-        sum_wprime=np.where(flip, n_logical[:, None, None] - tiles.sum_wprime,
-                            tiles.sum_wprime),
+        sum_wprime=np.where(flip, n_logical[:, None] - tiles.sum_wprime, tiles.sum_wprime),
     )
 
 

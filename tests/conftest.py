@@ -104,13 +104,13 @@ def bilinear_reference(vg_axis, vd_axis, grid, vg, vd):
 
 def untile(tiled) -> np.ndarray:
     """The signed matrix a ``TiledWeights`` record holds, cell by cell: a
-    flipped column stores the complement, padding is dropped."""
-    _, n, _, m = tiled.stored.shape
+    flipped column stores the complement, padding rows are dropped."""
+    n = tiled.stored.shape[1]
     out = np.empty((tiled.rows, tiled.cols), dtype=np.int64)
     for r in range(tiled.rows):
         for c in range(tiled.cols):
-            bit = int(tiled.stored[r // n, r % n, c // m, c % m])
-            if tiled.column_flip[r // n, c // m, c % m]:
+            bit = int(tiled.stored[r // n, r % n, c])
+            if tiled.column_flip[r // n, c]:
                 bit = 1 - bit
             out[r, c] = 2 * bit - 1
     return out

@@ -186,6 +186,12 @@ def test_solver_validation_suite_rejects_an_unknown_kind_before_solving(monkeypa
         solver_validation_suite(trials=1, seed=0, device_kind="pcm")
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_solver_validation_suite_rejects_no_trials(trials):
+    with pytest.raises(ConfigError, match="trials"):
+        solver_validation_suite(trials=trials, seed=0)
+
+
 def test_solver_validation_suite_fails_over_budget():
     rep = solver_validation_suite(trials=2, seed=0, budget=0.0)
     assert rep["max_rel_error"] > 0.0

@@ -14,7 +14,7 @@ signed_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=256)
 
 def _stored_column(vec) -> list:
     """The {0,1} cells one signed column is stored as on a single tile."""
-    return tile_weights(np.asarray(vec)[:, None], len(vec), 1).stored.ravel().tolist()
+    return tile_weights(np.asarray(vec)[:, None], len(vec)).stored.ravel().tolist()
 
 
 def _nandnet_dot(ivec, wvec) -> int:
@@ -33,13 +33,13 @@ class TestMapping:
     def test_round_trip_random(self, rng):
         for _ in range(1000):
             t = BinaryTensor(rng.choice([-1, 1], size=(rng.integers(1, 65), 1)))
-            assert np.array_equal(untile(tile_weights(t, 64, 1)), t.values)
+            assert np.array_equal(untile(tile_weights(t, 64)), t.values)
 
     @settings(max_examples=150, derandomize=True)
     @given(signed_vectors)
     def test_round_trip_property(self, vec):
         t = BinaryTensor(np.array(vec)[:, None])
-        assert np.array_equal(untile(tile_weights(t, 64, 1)), t.values)
+        assert np.array_equal(untile(tile_weights(t, 64)), t.values)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -74,15 +74,15 @@ class TestNandnetDot:
 class TestTiling:
     def test_exact_division(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(128, 128)))
-        tiled = tile_weights(w, 64, 64)
-        assert tiled.stored.shape == (2, 64, 2, 64)
-        assert tiled.sum_wprime.shape == tiled.column_flip.shape == (2, 2, 64)
+        tiled = tile_weights(w, 64)
+        assert tiled.stored.shape == (2, 64, 128)
+        assert tiled.sum_wprime.shape == tiled.column_flip.shape == (2, 128)
         assert tiled.n_logical.tolist() == [64, 64]
         assert not tiled.column_flip.any()
 
     def test_padding_rule(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(65, 64)))
-        tiled = tile_weights(w, 64, 64)
+        tiled = tile_weights(w, 64)
         assert tiled.stored.shape[0] == 2
         assert tiled.n_logical.tolist() == [64, 1]
         # the 63 padded rows store 0
@@ -90,7 +90,7 @@ class TestTiling:
 
     def test_untile_round_trip(self, rng):
         w = BinaryTensor(rng.choice([-1, 1], size=(100, 100)))
-        tiled = tile_weights(w, 64, 64)
+        tiled = tile_weights(w, 64)
         assert np.array_equal(untile(tiled), w.values)
         flipped = sparsify_tile(tiled)
         assert flipped.column_flip.any()
@@ -101,24 +101,16 @@ class TestTiling:
         # reproduce the whole-matrix dot product for every output column
         w = BinaryTensor(rng.choice([-1, 1], size=(100, 30)))
         act = rng.choice([-1, 1], size=100)
-        tiled = tile_weights(w, 64, 16)
-        row_tiles, n, col_tiles, m = tiled.stored.shape
+        tiled = tile_weights(w, 64)
+        row_tiles, n, cols = tiled.stored.shape
         act_mapped = (act + 1) // 2
-        totals = np.zeros(30, dtype=np.int64)
+        totals = np.zeros(cols, dtype=np.int64)
         for r in range(row_tiles):
             nl = int(tiled.n_logical[r])
             sub = act_mapped[r * n : r * n + nl]
             gates = np.zeros(n, dtype=np.int64)
             gates[:nl] = sub
-            for c in range(col_tiles):
-                ml = min(m, 30 - c * m)
-                and_sums = gates @ tiled.stored[r, :, c, :].astype(np.int64)
-                v = (
-                    4 * and_sums[:ml]
-                    - 2 * int(sub.sum())
-                    - 2 * tiled.sum_wprime[r, c, :ml]
-                    + nl
-                )
-                totals[c * m : c * m + ml] += v
+            and_sums = gates @ tiled.stored[r].astype(np.int64)
+            totals += 4 * and_sums - 2 * int(sub.sum()) - 2 * tiled.sum_wprime[r] + nl
         expect = act.astype(np.int64) @ w.values.astype(np.int64)
         assert np.array_equal(totals, expect)

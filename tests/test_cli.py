@@ -117,6 +117,9 @@ def test_exit_codes(tmp_path, model):
     path = model[0]
     out = str(tmp_path / "out")
     assert cli.main(["sparsify", "--model", str(tmp_path / "missing.json"), "--out", out]) == 3
+    assert cli.main(["infer", "--model", str(path), "--dataset", str(tmp_path / "missing.csv"),
+                     "--out", out]) == 3
+    assert not (tmp_path / "out").exists()
     assert cli.main(["sparsify", "--model", str(path), "--out", out,
                      "--set", "run.no_such_key=1"]) == 2
 
@@ -124,7 +127,8 @@ def test_exit_codes(tmp_path, model):
 @pytest.mark.parametrize("probe", [
     "adc.quantum=full", "device.v_knee=full", "device.i_hrs=full", "wire.r_bl_per_cell=full",
     "adc.quantum=true", "wire.r_bl_per_cell=true", "device.v_nominal=nan", "wire.r_driver=nan",
-    "dummy.enabled=1.0",
+    "dummy.enabled=1.0", "array.n=0", "array.m=0", "adc.bits=0", "adc.bits=-3",
+    "run.trials=0", "run.seed=-1",
 ])
 def test_bad_values_exit_2_before_any_work(tmp_path, capsys, probe):
     # the custom wire makes the r_*_per_cell keys live
@@ -139,6 +143,15 @@ def test_bad_values_exit_2_before_any_work(tmp_path, capsys, probe):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [{section}] {key}: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_validate_solver_without_trials_exits_2(tmp_path, capsys, trials):
+    out = tmp_path / "out"
+    assert cli.main(["validate-solver", "--trials", trials, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trials" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -168,7 +181,7 @@ def test_bad_solver_values_are_config_errors_for_infer(tmp_path, rng, model, bad
     argv = ["infer", "--model", str(model[0]), "--dataset", str(_dataset(tmp_path, rng, 2)),
             "--out", str(out), "--set", bad, *TILES, *(["--ideal"] if ideal else [])]
     assert cli.main(argv) == 2
-    assert not (out / "infer_stats.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", BAD_SOLVER)
@@ -178,7 +191,18 @@ def test_bad_solver_values_are_config_errors_for_sweep(tmp_path, bad, best_effor
     argv = ["sweep", "--out", str(out), "--set", "run.trials=2", "--set", bad, *TILES,
             *(["--best-effort"] if best_effort else [])]
     assert cli.main(argv) == 2
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "sparsify"])
+def test_engine_config_is_built_before_the_output_dir(tmp_path, rng, model, command):
+    # solver.tol=0 parses as a float and is refused by EngineConfig itself
+    out = tmp_path / "out"
+    dataset = ["--dataset", str(_dataset(tmp_path, rng, 2))] if command == "profile" else []
+    argv = [command, "--model", str(model[0]), *dataset, "--out", str(out),
+            "--set", "solver.tol=0", *TILES]
+    assert cli.main(argv) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["sram8t", "reram1t1r"])

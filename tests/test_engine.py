@@ -198,8 +198,8 @@ class TestNonIdealPath:
         assert conv.all()
 
     def test_dummy_solved_once_per_row_tile(self, rng, monkeypatch):
-        # the dummy depends only on a row tile's gates: 2 row tiles x 2 column
-        # tiles need 2 dummy solves, not 4, each riding in its row tile's call
+        # the dummy depends only on a row tile's gates: 2 row tiles x 2 arrays
+        # need 2 dummy solves, not 4, each riding in its row tile's call
         dummy_batches = []
         solve = Engine.solve_columns
 
@@ -265,7 +265,7 @@ class TestColumnDeduplication:
     def test_repeated_rows_equal_rows_alone(self, rng, device, domain, wire, binsparx):
         # 300 rows drawn from 20 distinct ones (5 of them complements of
         # others): outputs and stats equal each distinct row run alone.
-        # Ragged tiles: row tiles of 32 and 18 rows, column tiles of 16 and 4.
+        # Ragged tiles: row tiles of 32 and 18 rows, arrays of 16 and 4 columns.
         W = rng.choice([-1, 1], size=(50, 20)).astype(np.int8)
         base = rng.choice([-1, 1], size=(15, 50)).astype(np.int8)
         distinct = np.concatenate([base, -base[:5]])
@@ -311,7 +311,7 @@ class TestColumnDeduplication:
             return solve(self, stored, gates)
 
         monkeypatch.setattr(Engine, "solve_columns", counting)
-        # 2 row tiles x column tiles of 64 and 16 logical columns
+        # 2 row tiles x arrays of 64 and 16 columns
         W = rng.choice([-1, 1], size=(128, 80)).astype(np.int8)
         x = rng.choice([-1, 1], size=(4, 128)).astype(np.int8)
         # 40 of 64 rows on in each row tile: under BinSparX x[0] and -x[0]
@@ -323,17 +323,17 @@ class TestColumnDeduplication:
                                   device=DeviceModel.reram1t1r()))
         out = eng.vmm_batch(eng.prepare(W), A)
         assert np.array_equal(out, signed_vmm(A, W))
-        # one call per row tile, its dummy beside both column tiles' columns
+        # one call per row tile, its dummy beside both arrays' columns
         assert data_columns == [distinct * (64 + 16)] * 2
         assert dummy_columns == [distinct, distinct]
 
     @pytest.mark.parametrize("domain", ["analog", "digital"])
     def test_dummy_counts_once_per_array(self, rng, domain):
-        # each column-tile array reads its own dummy, so a dummy solve that
+        # each m-column array reads its own dummy, so a dummy solve that
         # fails, or a digital dummy level that clamps, counts once per
         # array.  Hand count: every array's columns and its dummy solved
         # on their own, one row tile at a time.
-        n, m, cols, B = 16, 4, 10, 12  # column tiles of 4, 4 and 2
+        n, m, cols, B = 16, 4, 10, 12  # arrays of 4, 4 and 2 columns
         W = rng.choice([-1, 1], size=(2 * n, cols)).astype(np.int8)
         A = rng.choice([-1, 1], size=(B, 2 * n)).astype(np.int8)
         # a small quantum and a 3-bit ADC: some dummy levels clamp, some not
@@ -366,6 +366,23 @@ class TestColumnDeduplication:
         # the case pins the multiplier only if the dummy's own counts are not 0
         assert dummy_nonconv > 0
         assert dummy_clamps > 0 or domain == "analog"
+
+    @pytest.mark.parametrize("nonidealities", [False, True])
+    def test_m_is_bookkeeping(self, rng, nonidealities):
+        # no column's read depends on its neighbours, and without a dummy
+        # column nothing is counted per m-column array: m changes nothing
+        rows, cols, n = 100, 37, 32
+        W = rng.choice([-1, 1], size=(rows, cols)).astype(np.int8)
+        A = rng.choice([-1, 1], size=(9, rows)).astype(np.int8)
+        runs = []
+        for m in (1, 7, 64, cols + 5):
+            eng = Engine(EngineConfig(n=n, m=m, nonidealities=nonidealities,
+                                      device=DeviceModel.sram8t(), wire=WireModel.preset("M4")))
+            stats = RunStats(n)
+            runs.append((eng.vmm_batch(eng.prepare(W), A, stats), stats.to_dict()))
+        for out, stats in runs[1:]:
+            assert np.array_equal(out, runs[0][0])
+            assert stats == runs[0][1]
 
     @pytest.mark.parametrize("nonidealities", [False, True])
     def test_empty_batch(self, rng, nonidealities):
@@ -546,6 +563,11 @@ class TestConfig:
             EngineConfig(n=0)
         with pytest.raises(ConfigError):
             Engine(EngineConfig(adc_bits="many"))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_solver_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigError, match="solver_tol"):
+            EngineConfig(solver_tol=tol)
 
     def test_dummy_domain_validation(self):
         with pytest.raises(ConfigError, match="dummy_domain"):

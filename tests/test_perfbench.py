@@ -29,5 +29,5 @@ def test_tracer_finds_every_wrapped_call_site(monkeypatch):
     finally:
         tracer.uninstall()
     # the tracer still wraps sparsify.dense_tile, which the package no
-    # longer has (ROADMAP item 4); every other wrapped name must exist
+    # longer has (ROADMAP item 6); every other wrapped name must exist
     assert tracer.absent == ["binsparx.sparsify:dense_tile"]

@@ -336,10 +336,16 @@ class TestProblemValidation:
                           DeviceModel.sram8t(), WireModel.preset("M3"), V,
                           topology="diagonal")
 
-    def test_solver_arg_validation(self):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # inf would accept any start point, nan would run every column to max_iter
         p = _problem(np.ones(4, int), np.ones(4, int))
-        with pytest.raises(DomainError):
-            _fast(p, tol=0.0)
+        with pytest.raises(DomainError, match="tol"):
+            _fast(p, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            solve_column_dense(p, tol=tol)
+
+    def test_solver_arg_validation(self):
         with pytest.raises(DomainError):
             solve_columns_fast(np.ones(4), np.ones(4), DeviceModel.sram8t(),
                                WireModel.preset("M3"), V, topology="diagonal")

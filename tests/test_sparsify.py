@@ -24,8 +24,8 @@ signed_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=129)
 def _store_column(vec):
     """Static flip of one signed column as a one-column tile:
     (stored {0,1} column, flip bit, post-flip one-count)."""
-    t = sparsify_tile(tile_weights(np.asarray(vec).reshape(-1, 1), len(vec), 1))
-    return t.stored[0, :, 0, 0], int(t.column_flip[0, 0, 0]), int(t.sum_wprime[0, 0, 0])
+    t = sparsify_tile(tile_weights(np.asarray(vec).reshape(-1, 1), len(vec)))
+    return t.stored[0, :, 0], int(t.column_flip[0, 0]), int(t.sum_wprime[0, 0])
 
 
 def _apply_activation(bits, n_logical=None):
@@ -151,13 +151,13 @@ class TestPostprocess:
         for _ in range(100):
             w = rng.choice([-1, 1], size=(n, 100))
             acts = rng.choice([-1, 1], size=n)
-            tile = sparsify_tile(tile_weights(w, n, 100))
+            tile = sparsify_tile(tile_weights(w, n))
             applied, sum_i, a_flip = sparsify_activations(
                 ((acts + 1) // 2).reshape(1, 1, n), tile.n_logical, True
             )
-            raws = applied[0, 0].astype(np.int64) @ tile.stored[0, :, 0, :].astype(np.int64)
-            got = postprocess(raws, sum_i[0, 0], a_flip[0, 0], tile.sum_wprime[0, 0],
-                              tile.column_flip[0, 0], n)
+            raws = applied[0, 0].astype(np.int64) @ tile.stored[0].astype(np.int64)
+            got = postprocess(raws, sum_i[0, 0], a_flip[0, 0], tile.sum_wprime[0],
+                              tile.column_flip[0], n)
             for c in range(100):
                 assert got[c] == signed_dot(acts, w[:, c])
 
@@ -174,28 +174,28 @@ class TestTileSparsify:
     def test_matches_column_op(self, rng):
         # the grid-wide flip agrees with flipping each column on its own
         w = rng.choice([-1, 1], size=(40, 9))
-        sp = sparsify_tile(tile_weights(w, 16, 4))
+        sp = sparsify_tile(tile_weights(w, 16))
         for c in range(9):
             for r in range(3):
                 rows = w[r * 16 : (r + 1) * 16, c]
                 stored, flip, swp = _store_column(rows)
-                assert np.array_equal(sp.stored[r, : len(rows), c // 4, c % 4], stored)
-                assert sp.column_flip[r, c // 4, c % 4] == flip
-                assert sp.sum_wprime[r, c // 4, c % 4] == swp
+                assert np.array_equal(sp.stored[r, : len(rows), c], stored)
+                assert sp.column_flip[r, c] == flip
+                assert sp.sum_wprime[r, c] == swp
 
     def test_padding_stays_zero(self, rng):
         w = rng.choice([-1, 1], size=(10, 5))
-        sp = sparsify_tile(tile_weights(w, 16, 8))
+        sp = sparsify_tile(tile_weights(w, 16))
+        assert sp.stored.shape == (1, 16, 5)
         assert sp.stored[0, 10:].sum() == 0
-        assert sp.stored[0, :, 0, 5:].sum() == 0
-        assert sp.column_flip[0, 0, 5:].sum() == 0
+        assert sp.column_flip.shape == sp.sum_wprime.shape == (1, 5)
         assert sp.n_logical.tolist() == [10]
 
     def test_dense_tile_keeps_everything(self, rng):
         # sparsification off: the engine stores the mapped matrix unflipped
         w = rng.choice([-1, 1], size=(8, 4))
         dt = Engine(EngineConfig(n=8, m=4, binsparx=False, nonidealities=False)).prepare(w)
-        assert np.array_equal(dt.stored[0, :, 0, :], (w + 1) // 2)
+        assert np.array_equal(dt.stored[0], (w + 1) // 2)
         assert dt.column_flip.sum() == 0
 
 
