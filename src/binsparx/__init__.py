@@ -8,9 +8,6 @@ activation sparsification with exact sign-corrected post-processing.
 
 from .analysis import (
     DeviationSweep,
-    PartialSumHistogram,
-    cost_report,
-    profile_partial_sums,
     solver_validation_suite,
     sweep_deviation,
 )

@@ -1,23 +1,23 @@
-"""Measurement harnesses: ideal partial-sum profiling, deviation sweeps,
-sparsification statistics, and a bookkeeping cost ledger.
+"""Measurement harnesses: deviation sweeps and the solver cross-check.
 
-These reproduce, at desk scale, the measurements a hardware evaluation
-would make: histograms of ideal per-column AND sums, the growth of the
-output-current deviation with the number of ON cells, the partial-sum
-reduction delivered by sparsification, and the digital bookkeeping cost
-(ADC bits, adder/comparator/flip-gate counts - counts only, no joules).
+These reproduce, at desk scale, two measurements a hardware evaluation
+would make: the growth of the output-current deviation with the number of
+ON cells, and the agreement of the fast column solver with a dense nodal
+oracle.  Histograms of ideal per-column AND sums, and so the partial-sum
+reduction BinSparX delivers, are read from the :class:`~binsparx.engine.RunStats`
+ledger that every :meth:`~binsparx.engine.Engine.infer` run returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .devices import DEVICE_FACTORIES, WIRE_PRESETS, DeviceModel, WireModel
 from . import engine as _engine
-from .engine import Engine, RunStats
-from .errors import ConfigError, DomainError, ShapeError
+from .engine import Engine
+from .errors import ConfigError, DomainError
 from .readout import dummy_compensate
 from .solver import (
     ColumnProblem,
@@ -25,77 +25,12 @@ from .solver import (
     solve_column_linear_ladder,
     solve_columns_fast,
 )
-from .sparsify import adc_bits_required
 
 __all__ = [
-    "PartialSumHistogram",
     "DeviationSweep",
-    "profile_partial_sums",
     "sweep_deviation",
-    "cost_report",
     "solver_validation_suite",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PartialSumHistogram:
-    """Counts of ideal per-column AND sums, indexed 0..n."""
-
-    counts: np.ndarray
-    per_layer: dict
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def mean(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return float((self.counts * np.arange(len(self.counts))).sum() / self.total)
-
-    def reduction_vs(self, baseline: "PartialSumHistogram") -> float:
-        """1 - mean/baseline_mean: the fraction shaved off the average sum."""
-        if baseline.mean == 0:
-            raise DomainError("baseline histogram has zero mean")
-        return 1.0 - self.mean / baseline.mean
-
-
-def _ideal_engine(engine: Engine, binsparx: bool) -> Engine:
-    if engine.config.nonidealities:
-        raise ConfigError("profiling requires an ideal engine (nonidealities off)")
-    if engine.config.binsparx == binsparx:
-        return engine
-    return Engine(replace(engine.config, binsparx=binsparx))
-
-
-def _hist_from_stats(stats: RunStats) -> PartialSumHistogram:
-    bins = stats.hist_bins + 1
-    total = np.zeros(bins, dtype=np.int64)
-    per_layer = {}
-    for name, h in sorted(stats.layer_hist.items()):
-        total += h
-        per_layer[name] = h.copy()
-    return PartialSumHistogram(counts=total, per_layer=per_layer)
-
-
-def profile_partial_sums(
-    engine: Engine,
-    layers,
-    features: np.ndarray,
-    binsparx: bool,
-) -> PartialSumHistogram:
-    """Histogram the ideal AND sum of every (tile, column, input) triple
-    produced while running a model on a dataset.
-
-    ``engine`` must have non-idealities disabled; its sparsification flag
-    is overridden by ``binsparx`` so paired on/off profiles share
-    everything else.
-    """
-    eng = _ideal_engine(engine, binsparx)
-    stats = RunStats(eng.config.n)
-    eng.infer(layers, features, stats=stats)
-    return _hist_from_stats(stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +66,7 @@ def sweep_deviation(
     engine: Engine,
     x_values,
     trials_per_x: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DeviationSweep:
     """Sample columns with exactly ``x`` coincident ON cells and measure the
     output-current deviation from the x*quantum ideal, in units of the
@@ -148,16 +83,18 @@ def sweep_deviation(
     trials; each group is one :meth:`Engine.solve_rows` call, which solves
     the dummy column beside every drawn column where the engine has one.
     A column's solve does not depend on its batch, so the result equals
-    one call per x bit for bit.
+    one call per x bit for bit.  The sweep measures the electrical solve,
+    so an engine with non-idealities off is a ``ConfigError``.
     """
+    if not engine.config.nonidealities:
+        raise ConfigError("sweep_deviation: the sweep measures the electrical solve, "
+                          "so [run] nonidealities must be true")
     if trials_per_x < 1:
         raise DomainError("trials_per_x must be >= 1")
     n = engine.config.n
     xs = np.asarray(list(x_values), dtype=np.int64)
     if xs.size and (xs.min() < 0 or xs.max() > n):
         raise DomainError(f"x values must lie in [0, {n}]")
-    if rng is None:
-        rng = np.random.default_rng(engine.config.seed)
     # one ADC quantum per ON cell; with dummy compensation enabled the
     # quantum already accounts for the subtracted per-row HRS share
     quantum = engine.adc.quantum
@@ -203,53 +140,6 @@ def sweep_deviation(
         x_values=xs, samples=samples, mean=means, mn=mns, mx=mxs,
         mean_abs=mabs, nonconverged=noncvg,
     )
-
-
-def cost_report(engine: Engine, rows: int | None = None, cols: int | None = None) -> dict:
-    """Digital bookkeeping cost of one VMM on a rows x cols matrix.
-
-    Counts only: adder-tree additions, comparators, XOR flip gates,
-    subtractor uses, output negations, and flip-register bits.  ADC widths
-    are reported for both operating modes when the tile rows are a power
-    of two.
-    """
-    cfg = engine.config
-    n, m = cfg.n, cfg.m
-    rows = n if rows is None else rows
-    cols = m if cols is None else cols
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"cost_report: empty {rows}x{cols} matrix")
-    rt, ct = -(-rows // n), -(-cols // m)
-    tiles = rt * ct
-    bsx = cfg.binsparx
-
-    try:
-        bits_base, bits_bsx = (adc_bits_required(n, on) for on in (False, True))
-    except ConfigError:  # n is not a power of two
-        bits_base = bits_bsx = None
-
-    return {
-        "array": {"n": n, "m": m, "rows": rows, "cols": cols,
-                  "row_tiles": rt, "col_tiles": ct, "tiles": tiles},
-        "adc_bits": {"baseline": bits_base, "binsparx": bits_bsx,
-                     "in_use": engine.adc.bits},
-        "per_vmm": {
-            # the activation-sum adder trees exist in both modes (the
-            # post-processing needs sum(I') regardless)
-            "activation_adder_tree_adds": rt * (n - 1),
-            "cross_tile_accumulate_adds": cols * (rt - 1),
-            "postprocess_adds": 3 * rt * cols,
-            "comparators": rt if bsx else 0,
-            "activation_xor_gates": rt * n if bsx else 0,
-            "sum_subtractor_uses": rt if bsx else 0,
-            "output_negations": rt * cols if bsx else 0,
-        },
-        "registers": {
-            "column_flip_bits_per_tile": m if bsx else 0,
-            "column_flip_bits_total": tiles * m if bsx else 0,
-        },
-        "binsparx": bsx,
-    }
 
 
 # the corners solver_validation_suite runs, and the tolerance both of its

@@ -25,14 +25,16 @@ import numpy as np
 from . import analysis, modelio
 from .config import build_engine_config, describe_defaults, load_run_config
 from .devices import WIRE_PRESETS
-from .engine import Engine, RunStats
+from .engine import Engine
 from .errors import (
     BinsparxError,
     ConfigError,
+    DomainError,
     NonConvergenceError,
     ParseError,
     ValidationError,
 )
+from .sparsify import adc_bits_required
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,40 +155,45 @@ def cmd_validate_solver(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _resolve_config(args)
-    engine = Engine(replace(build_engine_config(cfg), nonidealities=False, adc_bits="full"))
+    ideal = replace(build_engine_config(cfg), nonidealities=False, adc_bits="full")
+    engines = [Engine(replace(ideal, binsparx=b)) for b in (False, True)]
     layers = modelio.load_model(args.model)
     ds = _load_dataset(args)
-    out = _outdir(cfg)
     thr = cfg["run"]["binarize_threshold"]
     feats = np.where(ds.features > thr, 1.0, -1.0)
-    hist_off = analysis.profile_partial_sums(engine, layers, feats, binsparx=False)
-    hist_on = analysis.profile_partial_sums(engine, layers, feats, binsparx=True)
-    reduction = hist_on.reduction_vs(hist_off)
+    off, on = (engine.infer(layers, feats).stats for engine in engines)
+    off_mean, on_mean = off.mean_ideal_sum(), on.mean_ideal_sum()
+    if off_mean == 0:
+        raise DomainError("baseline histogram has zero mean")
+    reduction = 1.0 - on_mean / off_mean
+    hist_off, hist_on = off.histogram(), on.histogram()
+    samples = int(hist_off.sum())
+    out = _outdir(cfg)
     echo = _echo(cfg, "profile")
-    modelio.write_histogram_csv(out / "profile_baseline.csv", hist_off.counts, echo)
-    modelio.write_histogram_csv(out / "profile_binsparx.csv", hist_on.counts, echo)
+    modelio.write_histogram_csv(out / "profile_baseline.csv", hist_off, echo)
+    modelio.write_histogram_csv(out / "profile_binsparx.csv", hist_on, echo)
     modelio.write_json(
         out / "profile_summary.json",
         {
             **echo,
-            "baseline_mean": hist_off.mean,
-            "binsparx_mean": hist_on.mean,
+            "baseline_mean": off_mean,
+            "binsparx_mean": on_mean,
             "reduction": reduction,
-            "samples": hist_off.total,
+            "samples": samples,
         },
     )
-    print(f"baseline mean {hist_off.mean:.4f}  sparsified mean {hist_on.mean:.4f}  "
-          f"reduction {100 * reduction:.2f}%  ({hist_off.total} column samples)")
+    print(f"baseline mean {off_mean:.4f}  sparsified mean {on_mean:.4f}  "
+          f"reduction {100 * reduction:.2f}%  ({samples} column samples)")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     engine = Engine(build_engine_config(cfg))
-    out = _outdir(cfg)
     rng = np.random.default_rng(cfg["run"]["seed"])
     xs = range(0, cfg["array"]["n"] + 1)
     sweep = analysis.sweep_deviation(engine, xs, cfg["run"]["trials"], rng=rng)
+    out = _outdir(cfg)
     modelio.write_sweep_csv(out / "sweep.csv", sweep, _echo(cfg, "sweep"))
     total_bad = int(sweep.nonconverged.sum())
     print(f"sweep written to {out / 'sweep.csv'} "
@@ -202,17 +209,16 @@ def cmd_infer(args) -> int:
     layers = modelio.load_model(args.model)
     ds = _load_dataset(args)
     out = _outdir(cfg)
-    stats = RunStats(cfg["array"]["n"])
     result = engine.infer(
         layers, ds.features, ds.labels,
-        binarize_threshold=cfg["run"]["binarize_threshold"], stats=stats,
+        binarize_threshold=cfg["run"]["binarize_threshold"],
     )
     echo = _echo(cfg, "infer")
     modelio.write_predictions_csv(out / "predictions.csv", result.predictions, ds.labels, echo)
     modelio.write_json(
         out / "infer_stats.json",
         {**echo, "accuracy": result.accuracy, "inputs": int(len(result.predictions)),
-         "stats": stats.to_dict()},
+         "stats": result.stats.to_dict()},
     )
     if result.accuracy is not None:
         print(f"accuracy: {result.accuracy:.4f} over {len(result.predictions)} inputs")
@@ -244,7 +250,10 @@ def cmd_sparsify(args) -> int:
                 f"sparsified mapping of layer {name!r} failed the exactness probe"
             )
 
-    adc_bits = analysis.cost_report(engine)["adc_bits"]
+    try:
+        bits_before, bits_after = (adc_bits_required(n, on) for on in (False, True))
+    except ConfigError:  # n is not a power of two
+        bits_before = bits_after = None
     map_dir = out / "mapping"
     map_dir.mkdir(parents=True, exist_ok=True)
     report_layers = []
@@ -285,8 +294,8 @@ def cmd_sparsify(args) -> int:
                 "flip_fraction": flipped / total_cols,
                 "mean_column_ones_before": float(ones_before.mean()),
                 "mean_column_ones_after": float(ones_after.mean()),
-                "adc_bits_before": adc_bits["baseline"],
-                "adc_bits_after": adc_bits["binsparx"],
+                "adc_bits_before": bits_before,
+                "adc_bits_after": bits_after,
             }
         )
         map_layers.append(

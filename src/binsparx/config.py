@@ -226,7 +226,6 @@ def build_engine_config(cfg: dict) -> EngineConfig:
         solver_tol=cfg["solver"]["tol"],
         solver_max_iter=cfg["solver"]["max_iter"],
         topology=cfg["solver"]["topology"],
-        seed=cfg["run"]["seed"],
         best_effort=cfg["run"]["best_effort"],
     )
 

@@ -83,7 +83,7 @@ _MAX_BATCH_ELEMS = 2**18
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every knob of one run.  ``seed`` pins all stochastic choices."""
+    """Every knob of one run.  The engine makes no random choice."""
 
     n: int = 64
     m: int = 64
@@ -100,7 +100,6 @@ class EngineConfig:
     solver_tol: float = 1e-6
     solver_max_iter: int = 200
     topology: str = "opposite"
-    seed: int = 0
     best_effort: bool = False
 
     def __post_init__(self):
@@ -151,8 +150,10 @@ class EngineConfig:
 
 
 class RunStats:
-    """Mutable per-run aggregates: ideal-sum histograms, deviations, events.
+    """The one per-run ledger: ideal-sum histograms, deviations, events.
 
+    :meth:`Engine.vmm_batch` always writes one, a scratch ledger when its
+    caller passes none; ``binsparx profile`` and ``infer`` read theirs.
     ``clamp_events`` and ``nonconverged`` count once per input and column.
     In hardware every m-column array reads its own dummy column, so a
     dummy solve that does not converge, or a digital-domain dummy level
@@ -181,6 +182,18 @@ class RunStats:
         )
         self.layer_dev_count[layer] = self.layer_dev_count.get(layer, 0) + absdev.size
 
+    def histogram(self, layer: str | None = None) -> np.ndarray:
+        """Counts of ideal AND sums 0..hist_bins: one layer's, or all layers summed."""
+        total = np.zeros(self.hist_bins + 1, dtype=np.int64)
+        for name in self.layer_hist if layer is None else [layer]:
+            total += self.layer_hist.get(name, 0)
+        return total
+
+    def mean_ideal_sum(self, layer: str | None = None) -> float:
+        hist = self.histogram(layer)
+        total = hist.sum()
+        return float((hist * np.arange(len(hist))).sum() / total) if total else 0.0
+
     def mean_abs_deviation(self, layer: str | None = None) -> float:
         if layer is not None:
             c = self.layer_dev_count.get(layer, 0)
@@ -197,11 +210,7 @@ class RunStats:
                 name: {
                     "histogram": hist.tolist(),
                     "samples": int(hist.sum()),
-                    "mean_ideal_sum": (
-                        float((hist * np.arange(len(hist))).sum() / hist.sum())
-                        if hist.sum()
-                        else 0.0
-                    ),
+                    "mean_ideal_sum": self.mean_ideal_sum(name),
                     "mean_abs_deviation": self.mean_abs_deviation(name),
                 }
                 for name, hist in sorted(self.layer_hist.items())
@@ -277,7 +286,12 @@ class Engine:
         stats: RunStats | None = None,
         layer: str = "vmm",
     ) -> np.ndarray:
-        """Signed VMM of (B, rows) activation rows against a prepared matrix."""
+        """Signed VMM of (B, rows) activation rows against a prepared matrix.
+
+        Writes the ideal counts, deviations, clamps and non-convergence of
+        every row tile to ``stats`` under ``layer``; with ``stats`` None
+        they go to a scratch :class:`RunStats`.
+        """
         acts = np.atleast_2d(np.asarray(activations))
         if acts.shape[1] != prepared.rows:
             raise ShapeError(
@@ -286,6 +300,8 @@ class Engine:
         if acts.size and not np.isin(acts, (-1, 1)).all():
             raise DomainError("activations must be in {-1,+1}")
         cfg = self.config
+        if stats is None:
+            stats = RunStats(cfg.n)
         B = acts.shape[0]
         row_tiles, n, cols = prepared.stored.shape
         n_logical = prepared.n_logical
@@ -306,8 +322,7 @@ class Engine:
                 cap = (nl + 1) // 2
                 if ideal.size and int(ideal.max()) > cap:
                     raise BinsparxError(f"internal: ideal column sum exceeds the {cap} cap")
-            if stats is not None:
-                stats.add_ideal(layer, ideal)
+            stats.add_ideal(layer, ideal)
             if cfg.nonidealities:
                 # a column's solve depends only on its stored bits and its
                 # gate row: solve each distinct gate row once, then expand
@@ -339,15 +354,13 @@ class Engine:
                 # digitization reduces to integer saturation
                 raw = np.minimum(ideal, self.adc.levels - 1)
                 nonconv, clamps = 0, int((ideal > self.adc.levels - 1).sum())
-            if stats is not None:
-                stats.nonconverged += nonconv
+            stats.nonconverged += nonconv
             if nonconv and not cfg.best_effort:
                 raise NonConvergenceError(
                     f"{nonconv} column solve(s) did not converge in layer {layer!r}"
                 )
-            if stats is not None:
-                stats.clamp_events += clamps
-                stats.add_deviation(layer, np.abs(raw - ideal))
+            stats.clamp_events += clamps
+            stats.add_deviation(layer, np.abs(raw - ideal))
             out += postprocess(raw, sum_i[:, r, None], a_flip[:, r, None],
                                prepared.sum_wprime[r], prepared.column_flip[r], nl)
         return out

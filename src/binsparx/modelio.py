@@ -132,49 +132,81 @@ def _read_blob(base: Path, entry: dict, key: str, dtype: str, count: int) -> np.
     return arr
 
 
+def _ints(entry: dict, name: str, key: str, ndim: int | None = None) -> tuple:
+    """``entry[key]`` as a tuple of positive ints, ``ndim`` of them when given."""
+    value = entry.get(key)
+    if not (isinstance(value, list) and value and ndim in (None, len(value))
+            and all(type(v) is int and v > 0 for v in value)):
+        size = f"{ndim} " if ndim else ""
+        raise ParseError(f"layer {name!r}: {key!r} must be a list of {size}positive "
+                         f"integers, got {value!r}")
+    return tuple(value)
+
+
+def _scalar(entry: dict, name: str, key: str, default):
+    """``entry[key]``, which must have the type of ``default`` (a bool is no int)."""
+    value = entry.get(key, default)
+    if type(value) is not type(default):
+        raise ParseError(f"layer {name!r}: {key!r} must be a {type(default).__name__}, "
+                         f"got {value!r}")
+    return value
+
+
 def load_model(manifest_path) -> list[LayerSpec]:
-    """Parse a manifest and its blobs into engine layer specs."""
+    """Parse a manifest and its blobs into engine layer specs.
+
+    A manifest that is not a JSON object, a ``layers`` entry that is not a
+    list of objects, a missing or ill-typed ``shape``, ``stride``,
+    ``padding``, ``in_shape`` or ``full_precision``, and a ``name`` that is
+    not a string or not unique are ``ParseError``s naming the layer: the
+    run ledger keys its per-layer counts by name.
+    """
     path = Path(manifest_path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: cannot parse manifest ({exc})") from exc
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError(f"{path}: not a {MODEL_FORMAT} manifest")
+    entries = doc.get("layers", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: 'layers' must be a list, got {entries!r}")
     base = path.parent
     layers = []
-    for entry in doc.get("layers", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: layer {len(layers)} must be an object, got {entry!r}")
         kind = entry.get("kind")
-        name = entry.get("name", f"layer{len(layers)}")
+        default = f"layer{len(layers)}"
+        name = _scalar(entry, default, "name", default)
+        if any(layer.name == name for layer in layers):
+            raise ParseError(f"layer {name!r}: duplicate layer name")
         if kind == "dense":
-            shape = tuple(entry["shape"])
+            shape = _ints(entry, name, "shape", 2)
             w = _read_blob(base, entry, "file", "<i1", int(np.prod(shape))).reshape(shape)
             layers.append(
                 LayerSpec(
                     name=name,
                     kind="dense",
                     weights=BinaryTensor(w),
-                    full_precision=bool(entry.get("full_precision", False)),
+                    full_precision=_scalar(entry, name, "full_precision", False),
                 )
             )
         elif kind == "conv":
-            shape = tuple(entry["shape"])
-            if len(shape) != 4:
-                raise ParseError(f"layer {name!r}: conv shape must be 4-D")
+            shape = _ints(entry, name, "shape", 4)
             w = _read_blob(base, entry, "file", "<i1", int(np.prod(shape))).reshape(shape)
             layers.append(
                 LayerSpec(
                     name=name,
                     kind="conv",
                     weights=BinaryTensor(w),
-                    stride=int(entry.get("stride", 1)),
-                    padding=int(entry.get("padding", 0)),
-                    in_shape=tuple(entry["in_shape"]) if entry.get("in_shape") else None,
+                    stride=_scalar(entry, name, "stride", 1),
+                    padding=_scalar(entry, name, "padding", 0),
+                    in_shape=_ints(entry, name, "in_shape", 3) if entry.get("in_shape") else None,
                 )
             )
         elif kind == "threshold":
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
+            count = int(np.prod(_ints(entry, name, "shape")))
             t = _read_blob(base, entry, "file", "<i4", count).astype(np.int64)
             s = _read_blob(base, entry, "sign_file", "<i1", count)
             layers.append(

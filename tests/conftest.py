@@ -29,7 +29,10 @@ def pytest_configure(config):
     # A ConfigWarning that no test expects fails the test.  Registered here
     # rather than in pyproject.toml: pytest imports an ini filter's warning
     # class, and with it numpy, before this file pins the BLAS threads.
-    config.addinivalue_line("filterwarnings", "error::binsparx.errors.ConfigWarning")
+    # So do a NaN or overflow in a solve (RuntimeWarning) and a deprecated
+    # numpy call (DeprecationWarning), which would otherwise pass quietly.
+    for category in ("binsparx.errors.ConfigWarning", "DeprecationWarning", "RuntimeWarning"):
+        config.addinivalue_line("filterwarnings", f"error::{category}")
 
 
 def signed_dot(i_signed, w_signed) -> int:

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from binsparx import engine as engine_module
-from binsparx.analysis import (
-    PartialSumHistogram,
-    cost_report,
-    profile_partial_sums,
-    solver_validation_suite,
-    sweep_deviation,
-)
+from binsparx.analysis import solver_validation_suite, sweep_deviation
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import Engine, EngineConfig, LayerSpec
-from binsparx.errors import ConfigError, DomainError
+from binsparx.errors import ConfigError
 
 ZERO_WIRE = WireModel(0.0, 0.0, 0.0, 0.0)
 
@@ -34,30 +28,10 @@ def test_sweep_without_parasitics_has_no_deviation(rng, device):
         assert np.abs(values).max() <= 1e-12
 
 
-@pytest.mark.parametrize("binsparx", [False, True])
-def test_cost_report_ragged_matrix(binsparx):
-    eng = Engine(EngineConfig(n=64, m=64, binsparx=binsparx))
-    rep = cost_report(eng, rows=200, cols=70)
-    # 200 rows: tiles of 64, 64, 64, 8 rows; 70 cols: tiles of 64, 6 cols
-    row_tiles, col_tiles = 4, 2
-    assert rep["array"] == {"n": 64, "m": 64, "rows": 200, "cols": 70,
-                            "row_tiles": row_tiles, "col_tiles": col_tiles, "tiles": 8}
-    # 64 rows need 6 bits, 5 once BinSparX halves the column sums
-    assert rep["adc_bits"] == {"baseline": 6, "binsparx": 5,
-                               "in_use": 5 if binsparx else 6}
-    per_vmm = {
-        "activation_adder_tree_adds": 4 * 63,
-        "cross_tile_accumulate_adds": 70 * 3,
-        "postprocess_adds": 3 * 4 * 70,
-        "comparators": 4 if binsparx else 0,
-        "activation_xor_gates": 4 * 64 if binsparx else 0,
-        "sum_subtractor_uses": 4 if binsparx else 0,
-        "output_negations": 4 * 70 if binsparx else 0,
-    }
-    assert rep["per_vmm"] == per_vmm
-    assert rep["registers"] == {"column_flip_bits_per_tile": 64 if binsparx else 0,
-                                "column_flip_bits_total": 8 * 64 if binsparx else 0}
-    assert rep["binsparx"] is binsparx
+def test_sweep_refuses_an_ideal_engine(rng):
+    eng = Engine(EngineConfig(n=16, m=16, nonidealities=False))
+    with pytest.raises(ConfigError, match="nonidealities"):
+        sweep_deviation(eng, range(17), 5, rng=rng)
 
 
 SWEEP_CASES = {
@@ -151,18 +125,10 @@ def test_partial_sum_reduction_on_random_data(rng):
     # mean ideal AND sum can only fall
     layers = [LayerSpec("fc1", "dense", BinaryTensor(rng.choice([-1, 1], size=(100, 40))))]
     x = rng.choice([-1, 1], size=(30, 100)).astype(np.float64)
-    eng = Engine(EngineConfig(n=64, m=16, nonidealities=False))
-    on = profile_partial_sums(eng, layers, x, binsparx=True)
-    off = profile_partial_sums(eng, layers, x, binsparx=False)
-    assert on.total == off.total > 0
-    assert on.reduction_vs(off) >= 0
-
-
-def test_reduction_vs_zero_mean_baseline():
-    zero = PartialSumHistogram(counts=np.array([7, 0, 0]), per_layer={})
-    some = PartialSumHistogram(counts=np.array([1, 1, 1]), per_layer={})
-    with pytest.raises(DomainError):
-        some.reduction_vs(zero)
+    on, off = (Engine(EngineConfig(n=64, m=16, nonidealities=False, binsparx=b))
+               .infer(layers, x).stats for b in (True, False))
+    assert on.histogram().sum() == off.histogram().sum() == 30 * 2 * 40
+    assert on.mean_ideal_sum() <= off.mean_ideal_sum()
 
 
 def test_solver_validation_suite_passes():

@@ -256,6 +256,92 @@ def test_profile_writes_histograms(tmp_path, rng, model):
     assert summary["reduction"] >= 0
 
 
+def _hand_counts(acts, w, flips):
+    """Histogram 0..N of the ideal AND count of every (row tile, column,
+    input) of one layer, counted cell by cell.  With ``flips`` a column is
+    stored complemented when its signed sum over the tile is >= 0, and an
+    activation sub-vector is applied complemented when more than half of
+    its entries are +1."""
+    hist = [0] * (N + 1)
+    rows, cols = w.shape
+    for a in acts:
+        for r0 in range(0, rows, N):
+            tile = range(r0, min(r0 + N, rows))
+            a_flip = flips and 2 * sum(a[k] > 0 for k in tile) > len(tile)
+            for c in range(cols):
+                w_flip = flips and sum(int(w[k, c]) for k in tile) >= 0
+                count = sum(((a[k] > 0) != a_flip) and ((w[k, c] > 0) != w_flip)
+                            for k in tile)
+                hist[count] += 1
+    return hist
+
+
+def test_profile_equals_a_hand_count(tmp_path, rng):
+    # two ragged dense layers on 8-row tiles: 13 = 8 + 5 rows, 11 = 8 + 3
+    fc1 = rng.choice([-1, 1], size=(13, 11))
+    fc2 = rng.choice([-1, 1], size=(11, 5))
+    path = modelio.save_model(tmp_path / "model", [
+        {"name": "fc1", "kind": "dense", "weights": fc1},
+        {"name": "act1", "kind": "sign"},
+        {"name": "fc2", "kind": "dense", "weights": fc2},
+    ])
+    X = rng.choice([-1, 1], size=(6, 13))
+    data = tmp_path / "data.csv"
+    data.write_text("".join("0," + ",".join(f"{v:.1f}" for v in row) + "\n" for row in X))
+    out = tmp_path / "out"
+    argv = ["profile", "--model", str(path), "--dataset", str(data), "--out", str(out), *TILES]
+    assert cli.main(argv) == 0
+    hidden = np.where(X @ fc1 >= 0, 1, -1)  # ideal and exact in both modes
+    means = {}
+    for name, flips in (("baseline", False), ("binsparx", True)):
+        want = [a + b for a, b in zip(_hand_counts(X, fc1, flips), _hand_counts(hidden, fc2, flips))]
+        rows = _csv_rows(out / f"profile_{name}.csv")
+        assert [(int(r["bin"]), int(r["count"])) for r in rows] == list(enumerate(want))
+        means[name] = sum(k * c for k, c in enumerate(want)) / sum(want)
+    summary = json.loads((out / "profile_summary.json").read_text())
+    assert summary["samples"] == 6 * (2 * 11 + 2 * 5)
+    assert summary["baseline_mean"] == means["baseline"]
+    assert summary["binsparx_mean"] == means["binsparx"]
+    assert summary["reduction"] == 1.0 - means["binsparx"] / means["baseline"]
+
+
+def test_profile_of_a_zero_mean_baseline_exits_4(tmp_path, rng, capsys):
+    # all -1 weights store no 1 at all: every AND count is 0
+    path = modelio.save_model(tmp_path / "model", [
+        {"name": "fc1", "kind": "dense", "weights": -np.ones((49, 4), dtype=np.int8)}])
+    out = tmp_path / "out"
+    argv = ["profile", "--model", str(path), "--dataset", str(_dataset(tmp_path, rng, 3)),
+            "--out", str(out), *TILES]
+    assert cli.main(argv) == 4
+    assert "baseline histogram has zero mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, bits", [(8, [3, 2]), (6, [None, None])])
+def test_sparsify_report_adc_bits(tmp_path, model, n, bits):
+    # a power-of-two n needs log2(n) bits, one fewer with BinSparX; any
+    # other n has no reduced ADC width
+    out = tmp_path / "out"
+    argv = ["sparsify", "--model", str(model[0]), "--out", str(out),
+            "--set", f"array.n={n}", "--set", f"array.m={M}"]
+    assert cli.main(argv) == 0
+    report = json.loads((out / "sparsify_report.json").read_text())
+    assert [[e["adc_bits_before"], e["adc_bits_after"]] for e in report["layers"]] == [bits] * 3
+
+
+@pytest.mark.parametrize("ideal", [["--ideal"], ["--set", "run.nonidealities=false"]],
+                         ids=["flag", "key"])
+def test_sweep_refuses_the_ideal_path(tmp_path, capsys, ideal):
+    # the sweep measures the electrical solve; with it off every row would
+    # repeat the electrical sweep's numbers under an ideal config echo
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--set", "run.trials=2", *TILES, *ideal]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "nonidealities" in err
+    assert not out.exists()
+
+
 def test_validate_solver_takes_its_own_trials(tmp_path):
     # the suite fixes its own tolerance and presets: [solver] and [wire]
     # values are only echoed in the config, and the report's settings say

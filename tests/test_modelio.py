@@ -1,6 +1,8 @@
 """Model manifests, dataset readers and the deterministic writers."""
 
 import gzip
+import json
+import re
 import struct
 
 import numpy as np
@@ -52,6 +54,58 @@ class TestModelRoundTrip:
         (tmp_path / "fc.bin").write_bytes(b"\x01" * 11)
         with pytest.raises(ParseError, match="11 elements, expected 12"):
             modelio.load_model(path)
+
+
+def _set(layer, key, value):
+    """A manifest edit: set (or with ``value`` None drop) one layer key."""
+    def edit(doc):
+        entry = next(e for e in doc["layers"] if e["name"] == layer)
+        if value is None:
+            entry.pop(key)
+        else:
+            entry[key] = value
+        return doc
+    return edit
+
+
+MALFORMED = {
+    "dense-without-shape": (_set("fc", "shape", None), "layer 'fc': 'shape'"),
+    "dense-shape-3d": (_set("fc", "shape", [2, 2, 3]), "layer 'fc': 'shape'"),
+    "dense-shape-string": (_set("fc", "shape", "4x3"), "layer 'fc': 'shape'"),
+    "dense-shape-float": (_set("fc", "shape", [4.0, 3]), "layer 'fc': 'shape'"),
+    "full-precision-string": (_set("fc", "full_precision", "no"),
+                              "layer 'fc': 'full_precision'"),
+    "conv-shape-2d": (_set("conv", "shape", [2, 9]), "layer 'conv': 'shape'"),
+    "stride-float": (_set("conv", "stride", 1.5), "layer 'conv': 'stride'"),
+    "stride-bool": (_set("conv", "stride", True), "layer 'conv': 'stride'"),
+    "padding-string": (_set("conv", "padding", "1"), "layer 'conv': 'padding'"),
+    "in-shape-2d": (_set("conv", "in_shape", [1, 3]), "layer 'conv': 'in_shape'"),
+    "threshold-without-shape": (_set("bn", "shape", None), "layer 'bn': 'shape'"),
+    "name-int": (_set("fc", "name", 5), "layer 'layer1': 'name'"),
+    "name-duplicate": (_set("bn", "name", "fc"), "layer 'fc': duplicate layer name"),
+    "manifest-list": (lambda doc: [doc], "not a binsparx-model manifest"),
+    "layers-string": (lambda doc: {**doc, "layers": "fc"}, "'layers' must be a list"),
+    "layer-string": (lambda doc: {**doc, "layers": ["fc"]}, "layer 0 must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_manifest_is_a_parse_error(tmp_path, rng, capsys, case):
+    edit, message = MALFORMED[case]
+    path = modelio.save_model(tmp_path, [
+        {"name": "conv", "kind": "conv", "weights": rng.choice([-1, 1], size=(2, 1, 3, 3)),
+         "in_shape": (1, 3, 3)},
+        {"name": "fc", "kind": "dense", "weights": rng.choice([-1, 1], size=(4, 3))},
+        {"name": "bn", "kind": "threshold", "thresholds": [0, 1, 2], "gamma_sign": [1, -1, 1]},
+    ])
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        modelio.load_model(path)
+    out = tmp_path / "out"
+    assert cli.main(["sparsify", "--model", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestIdx:
