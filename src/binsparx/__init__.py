@@ -41,7 +41,6 @@ from .solver import (
     ColumnSolveResult,
     FastBatchResult,
     solve_column_dense,
-    solve_column_linear_ladder,
     solve_columns_fast,
 )
 from .sparsify import (

@@ -229,6 +229,8 @@ def cmd_infer(args) -> int:
 
 def cmd_sparsify(args) -> int:
     cfg = _resolve_config(args)
+    if not cfg["binsparx"]["enabled"]:
+        raise ConfigError("sparsify flips weight columns, so it needs binsparx.enabled=true")
     engine = Engine(replace(
         build_engine_config(cfg), binsparx=True, nonidealities=False, adc_bits="full"
     ))

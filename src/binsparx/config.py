@@ -25,7 +25,6 @@ from .devices import (CURVES, DEVICE_FACTORIES, WIRE_PRESETS, DeviceModel, WireM
 from .engine import EngineConfig
 from .errors import ConfigError
 from .readout import DUMMY_DOMAINS, ROUNDINGS
-from .solver import TOPOLOGIES
 
 __all__ = [
     "SCHEMA",
@@ -79,7 +78,6 @@ SCHEMA = {
     "solver": {
         "tol": ("float", 1e-6, "relative convergence tolerance"),
         "max_iter": ("int", 200, "Newton iteration cap"),
-        "topology": ("|".join(TOPOLOGIES), "opposite", "sense-pad end"),
     },
     "run": {
         "seed": ("int", 0, "root seed for all randomness"),
@@ -225,7 +223,6 @@ def build_engine_config(cfg: dict) -> EngineConfig:
         dummy_domain=cfg["dummy"]["domain"],
         solver_tol=cfg["solver"]["tol"],
         solver_max_iter=cfg["solver"]["max_iter"],
-        topology=cfg["solver"]["topology"],
         best_effort=cfg["run"]["best_effort"],
     )
 

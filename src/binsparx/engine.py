@@ -39,6 +39,7 @@ current, which IR drop, leakage and nonlinearity can move off the ideal.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -55,7 +56,7 @@ from .errors import (
     ShapeError,
 )
 from .readout import DUMMY_DOMAINS, AdcModel, dummy_compensate
-from .solver import TOPOLOGIES, solve_columns_fast
+from .solver import solve_columns_fast
 from .sparsify import adc_bits_required, postprocess, sparsify_activations, sparsify_tile
 
 __all__ = [
@@ -81,6 +82,13 @@ __all__ = [
 _MAX_BATCH_ELEMS = 2**18
 
 
+def _token_or_number(value, tokens, kind) -> bool:
+    """``value`` is one of the string ``tokens`` or a ``kind`` number that is not a bool."""
+    if isinstance(value, str):
+        return value in tokens
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Every knob of one run.  The engine makes no random choice."""
@@ -99,21 +107,24 @@ class EngineConfig:
     dummy_domain: str = "analog"        # one of readout.DUMMY_DOMAINS
     solver_tol: float = 1e-6
     solver_max_iter: int = 200
-    topology: str = "opposite"
     best_effort: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError("EngineConfig: tile geometry must be >= 1")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"EngineConfig: topology must be one of {TOPOLOGIES}, "
-                              f"got {self.topology!r}")
         if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise ConfigError(
                 f"EngineConfig: solver_tol must be finite and > 0, got {self.solver_tol}")
         if self.solver_max_iter < 1:
             raise ConfigError(
                 f"EngineConfig: solver_max_iter must be >= 1, got {self.solver_max_iter}")
+        # checked, not resolved: cmd_profile swaps adc_bits after building
+        if not _token_or_number(self.adc_bits, ("auto", "full"), numbers.Integral):
+            raise ConfigError(f"EngineConfig: adc_bits must be 'auto', 'full' or an int, "
+                              f"got {self.adc_bits!r}")
+        if not _token_or_number(self.adc_quantum, ("auto",), numbers.Real):
+            raise ConfigError(f"EngineConfig: adc_quantum must be 'auto' or a number, "
+                              f"got {self.adc_quantum!r}")
         if self.dummy_enabled not in (True, False, "auto"):
             raise ConfigError(f"EngineConfig: dummy_enabled must be True, False or 'auto', "
                               f"got {self.dummy_enabled!r}")
@@ -126,10 +137,8 @@ class EngineConfig:
             bits = adc_bits_required(self.n, self.binsparx)
         elif self.adc_bits == "full":
             bits = int(self.n).bit_length()  # ceil(log2(n+1)): never saturates
-        elif isinstance(self.adc_bits, int):
-            bits = self.adc_bits
         else:
-            raise ConfigError(f"EngineConfig: bad adc_bits {self.adc_bits!r}")
+            bits = int(self.adc_bits)
         if self.adc_quantum == "auto":
             # dummy compensation subtracts i_hrs for every asserted row, so
             # one compensated ON cell is worth i_on - i_hrs, not i_on
@@ -243,7 +252,7 @@ class Engine:
         """
         cfg = self.config
         res = solve_columns_fast(
-            stored, gates, cfg.device, cfg.wire, cfg.device.v_nominal, cfg.topology,
+            stored, gates, cfg.device, cfg.wire, cfg.device.v_nominal,
             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
         )
         return res.i_out, res.converged
@@ -422,6 +431,10 @@ class Engine:
                 x = np.where(x >= 0, 1, -1).astype(np.int8)
             elif layer.kind == "threshold":
                 axis = 1 if x.ndim == 4 else -1
+                width = len(layer.thresholds.thresholds)
+                if width != x.shape[axis]:
+                    raise ShapeError(f"layer {layer.name!r}: {width} thresholds for "
+                                     f"{x.shape[axis]} channels")
                 x = layer.thresholds.apply(x, channel_axis=axis)
             else:
                 raise ConfigError(f"unknown layer kind {layer.kind!r}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -255,7 +256,11 @@ def load_idx(path) -> np.ndarray:
 
 
 def load_csv_dataset(path) -> Dataset:
-    """Parse ``label,feature,...`` rows (no header) into a Dataset."""
+    """Parse ``label,feature,...`` rows (no header) into a Dataset.
+
+    A label must be an integer (``3`` or ``3.0``) and every feature finite;
+    anything else is a :class:`ParseError` naming its line.
+    """
     p = Path(path)
     labels = []
     rows = []
@@ -273,23 +278,34 @@ def load_csv_dataset(path) -> Dataset:
             elif len(parts) != width:
                 raise ParseError(f"{p}: line {ln}: ragged row ({len(parts)} != {width})")
             try:
-                labels.append(int(float(parts[0])))
-                rows.append([float(v) for v in parts[1:]])
+                label = float(parts[0])
+                row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise ParseError(f"{p}: line {ln}: {exc}") from exc
+            if not label.is_integer():
+                raise ParseError(f"{p}: line {ln}: label {parts[0].strip()!r} is not an integer")
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"{p}: line {ln}: non-finite feature")
+            labels.append(int(label))
+            rows.append(row)
     if not rows:
         raise ParseError(f"{p}: empty dataset")
     return Dataset(features=np.asarray(rows, dtype=np.float64), labels=np.asarray(labels))
 
 
 def load_dataset(features_path, labels_path=None) -> Dataset:
-    """Dispatch on extension: .csv bundles labels; IDX keeps them separate."""
+    """Dispatch on extension: .csv bundles labels; IDX keeps them separate.
+    A non-finite feature is a :class:`ParseError`."""
     p = Path(features_path)
     name = p.name[:-3] if p.suffix == ".gz" else p.name
     if name.endswith(".csv"):
         return load_csv_dataset(p)
     feats = load_idx(p)
-    feats = feats.reshape(feats.shape[0], -1).astype(np.float64)
+    feats = feats.reshape(feats.shape[0], -1)
+    if feats.dtype.kind == "f" and not np.isfinite(feats).all():
+        bad = int(np.isfinite(feats).all(axis=1).argmin())
+        raise ParseError(f"{p}: input {bad}: non-finite feature")
+    feats = feats.astype(np.float64)
     labels = None
     if labels_path is not None:
         labels = load_idx(labels_path).astype(np.int64).ravel()

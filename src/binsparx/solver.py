@@ -1,28 +1,25 @@
 """Self-consistent electrical solve of one crossbar column with parasitics.
 
-Topology: the bitline is driven from one end through ``r_driver`` plus one
+One layout: the bitline is driven at row 0 through ``r_driver`` plus one
 per-cell segment of ``r_bl_per_cell`` per row; every row's cell bridges the
 bitline to the sense line; the sense line runs through per-cell
-``r_sl_per_cell`` segments into an op-amp virtual ground (0 V, which is why
-``r_sink`` never appears).  With ``topology="opposite"`` the sense pad sits
-at the far end from the driver (worst case, default); ``"same"`` puts both
-pads at row 0.
+``r_sl_per_cell`` segments to an op-amp virtual ground (0 V, so ``r_sink``
+never appears) at the far end, row n-1, the worst case for IR drop.
 
 Segment currents follow from charge conservation: the bitline segment
 arriving at row k carries the sum of cell currents at rows >= k, and the
 sense-line segment leaving row k toward the pad carries the sum of cell
-currents already collected on that side.  Two solvers share this wiring:
+currents at rows <= k.  Two solvers share this wiring:
 
 * ``solve_columns_fast`` - batched Newton iteration on the cell-current
   vector.  Each step linearizes every cell at its bias and solves that
   linear ladder exactly with an O(n) backward/forward sweep over the
   rows, then backtracks (halves the step) for any column whose residual
-  would not fall.  ``solve_column_linear_ladder`` is one such sweep for
-  ohmic cells.  A column starts with every cell at full bias, unless
-  those currents would already reverse-bias one of its cells, as stiff
-  wire does to the far rows; it then starts from one sweep of its ohmic
-  ladder, a few Newton steps from the answer where full bias can be
-  dozens away.
+  would not fall.  For ohmic cells the first sweep is the closed form.
+  A column starts with every cell at full bias, unless those currents
+  would already reverse-bias one of its cells, as stiff wire does to the
+  far rows; it then starts from one sweep of its ohmic ladder, a few
+  Newton steps from the answer where full bias can be dozens away.
 * ``solve_column_dense`` - the independent oracle: nodal analysis of one
   column with one unknown per node (zero-resistance segments merged) and
   Newton-Raphson on the node voltages.  It shares no code with the sweep;
@@ -48,10 +45,7 @@ __all__ = [
     "FastBatchResult",
     "solve_columns_fast",
     "solve_column_dense",
-    "solve_column_linear_ladder",
 ]
-
-TOPOLOGIES = ("opposite", "same")
 
 # backtracking floor: below this step fraction a Newton step is taken anyway
 _MIN_STEP = 2.0**-10
@@ -69,7 +63,6 @@ class ColumnProblem:
     device: DeviceModel
     wire: WireModel
     v_drive: float
-    topology: str = "opposite"
 
     def __post_init__(self):
         stored = np.asarray(self.stored_bits, dtype=np.uint8)
@@ -84,8 +77,6 @@ class ColumnProblem:
                 raise DomainError(f"ColumnProblem: {name} must be 0/1")
         if self.v_drive <= 0:
             raise DomainError("ColumnProblem: v_drive must be > 0")
-        if self.topology not in TOPOLOGIES:
-            raise DomainError(f"ColumnProblem: topology must be one of {TOPOLOGIES}")
         object.__setattr__(self, "stored_bits", stored)
         object.__setattr__(self, "gate_bits", gates)
 
@@ -140,24 +131,16 @@ def _cumsum_rows(a: np.ndarray, reverse: bool = False) -> np.ndarray:
     return out
 
 
-def _line_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float, topology: str):
-    """Node voltages on both lines given cell currents, rows on axis 0: (n, B)."""
+def _cell_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float):
+    """Cell voltages (bitline minus sense line) given cell currents, rows on axis 0: (n, B)."""
     # suffix[k] = sum of currents at rows >= k: what the BL still delivers at k
     suffix = _cumsum_rows(i_cell, reverse=True)
     v_bl = _cumsum_rows(suffix)
-    if topology == "opposite":
-        # the SL segment leaving row k carries the sum of currents at rows <= k
-        v_sl = _cumsum_rows(_cumsum_rows(i_cell), reverse=True)
-        v_sl *= wire.r_sl_per_cell
-    else:
-        v_sl = wire.r_sl_per_cell * v_bl
+    # the SL segment leaving row k carries the sum of currents at rows <= k
+    v_sl = _cumsum_rows(_cumsum_rows(i_cell), reverse=True)
+    v_sl *= wire.r_sl_per_cell
     v_bl *= -wire.r_bl_per_cell
     v_bl += v_drive - wire.r_driver * suffix[0]
-    return v_bl, v_sl
-
-
-def _cell_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float, topology: str):
-    v_bl, v_sl = _line_voltages(i_cell, wire, v_drive, topology)
     v_bl -= v_sl
     return v_bl
 
@@ -169,7 +152,7 @@ def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float) -> np.ndarray:
     return d.max(axis=0) / i_on
 
 
-def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float, topology: str):
+def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float):
     """Exact cell currents (n, B) of the linear ladder whose cells draw g*v + c.
 
     A backward sweep over the rows carries the relation the rows below k
@@ -182,27 +165,7 @@ def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float,
     r_bl, r_sl = wire.r_bl_per_cell, wire.r_sl_per_cell
     r_src = wire.r_driver + r_bl
     out = np.empty_like(g)
-    if topology == "same":
-        # rows >= k form a one-port: S_k = Y*(vb_k - vs_k) + E, where S_k
-        # enters on the bitline and leaves on the sense line at row k
-        r = r_bl + r_sl
-        inv = np.empty_like(g)
-        e_below = np.empty_like(g)
-        Y = np.zeros(B)
-        E = np.zeros(B)
-        for k in range(n - 1, -1, -1):
-            inv[k] = 1.0 / (1.0 + r * Y)
-            e_below[k] = E
-            Y = g[k] + Y * inv[k]
-            E = c[k] + E * inv[k]
-        r_in = r_src + r_sl
-        u = (v_drive - r_in * E) / (1.0 + r_in * Y)  # cell voltage at row 0
-        for k in range(n):
-            out[k] = g[k] * u + c[k]
-            u = (u - r * e_below[k]) * inv[k]
-        return out
-
-    # Opposite pads.  Rows >= k relate (S_k, vs_k) to (vb_k, T_{k-1}):
+    # Rows >= k relate (S_k, vs_k) to (vb_k, T_{k-1}):
     #   S_k  = A*vb_k - nB*T_{k-1} + E,   vs_k = P*vb_k + Q*T_{k-1} + F,
     # where S_k is the bitline current into row k and T_{k-1} the sense-line
     # current arriving from rows < k.  A, nB, P, Q >= 0; Bb = 1 - nB and
@@ -252,12 +215,12 @@ def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float,
     return out
 
 
-def _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive, topology):
+def _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive):
     """Take ``i + s*step``, halving s (down to _MIN_STEP) while a column's
     residual does not fall below ``res``.  Returns (i, v, f, residual)."""
     i_on = device.i_on
     trial = i_cell + step
-    v = _cell_voltages(trial, wire, v_drive, topology)
+    v = _cell_voltages(trial, wire, v_drive)
     f = device.currents(stored, gates, v)
     r = _residual(f, trial, i_on)
     bad = np.flatnonzero(~(r < res))
@@ -265,7 +228,7 @@ def _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive, topol
     while bad.size and scale > _MIN_STEP:
         scale *= 0.5
         sub = i_cell[:, bad] + scale * step[:, bad]
-        v_sub = _cell_voltages(sub, wire, v_drive, topology)
+        v_sub = _cell_voltages(sub, wire, v_drive)
         f_sub = device.currents(stored[:, bad], gates[:, bad], v_sub)
         r_sub = _residual(f_sub, sub, i_on)
         trial[:, bad] = sub
@@ -282,7 +245,7 @@ def solve_columns_fast(
     device: DeviceModel,
     wire: WireModel,
     v_drive: float,
-    topology: str = "opposite",
+    *,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> FastBatchResult:
@@ -308,8 +271,6 @@ def solve_columns_fast(
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    if topology not in TOPOLOGIES:
-        raise DomainError(f"topology must be one of {TOPOLOGIES}")
     stored = np.atleast_2d(np.asarray(stored) > 0)
     gates = np.atleast_2d(np.asarray(gates) > 0)
     stored, gates = np.broadcast_arrays(stored, gates)
@@ -327,16 +288,16 @@ def solve_columns_fast(
     active = np.arange(B)
 
     i_cell = device.currents(stored, gates, v_drive)
-    v = _cell_voltages(i_cell, wire, v_drive, topology)
+    v = _cell_voltages(i_cell, wire, v_drive)
     # starved columns (full bias reverse-biases a cell): the ohmic start
     starved = np.flatnonzero(v.min(axis=0) < 0)
     if starved.size:
         i_start = i_cell[:, starved]
         on = gates[:, starved] > 0
         i_start = _ladder_sweep(np.where(on, i_start / v_drive, 0.0),
-                                np.where(on, 0.0, i_start), wire, v_drive, topology)
+                                np.where(on, 0.0, i_start), wire, v_drive)
         i_cell[:, starved] = i_start
-        v[:, starved] = _cell_voltages(i_start, wire, v_drive, topology)
+        v[:, starved] = _cell_voltages(i_start, wire, v_drive)
     f = device.currents(stored, gates, v)
     res = _residual(f, i_cell, i_on)
     for it in range(1, max_iter + 1):
@@ -361,12 +322,10 @@ def solve_columns_fast(
         g = device.conductances(stored, gates, v)
         f -= g * v  # f now holds c of the linearization i = g*v + c
         del v
-        step = _ladder_sweep(g, f, wire, v_drive, topology)
+        step = _ladder_sweep(g, f, wire, v_drive)
         del g, f
         step -= i_cell
-        i_cell, v, f, res = _newton_trial(
-            i_cell, step, res, stored, gates, device, wire, v_drive, topology
-        )
+        i_cell, v, f, res = _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive)
         del step
     if active.size:
         result[:, active] = f
@@ -439,8 +398,7 @@ def solve_column_dense(
     # each path starts at its pad, r[k] is the segment arriving at path[k+1]
     rows = np.arange(n)
     bl_path = np.concatenate(([2 * n], rows))
-    sl_rows = rows[::-1] if p.topology == "opposite" else rows
-    sl_path = np.concatenate(([2 * n + 1], n + sl_rows))
+    sl_path = np.concatenate(([2 * n + 1], n + rows[::-1]))
     r_bl = np.full(n, wire.r_bl_per_cell, dtype=np.float64)
     r_bl[0] = wire.r_driver + wire.r_bl_per_cell
     r_sl = np.full(n, wire.r_sl_per_cell, dtype=np.float64)
@@ -514,28 +472,3 @@ def solve_column_dense(
         converged=converged,
         residual=residual,
     )
-
-
-def solve_column_linear_ladder(
-    g_cell: np.ndarray,
-    wire: WireModel,
-    v_drive: float,
-    topology: str = "opposite",
-):
-    """Closed-form solve for linear (ohmic) cells, i_k = g_k * v_k.
-
-    One pass of the O(n) ladder sweep that every Newton step of
-    :func:`solve_columns_fast` takes; no iteration, no large linear solve.
-    Returns (i_out, v_bl, v_sl, i_cell).
-    """
-    g = np.asarray(g_cell, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
-        raise ShapeError("g_cell must be a non-empty 1-D array")
-    if np.any(g < 0):
-        raise DomainError("cell conductances must be >= 0")
-    if topology not in TOPOLOGIES:
-        raise DomainError(f"topology must be one of {TOPOLOGIES}")
-    g = g[:, None]
-    i_cell = _ladder_sweep(g, np.zeros_like(g), wire, v_drive, topology)
-    v_bl, v_sl = _line_voltages(i_cell, wire, v_drive, topology)
-    return float(i_cell.sum()), v_bl[:, 0], v_sl[:, 0], i_cell[:, 0]

@@ -145,12 +145,12 @@ def write_lut_csv(path, model, stored_bit: int):
     return write_table(path, (0.0, model.v_nominal), vd, grid)
 
 
-def nodal_reference_linear(g_cells, r_bl, r_sl, r_driver, v_drive, topology="opposite"):
+def nodal_reference_linear(g_cells, r_bl, r_sl, r_driver, v_drive):
     """Independent linear nodal solve of one column, assembled from scratch.
 
     Nodes: 0..n-1 bitline, n..2n-1 sense line.  The driver reaches node 0
-    through r_driver + r_bl; the sense pad hangs off the last (opposite)
-    or first (same) sense node through r_sl at 0 V.
+    through r_driver + r_bl; the sense pad hangs off the last sense node,
+    at the far end from the driver, through r_sl at 0 V.
     """
     g_cells = np.asarray(g_cells, dtype=np.float64)
     n = len(g_cells)
@@ -171,8 +171,7 @@ def nodal_reference_linear(g_cells, r_bl, r_sl, r_driver, v_drive, topology="opp
     for k in range(n - 1):
         stamp(k, k + 1, 1.0 / r_bl)
         stamp(n + k, n + k + 1, 1.0 / r_sl)
-    sense = n + (n - 1 if topology == "opposite" else 0)
-    stamp(sense, None, 1.0 / r_sl)
+    stamp(2 * n - 1, None, 1.0 / r_sl)
     for k in range(n):
         stamp(k, n + k, g_cells[k])
     v = np.linalg.solve(G, rhs)

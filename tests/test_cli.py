@@ -170,8 +170,7 @@ def _dataset(tmp_path, rng, count):
     return data
 
 
-BAD_SOLVER = ["solver.topology=diagonal", "solver.tol=0", "solver.tol=-1e-6",
-              "solver.max_iter=0", "solver.max_iter=-3"]
+BAD_SOLVER = ["solver.tol=0", "solver.tol=-1e-6", "solver.max_iter=0", "solver.max_iter=-3"]
 
 
 @pytest.mark.parametrize("bad", BAD_SOLVER)
@@ -191,6 +190,23 @@ def test_bad_solver_values_are_config_errors_for_sweep(tmp_path, bad, best_effor
     argv = ["sweep", "--out", str(out), "--set", "run.trials=2", "--set", bad, *TILES,
             *(["--best-effort"] if best_effort else [])]
     assert cli.main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_solver_topology_is_an_unknown_key(tmp_path, capsys, where):
+    # the sense pad always sits at the far end from the driver
+    out = tmp_path / "out"
+    if where == "flag":
+        source, want = ["--set", "solver.topology=opposite"], "unknown config key solver.topology"
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text("[solver]\ntopology = opposite\n")
+        source, want = ["--config", str(ini)], "unknown key [solver] topology"
+    argv = ["sweep", "--out", str(out), "--set", "run.trials=2", *TILES, *source]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and want in err
     assert not out.exists()
 
 
@@ -327,6 +343,19 @@ def test_sparsify_report_adc_bits(tmp_path, model, n, bits):
     assert cli.main(argv) == 0
     report = json.loads((out / "sparsify_report.json").read_text())
     assert [[e["adc_bits_before"], e["adc_bits_after"]] for e in report["layers"]] == [bits] * 3
+
+
+@pytest.mark.parametrize("off", [["--binsparx", "off"], ["--set", "binsparx.enabled=false"]],
+                         ids=["flag", "key"])
+def test_sparsify_refuses_binsparx_off(tmp_path, model, capsys, off):
+    # sparsify always flips columns: with BinSparX off its report would
+    # echo enabled=false over flipped columns
+    out = tmp_path / "out"
+    argv = ["sparsify", "--model", str(model[0]), "--out", str(out), *TILES, *off]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "binsparx.enabled" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ideal", [["--ideal"], ["--set", "run.nonidealities=false"]],

@@ -85,7 +85,7 @@ class TestDomains:
 
     # the CLI probes in test_cli and the schema walk above cover the rest
     @pytest.mark.parametrize("item", ["adc.bits=3.0", "adc.bits=true", "device.kind=SRAM8T",
-                                      "wire.preset=m4", "solver.topology=Same",
+                                      "wire.preset=m4", "device.curve=Linear",
                                       "adc.rounding=HALF_UP", "dummy.domain=Analog"])
     def test_rejected(self, item):
         target = item.split("=", 1)[0]

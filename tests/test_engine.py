@@ -176,16 +176,15 @@ class TestNonIdealPath:
         assert stats.nonconverged > 0
 
     def test_solve_columns_passes_settings(self, rng):
-        # the device's v_nominal drives the array and the topology reaches
-        # the solver: the answer is the oracle's
+        # the device's v_nominal drives the array: the answer is the oracle's
         dev, wire = DeviceModel.sram8t(v_nominal=0.55), WireModel.preset("M3")
-        base = dict(n=32, m=32, device=dev, wire=wire, topology="same")
+        base = dict(n=32, m=32, device=dev, wire=wire)
         stored = rng.integers(0, 2, (6, 32))
         gates = rng.integers(0, 2, (6, 32))
         i_out, conv = Engine(EngineConfig(**base, solver_tol=1e-10)).solve_columns(stored, gates)
         assert conv.all()
         for b in range(len(stored)):
-            p = ColumnProblem(32, stored[b], gates[b], dev, wire, 0.55, "same")
+            p = ColumnProblem(32, stored[b], gates[b], dev, wire, 0.55)
             ref = solve_column_dense(p, tol=1e-10)
             assert ref.converged
             assert i_out[b] == pytest.approx(ref.i_out, rel=1e-9)
@@ -567,6 +566,23 @@ class TestInference:
         assert np.array_equal(res.scores, want)
 
 
+    @pytest.mark.parametrize("width", [5, 1, 3])
+    @pytest.mark.parametrize("after", ["dense", "conv"])
+    def test_threshold_width_must_match_its_input(self, rng, width, after):
+        # a wider layer cannot broadcast, and a 1-wide one would spread over every channel
+        ft = fold_batchnorm(np.ones(width), np.zeros(width), np.zeros(width), np.ones(width))
+        if after == "dense":
+            first = LayerSpec("fc", "dense", BinaryTensor(rng.choice([-1, 1], size=(2, 4))))
+            X = rng.choice([-1.0, 1.0], size=(3, 2))
+        else:
+            first = LayerSpec("conv", "conv", BinaryTensor(rng.choice([-1, 1], size=(4, 1, 3, 3))),
+                              padding=1, in_shape=(1, 3, 3))
+            X = rng.choice([-1.0, 1.0], size=(3, 9))
+        layers = [first, LayerSpec("bn", "threshold", thresholds=ft)]
+        with pytest.raises(ShapeError, match=rf"layer 'bn': {width} thresholds for 4 channels"):
+            _ideal().infer(layers, X)
+
+
 class TestConfig:
     def test_auto_adc_bits(self):
         assert Engine(EngineConfig(n=64, binsparx=False, nonidealities=False)).adc.bits == 6
@@ -602,6 +618,22 @@ class TestConfig:
     def test_dummy_domain_validation(self):
         with pytest.raises(ConfigError, match="dummy_domain"):
             EngineConfig(dummy_domain="optical")
+
+    @pytest.mark.parametrize("field, value", [
+        ("adc_bits", True), ("adc_bits", 3.0), ("adc_bits", "8"), ("adc_bits", None),
+        ("adc_quantum", True), ("adc_quantum", "nope"), ("adc_quantum", "1e-6"),
+        ("adc_quantum", None),
+    ])
+    def test_adc_fields_checked_at_construction(self, field, value):
+        # a bool would build a 1-bit ADC or a 1 A quantum; a string other
+        # than the tokens would reach float() inside Engine()
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig(**{field: value})
+
+    def test_adc_fields_accept_numpy_numbers(self):
+        cfg = EngineConfig(adc_bits=np.int64(4), adc_quantum=np.float64(2e-6))
+        adc = cfg.resolved_adc()
+        assert (adc.bits, adc.quantum) == (4, 2e-6) and type(adc.bits) is int
 
     @pytest.mark.parametrize("enabled", ["on", "true", None, 0.5])
     def test_dummy_enabled_validation(self, enabled):

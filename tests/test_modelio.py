@@ -131,6 +131,14 @@ class TestIdx:
             modelio.load_idx(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_features_rejected(self, tmp_path, bad):
+        feats = np.array([[0.5, 1.0], [2.0, bad]], dtype=">f8")
+        path = tmp_path / "feats.idx"
+        path.write_bytes(_idx_bytes(0x0E, (2, 2), feats.tobytes()))
+        with pytest.raises(ParseError, match="input 1: non-finite feature"):
+            modelio.load_dataset(path)
+
     def test_truncated_header_exits_3(self, tmp_path, rng, capsys):
         model = modelio.save_model(tmp_path / "model", [
             {"name": "fc", "kind": "dense", "weights": rng.choice([-1, 1], size=(4, 3))}])
@@ -154,6 +162,29 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ParseError, match=message):
             modelio.load_csv_dataset(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("inf,1,2", "line 2: label 'inf' is not an integer"),
+        ("1.7,1,2", "line 2: label '1.7' is not an integer"),
+        ("nan,1,2", "line 2: label 'nan' is not an integer"),
+        ("1,nan,2", "line 2: non-finite feature"),
+        ("1,1,inf", "line 2: non-finite feature"),
+        ("1,-inf,2", "line 2: non-finite feature"),
+    ], ids=["label-inf", "label-fraction", "label-nan", "feature-nan", "feature-inf",
+            "feature-minus-inf"])
+    def test_bad_values_exit_3_through_infer(self, tmp_path, rng, capsys, row, message):
+        path = tmp_path / "data.csv"
+        path.write_text(f"0,1,-1\n{row}\n3.0,1,1\n")
+        with pytest.raises(ParseError, match=message):
+            modelio.load_csv_dataset(path)
+        model = modelio.save_model(tmp_path / "model", [
+            {"name": "fc", "kind": "dense", "weights": rng.choice([-1, 1], size=(2, 3))}])
+        out = tmp_path / "out"
+        argv = ["infer", "--model", str(model), "--dataset", str(path), "--out", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_labels_and_features(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -7,8 +7,8 @@ from binsparx.solver import (
     ColumnProblem,
     _cell_voltages,
     _cumsum_rows,
+    _ladder_sweep,
     solve_column_dense,
-    solve_column_linear_ladder,
     solve_columns_fast,
 )
 
@@ -20,7 +20,7 @@ EXTREME = WireModel(1e5, 1e5, 1e6, 0.0)
 MIXED = WireModel(1e3, 1e3, 1e3, 0.0)
 
 
-def _problem(stored, gates, device=None, wire=None, topology="opposite"):
+def _problem(stored, gates, device=None, wire=None):
     stored = np.asarray(stored)
     return ColumnProblem(
         n=len(stored),
@@ -29,14 +29,12 @@ def _problem(stored, gates, device=None, wire=None, topology="opposite"):
         device=device or DeviceModel.sram8t(),
         wire=wire or WireModel.preset("M3"),
         v_drive=V,
-        topology=topology,
     )
 
 
 def _fast(p, **kw):
     """``solve_columns_fast`` on one problem: a batch of one column."""
-    return solve_columns_fast(p.stored_bits, p.gate_bits, p.device, p.wire, p.v_drive,
-                              p.topology, **kw)
+    return solve_columns_fast(p.stored_bits, p.gate_bits, p.device, p.wire, p.v_drive, **kw)
 
 
 def _columns_with_on(rng, xs, n=64):
@@ -114,23 +112,10 @@ class TestFastVsDense:
             ref = max(b.i_out, dev.i_off * 64)
             assert abs(fast.i_out[t] - b.i_out) / ref < 0.005
 
-    def test_same_end_topology(self, rng):
-        dev = DeviceModel.sram8t()
-        wire = WireModel.preset("M3")
-        stored = rng.integers(0, 2, 32)
-        gates = rng.integers(0, 2, 32)
-        a = _fast(_problem(stored, gates, dev, wire, "same"), tol=1e-10).i_out[0]
-        b = solve_column_dense(_problem(stored, gates, dev, wire, "same"), tol=1e-10)
-        assert abs(a - b.i_out) / b.i_out < 1e-6
-        # opposite-end sensing is the worst case for this drive layout
-        c = _fast(_problem(stored, gates, dev, wire, "opposite"), tol=1e-10).i_out[0]
-        assert c <= a + 1e-12
-
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("topology", ["opposite", "same"])
     @pytest.mark.parametrize("wire", [WireModel.preset("M3"), EXTREME], ids=["M3", "extreme"])
-    def test_against_independent_nodal_solve(self, rng, wire, topology):
+    def test_against_independent_nodal_solve(self, rng, wire):
         # ohmic cells at three conductances (ON, HRS, gate off), no ladder sweep
         dev = DeviceModel(kind="reram1t1r", i_on=1e-6, i_hrs=1e-7, i_off=0.0, curve="linear")
         for n in (1, 2, 5, 64):
@@ -138,9 +123,9 @@ class TestDenseOracle:
             gates = rng.integers(0, 2, n)
             g = np.where(gates > 0, np.where(stored > 0, dev.i_on, dev.i_hrs) / V, 0.0)
             i_ref, vb_ref, vs_ref = nodal_reference_linear(
-                g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V, topology
+                g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V
             )
-            res = solve_column_dense(_problem(stored, gates, dev, wire, topology), tol=1e-10)
+            res = solve_column_dense(_problem(stored, gates, dev, wire), tol=1e-10)
             assert res.converged
             assert res.i_out == pytest.approx(i_ref, rel=1e-11, abs=1e-20)
             assert np.abs(res.v_bl - vb_ref).max() < 1e-12
@@ -154,33 +139,38 @@ class TestDenseOracle:
         assert ints.converged and ints.i_out == floats.i_out
 
 
+def _sweep(g, wire):
+    """One ladder sweep of ohmic cells g (one column): (cell currents, cell voltages)."""
+    g = np.asarray(g, dtype=np.float64)[:, None]
+    i_cell = _ladder_sweep(g, np.zeros_like(g), wire, V)
+    return i_cell[:, 0], _cell_voltages(i_cell, wire, V)[:, 0]
+
+
 class TestLinearLadder:
+    """The fast solver's sweep on ohmic cells, where it is the closed form."""
+
     def test_single_cell_divider(self):
         # one ohmic cell: i = g*v / (1 + g*(r_drv + r_bl + r_sl))
         wire = WireModel(20.0, 30.0, 1000.0, 0.0)
         g = np.array([1e-6 / V])
-        i_out, v_bl, v_sl, i_cell = solve_column_linear_ladder(g, wire, V)
+        i_cell, v_cell = _sweep(g, wire)
         expect = g[0] * V / (1 + g[0] * (1000.0 + 20.0 + 30.0))
-        assert i_out == pytest.approx(expect, rel=1e-12)
-        assert v_bl[0] == pytest.approx(V - (1000.0 + 20.0) * i_out, rel=1e-12)
-        assert v_sl[0] == pytest.approx(30.0 * i_out, rel=1e-12)
+        assert i_cell[0] == pytest.approx(expect, rel=1e-12)
+        assert v_cell[0] == pytest.approx(V - (1000.0 + 20.0 + 30.0) * expect, rel=1e-12)
 
-    @pytest.mark.parametrize("topology", ["opposite", "same"])
-    def test_against_independent_nodal_solve(self, rng, topology):
+    def test_against_independent_nodal_solve(self, rng):
         for wire in (WireModel(40.0, 40.0, 1000.0, 1000.0), EXTREME):
             for n in (2, 5, 64):
                 g = np.where(rng.integers(0, 2, n) > 0, 1e-6 / V, 0.0)
                 if g.sum() == 0:
                     g[0] = 1e-6 / V
-                i_cf, vb_cf, vs_cf, _ = solve_column_linear_ladder(g, wire, V, topology)
+                i_cell, v_cell = _sweep(g, wire)
                 i_ref, vb_ref, vs_ref = nodal_reference_linear(
-                    g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V, topology
+                    g, wire.r_bl_per_cell, wire.r_sl_per_cell, wire.r_driver, V
                 )
-                assert i_cf == pytest.approx(i_ref, rel=1e-11)
-                assert np.abs(vb_cf - vb_ref).max() < 1e-12
-                assert np.abs(vs_cf - vs_ref).max() < 1e-12
+                assert i_cell.sum() == pytest.approx(i_ref, rel=1e-11)
+                assert np.abs(v_cell - (vb_ref - vs_ref)).max() < 1e-12
 
-    @pytest.mark.parametrize("topology", ["opposite", "same"])
     @pytest.mark.parametrize(
         "wire",
         [
@@ -192,19 +182,22 @@ class TestLinearLadder:
         ],
         ids=lambda w: f"{w.r_bl_per_cell:g}-{w.r_sl_per_cell:g}-{w.r_driver:g}",
     )
-    def test_zero_resistance_against_dense(self, rng, topology, wire):
+    def test_zero_resistance_against_dense(self, rng, wire):
         # the conftest oracle divides by every resistance; the dense solver
         # collapses zero-resistance segments exactly instead
         dev = _clean_device(curve="linear")
         stored = rng.integers(0, 2, 64)
         gates = rng.integers(0, 2, 64)
         g = np.where((stored > 0) & (gates > 0), dev.i_on / V, 0.0)
-        i_cf, vb_cf, vs_cf, _ = solve_column_linear_ladder(g, wire, V, topology)
-        res = solve_column_dense(_problem(stored, gates, dev, wire, topology), tol=1e-10)
+        i_cell, v_cell = _sweep(g, wire)
+        p = _problem(stored, gates, dev, wire)
+        res = solve_column_dense(p, tol=1e-10)
         assert res.converged
-        assert i_cf == pytest.approx(res.i_out, rel=1e-9)
-        assert np.abs(vb_cf - res.v_bl).max() < 1e-9
-        assert np.abs(vs_cf - res.v_sl).max() < 1e-9
+        assert i_cell.sum() == pytest.approx(res.i_out, rel=1e-9)
+        assert np.abs(v_cell - (res.v_bl - res.v_sl)).max() < 1e-9
+        fast = _fast(p, tol=1e-12)
+        assert fast.converged[0]
+        assert fast.i_out[0] == pytest.approx(res.i_out, rel=1e-9)
 
     def test_dense_solver_matches_closed_form(self, rng):
         dev = _clean_device(curve="linear")
@@ -212,9 +205,14 @@ class TestLinearLadder:
         stored = rng.integers(0, 2, 64)
         gates = rng.integers(0, 2, 64)
         g = np.where((stored > 0) & (gates > 0), dev.i_on / V, 0.0)
-        i_cf, _, _, _ = solve_column_linear_ladder(g, wire, V)
-        res = solve_column_dense(_problem(stored, gates, dev, wire), tol=1e-12)
+        i_cf = _sweep(g, wire)[0].sum()
+        p = _problem(stored, gates, dev, wire)
+        res = solve_column_dense(p, tol=1e-12)
         assert abs(res.i_out - i_cf) / i_cf < 1e-9
+        # the Newton solve takes that one sweep and stops
+        fast = _fast(p, tol=1e-12)
+        assert fast.converged[0] and fast.iterations[0] == 2
+        assert abs(fast.i_out[0] - i_cf) / i_cf < 1e-12
 
 
 class TestResultInvariants:
@@ -265,41 +263,39 @@ class TestResultInvariants:
         assert np.array_equal(_cumsum_rows(a), np.cumsum(a, axis=0))
         assert np.array_equal(_cumsum_rows(a, reverse=True), np.cumsum(a[::-1], axis=0)[::-1])
 
-    @pytest.mark.parametrize("topology", ["opposite", "same"])
     @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME, MIXED],
                              ids=["M4", "extreme", "mixed"])
-    def test_column_alone_equals_column_in_batch(self, rng, wire, topology):
+    def test_column_alone_equals_column_in_batch(self, rng, wire):
         # bit for bit: no column's answer may depend on its batch neighbours
         dev = DeviceModel.sram8t()
         if wire is MIXED:
             # x = 1..64 ON cells: one batch holds columns that start at full
             # bias and columns that full bias starves (ohmic start)
             stored, gates = _columns_with_on(rng, np.repeat(np.arange(1, 65), 5)[:300])
-            v = _cell_voltages(dev.currents(stored.T, gates.T, V), wire, V, topology)
+            v = _cell_voltages(dev.currents(stored.T, gates.T, V), wire, V)
             starved = v.min(axis=0) < 0
             assert not starved[[0, 1]].any() and starved[[137, 299]].all()
         else:
             stored = rng.integers(0, 2, (300, 64))
             gates = rng.integers(0, 2, (300, 64))
-        batch = solve_columns_fast(stored, gates, dev, wire, V, topology, max_iter=4000)
+        batch = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000)
         assert batch.converged.all()
         for b in (0, 1, 137, 299):
-            alone = solve_columns_fast(stored[b], gates[b], dev, wire, V, topology, max_iter=4000)
+            alone = solve_columns_fast(stored[b], gates[b], dev, wire, V, max_iter=4000)
             assert alone.i_out[0] == batch.i_out[b]
             assert alone.iterations[0] == batch.iterations[b]
 
-    @pytest.mark.parametrize("topology", ["opposite", "same"])
-    def test_extreme_wire_converges(self, rng, topology):
+    def test_extreme_wire_converges(self, rng):
         # x = 0..64 coincident ON cells.  The ohmic start puts every starved
         # column a few Newton steps from its answer; from full bias these
         # columns took up to 35 iterations
         stored, gates = _columns_with_on(rng, np.arange(65))
         for dev in (DeviceModel.sram8t(), DeviceModel.reram1t1r()):
-            res = solve_columns_fast(stored, gates, dev, EXTREME, V, topology, max_iter=50)
+            res = solve_columns_fast(stored, gates, dev, EXTREME, V, max_iter=50)
             assert res.converged.all(), res.iterations
             assert res.iterations.max() <= 10, res.iterations
             for b in range(len(stored)):
-                ref = solve_column_dense(_problem(stored[b], gates[b], dev, EXTREME, topology),
+                ref = solve_column_dense(_problem(stored[b], gates[b], dev, EXTREME),
                                          tol=1e-9, max_iter=200)
                 assert ref.converged
                 denom = max(ref.i_out, dev.i_off * 64)
@@ -330,12 +326,6 @@ class TestProblemValidation:
             ColumnProblem(2, np.ones(2, int), np.ones(2, int),
                           DeviceModel.sram8t(), WireModel.preset("M3"), 0.0)
 
-    def test_bad_topology(self):
-        with pytest.raises(DomainError):
-            ColumnProblem(2, np.ones(2, int), np.ones(2, int),
-                          DeviceModel.sram8t(), WireModel.preset("M3"), V,
-                          topology="diagonal")
-
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
         # inf would accept any start point, nan would run every column to max_iter
@@ -346,6 +336,8 @@ class TestProblemValidation:
             solve_column_dense(p, tol=tol)
 
     def test_solver_arg_validation(self):
-        with pytest.raises(DomainError):
+        # tol and max_iter are keyword-only, so a stray sixth positional
+        # argument is refused rather than read as a tolerance
+        with pytest.raises(TypeError, match="positional"):
             solve_columns_fast(np.ones(4), np.ones(4), DeviceModel.sram8t(),
-                               WireModel.preset("M3"), V, topology="diagonal")
+                               WireModel.preset("M3"), V, "opposite")
