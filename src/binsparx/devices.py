@@ -17,6 +17,15 @@ replace the parametric curve: :func:`load_device_lut` reads current over
 The curve is linear between its cell-voltage knots and flat, with slope
 0, outside its device axis.
 
+A solve evaluates the same cells at many biases, so the stored and gate
+bits are read once: :meth:`DeviceModel.cells` turns them into a
+:class:`DeviceCells` record (each cell's gate-on target current, 0 when
+the gate is off; its gate-off leak; the scale of its slope; and, for a
+model with a table attached, the gate-on cells each table covers).
+:meth:`DeviceModel.currents` and :meth:`DeviceModel.conductances` then
+evaluate that record at a bias with a few in-place ufunc passes,
+optionally into a caller's buffer.
+
 Wire parasitics are plain per-cell series resistances.  The M3/M4/M6
 presets encode only the expected ordering (lower metal = thinner wire =
 more ohms); their magnitudes are tunable defaults, not measured values.
@@ -28,13 +37,14 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ConfigWarning, ParseError
 
-__all__ = ["CURVES", "DEVICE_FACTORIES", "DeviceLut", "DeviceModel", "WireModel", "WIRE_PRESETS",
-           "load_device_lut"]
+__all__ = ["CURVES", "DEVICE_FACTORIES", "DeviceCells", "DeviceLut", "DeviceModel", "WireModel",
+           "WIRE_PRESETS", "load_device_lut"]
 
 CURVES = ("tanh", "linear")
 
@@ -149,6 +159,25 @@ def load_device_lut(path, v_gate: float) -> DeviceLut:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+class DeviceCells(NamedTuple):
+    """Per-cell data that :meth:`DeviceModel.cells` builds once per solve.
+
+    ``target``: the cell's gate-on current at nominal bias (i_on for
+    stored 1, i_hrs for stored 0), 0 where the gate is off.  ``leak``:
+    i_off where the gate is off, 0 elsewhere.  ``slope``: the scale of the
+    branch's slope, target / (v_knee * tanh(v_nominal / v_knee)), or
+    target / v_nominal for linear cells.  ``lut1`` and ``lut0``: the
+    gate-on cells of each stored state whose branch a table replaces, or
+    None where no table is attached.
+    """
+
+    target: np.ndarray
+    leak: np.ndarray
+    slope: np.ndarray
+    lut1: np.ndarray | None
+    lut0: np.ndarray | None
+
+
 @dataclass
 class DeviceModel:
     """One bitcell's electrical behavior.
@@ -201,54 +230,82 @@ class DeviceModel:
         gate-off leakage i_on/1e5 unless ``kw`` sets ``i_off``."""
         return cls(kind="reram1t1r", i_on=i_on, i_hrs=i_hrs, **{"i_off": i_on / 1e5, **kw})
 
-    def _curve(self, target, v, slope: bool):
-        """The parametric gate-on branch at bias ``v``, or its slope in ``v``."""
+    def cells(self, stored, gate) -> DeviceCells:
+        """Per-cell data of a batch of cells, broadcast over stored and gate
+        bits: built once per solve, then read by every :meth:`currents`
+        and :meth:`conductances` call at that batch's biases."""
+        s1, on = np.broadcast_arrays(np.asarray(stored) > 0, np.asarray(gate) > 0)
+        target = np.where(on, np.where(s1, self.i_on, self.i_hrs), 0.0)
         if self.curve == "linear":
-            return target / self.v_nominal if slope else target * (v / self.v_nominal)
-        norm = math.tanh(self.v_nominal / self.v_knee)
-        if slope:
-            return target / (self.v_knee * norm) / np.cosh(v / self.v_knee) ** 2
-        return target * np.tanh(v / self.v_knee) / norm
-
-    def _evaluate(self, stored, gate, v_cell, slope: bool) -> np.ndarray:
-        """Cell current, or with ``slope`` its derivative in the cell
-        voltage, broadcast over stored bit, gate bit and bias.
-
-        Gate off draws ``i_off`` whatever the bias, and a gate-on cell
-        under reverse bias draws its 0 V current: both are flat, slope 0.
-        A gate-on cell at bias v >= 0 follows its stored state's branch:
-        the LUT if one is attached, the parametric curve otherwise."""
-        stored, gate, v = np.broadcast_arrays(
-            np.asarray(stored), np.asarray(gate), np.asarray(v_cell, dtype=np.float64))
-        on = gate > 0
-        if slope:
-            on &= v >= 0
-            flat = 0.0
+            slope = target / self.v_nominal
         else:
-            v = np.clip(v, 0.0, None)
-            flat = self.i_off
-        s1 = stored > 0
-        if self.lut_stored1 is None and self.lut_stored0 is None:
-            return np.where(on, self._curve(np.where(s1, self.i_on, self.i_hrs), v, slope), flat)
-        out = np.full(v.shape, flat)
-        for cells, lut, target in ((on & s1, self.lut_stored1, self.i_on),
-                                   (on & ~s1, self.lut_stored0, self.i_hrs)):
-            if lut is None:
-                out[cells] = self._curve(target, v[cells], slope)
-            elif slope:
-                out[cells] = lut.slope_vd(v[cells])
-            else:
-                out[cells] = lut.lookup(v[cells])
+            slope = target / (self.v_knee * math.tanh(self.v_nominal / self.v_knee))
+        return DeviceCells(
+            target=target,
+            leak=np.where(on, 0.0, self.i_off),
+            slope=slope,
+            lut1=on & s1 if self.lut_stored1 is not None else None,
+            lut0=on & ~s1 if self.lut_stored0 is not None else None,
+        )
+
+    def _luts(self, cells: DeviceCells, v: np.ndarray, shape, slope: bool):
+        """(mask, values) of each gate-on branch that a table replaces."""
+        found = []
+        for mask, lut in ((cells.lut1, self.lut_stored1), (cells.lut0, self.lut_stored0)):
+            if mask is not None:
+                mask = np.broadcast_to(mask, shape)
+                vm = np.broadcast_to(v, shape)[mask]
+                found.append((mask, lut.slope_vd(vm) if slope else lut.lookup(np.maximum(vm, 0.0))))
+        return found
+
+    def currents(self, cells: DeviceCells, v_cell, out=None) -> np.ndarray:
+        """Cell currents at bias ``v_cell``: target * branch(max(v, 0)) + leak.
+
+        The branch is tanh(v / v_knee) / tanh(v_nominal / v_knee), or
+        v / v_nominal for linear cells, so a gate-on cell under reverse
+        bias draws its 0 V current and a gate-off cell its leak.  ``out``,
+        if given, receives the result and must not hold ``v_cell``.
+        """
+        v = np.asarray(v_cell, dtype=np.float64)
+        shape = np.broadcast_shapes(np.shape(cells.target), v.shape)
+        luts = self._luts(cells, v, shape, slope=False)
+        out = np.empty(shape) if out is None else out
+        np.maximum(v, 0.0, out=out)
+        if self.curve == "linear":
+            out /= self.v_nominal
+            out *= cells.target
+        else:
+            out /= self.v_knee
+            np.tanh(out, out=out)
+            out *= cells.target
+            out /= math.tanh(self.v_nominal / self.v_knee)
+        out += cells.leak
+        for mask, values in luts:
+            out[mask] = values
         return out
 
-    def currents(self, stored, gate, v_cell) -> np.ndarray:
-        """Cell current, broadcast over stored bit, gate bit and bias."""
-        return self._evaluate(stored, gate, v_cell, slope=False)
-
-    def conductances(self, stored, gate, v_cell) -> np.ndarray:
-        """d(current)/d(cell voltage) matching :meth:`currents`: 0 where the
-        current is flat (gate off, or reverse bias)."""
-        return self._evaluate(stored, gate, v_cell, slope=True)
+    def conductances(self, cells: DeviceCells, v_cell, out=None) -> np.ndarray:
+        """d(current)/d(cell voltage) matching :meth:`currents`:
+        slope / cosh(v / v_knee)**2 (the slope itself for linear cells),
+        and 0 where the current is flat (gate off, or v < 0).  ``out``, if
+        given, receives the result and must not hold ``v_cell``."""
+        v = np.asarray(v_cell, dtype=np.float64)
+        shape = np.broadcast_shapes(np.shape(cells.target), v.shape)
+        luts = self._luts(cells, v, shape, slope=True)
+        out = np.empty(shape) if out is None else out
+        if self.curve == "linear":
+            np.copyto(out, cells.slope)
+        else:
+            np.divide(v, self.v_knee, out=out)
+            # far from 0 V cosh**2 overflows to inf, and the slope is 0 there
+            with np.errstate(over="ignore"):
+                np.cosh(out, out=out)
+                np.square(out, out=out)
+            np.divide(cells.slope, out, out=out)
+        for mask, values in luts:
+            out[mask] = values
+        np.copyto(out, 0.0, where=v < 0)
+        return out
 
 
 # device kind -> factory of its default model; the keys are the legal kinds

@@ -72,14 +72,18 @@ __all__ = [
 
 # cap on cells (columns x rows) per solve_columns call, except that one
 # gate row's columns always share a call (a row tile of more than
-# 2**18 / n - 1 columns, 4095 at n=64, exceeds it).  A call's (rows,
-# columns) float64 arrays are then 2 MB each, about one core's L2 cache,
-# and the solver keeps about a dozen live, so its working set stays near
-# 25 MB however large the run.  Wider calls buy nothing: at n=64 (SRAM,
-# M4) on a 2-core Xeon a column cost 16.0 us at 4,096 columns per call
-# and 17-20 us at 16k-32k, and a call's peak RSS was 89 MB at 10k
-# columns and 369 MB at 62.5k.
-_MAX_BATCH_ELEMS = 2**18
+# 2**17 / n - 1 columns, 2047 at n=64, exceeds it).  A call's (rows,
+# columns) float64 arrays are then 1 MB each, and its workspace holds 11
+# of them beside the device's three per-cell arrays, so it stays near
+# 14 MB however large the run.  Measured at n=64 (SRAM, M4) on a 2-vCPU
+# Xeon, one process per width: a column cost 9.5-9.8 us at 2,048 columns
+# per call, 10.2-10.7 us at 4,096 and 12-15 us at 16k-32k, and a call
+# added 14 MB to the process's peak RSS at 2,048 columns, 25 MB at 4,096
+# and 179 MB at 32k.  At n >= 128 a call is only 1,024 columns or fewer wide, and
+# the sweep's per-row ufunc overhead shows: twice this cap solves n=128 at
+# 30-31k instead of 24-25k columns/s and n=256 at 9.2k instead of 6.2-6.8k
+# (bench/solve_rate.py), for 14 MB more peak RSS.
+_MAX_BATCH_ELEMS = 2**17
 
 
 def _token_or_number(value, tokens, kind) -> bool:
@@ -110,14 +114,25 @@ class EngineConfig:
     best_effort: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ConfigError("EngineConfig: tile geometry must be >= 1")
+        # numpy flags and ints become Python ones: adc_bits_required calls
+        # n.bit_length()
+        for name in ("binsparx", "nonidealities", "best_effort"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"EngineConfig: {name} must be True or False, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        for name in ("n", "m", "solver_max_iter"):
+            value = getattr(self, name)
+            if not (_token_or_number(value, (), numbers.Integral) and value >= 1):
+                raise ConfigError(f"EngineConfig: {name} must be an int >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("solver_tol", "adc_offset"):
+            if not _token_or_number(getattr(self, name), (), numbers.Real):
+                raise ConfigError(f"EngineConfig: {name} must be a number, "
+                                  f"got {getattr(self, name)!r}")
         if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise ConfigError(
                 f"EngineConfig: solver_tol must be finite and > 0, got {self.solver_tol}")
-        if self.solver_max_iter < 1:
-            raise ConfigError(
-                f"EngineConfig: solver_max_iter must be >= 1, got {self.solver_max_iter}")
         # checked, not resolved: cmd_profile swaps adc_bits after building
         if not _token_or_number(self.adc_bits, ("auto", "full"), numbers.Integral):
             raise ConfigError(f"EngineConfig: adc_bits must be 'auto', 'full' or an int, "

@@ -28,15 +28,31 @@ currents at rows <= k.  Two solvers share this wiring:
 
 Each column is solved independently: activations drive access-transistor
 gates, which draw no steady-state row current, so rows do not couple.
+
+``solve_columns_fast`` builds the device's per-cell data once per call
+(:meth:`DeviceModel.cells`) and works in one workspace per call: a single
+block of (n, B) float slabs plus a few width-B rows.  Every pass - the
+sweep, the cell voltages, the device evaluations, the residual and the
+active-set compaction - writes into slabs with ``out=``, and an array of
+the shrinking active width is a view of a slab's first n*w floats.  The
+block is there for the page faults, not the arithmetic.  Allocating about
+30 (n, B) temporaries per Newton iteration cost about 12.8k minor page
+faults per 4,096-column call at n=64, because glibc handed the freed heap
+back to the kernel between calls and the next call faulted it in again.
+glibc keeps a freed block as large as the largest it has freed (its mmap
+and trim thresholds follow that size), so the next call's block reuses
+it: about 0 faults per call after the first.  The block is freed at the
+end of each call; no buffer outlives it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceModel, WireModel
+from .devices import DeviceCells, DeviceModel, WireModel
 from .errors import DomainError, ShapeError, SolverError
 
 __all__ = [
@@ -51,6 +67,12 @@ __all__ = [
 _MIN_STEP = 2.0**-10
 # batch width from which row-by-row cumulative sums beat np.cumsum(axis=0)
 _ROW_SUM_MIN_WIDTH = 256
+# (n, B) slabs in one call's workspace.  The ladder sweep is the peak: the
+# currents, its g and c, the three float arrays of the device cells and
+# its own five coefficient arrays
+_SLABS = 11
+# width-B scratch rows: the ladder sweep's recurrence
+_ROWS = 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,46 +135,107 @@ class FastBatchResult:
     residual: np.ndarray     # (B,)
 
 
-def _cumsum_rows(a: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """``np.cumsum(a, axis=0)``, summed from the last row when ``reverse``.
+class _Workspace:
+    """The float working set of one :func:`solve_columns_fast` call.
+
+    One block of ``_SLABS`` slabs, each the size of one (n, B) array, plus
+    a few width-B rows.  An array of the current active width w is a view
+    of a slab's first n*w floats, so narrowing the active set narrows the
+    views and never reallocates.  :meth:`take` hands out a free slab and
+    :meth:`give` returns it.
+    """
+
+    def __init__(self, n: int, width: int):
+        self.n = n
+        self._block = np.empty((_SLABS, n * width))
+        self._free = list(range(_SLABS))
+        self._rows = np.empty((_ROWS, width))
+
+    def take(self, width: int) -> np.ndarray:
+        """A free slab as an (n, width) array."""
+        j = self._free.pop()
+        return self._block[j, : self.n * width].reshape(self.n, width)
+
+    def give(self, *arrays: np.ndarray):
+        """Return slabs that :meth:`take` handed out; other arrays are ignored."""
+        for a in arrays:
+            if a.base is self._block:
+                self._free.append((a.ctypes.data - self._block.ctypes.data)
+                                  // self._block.strides[0])
+
+    def rows(self, width: int) -> list[np.ndarray]:
+        """The ``_ROWS`` scratch rows, ``width`` wide."""
+        return list(self._rows[:, :width])
+
+    def compact(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Columns ``cols`` of ``a`` in a fresh slab, ``a``'s slab returned.
+        Bool arrays (the device's table masks) are copied instead."""
+        if a.dtype == bool:
+            return np.take(a, cols, axis=1)
+        out = self.take(cols.size)
+        # mode="clip" writes straight into out; the default "raise" buffers a copy
+        np.take(a, cols, axis=1, out=out, mode="clip")
+        self.give(a)
+        return out
+
+    def column_sums(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Sum of each of ``a``'s columns ``cols``, each column added
+        contiguously, in the order np.sum takes on a (B, n) row; summing
+        down axis 0 adds in another order."""
+        picked = self.take(cols.size)
+        np.take(a, cols, axis=1, out=picked, mode="clip")
+        rows = self.take(cols.size).reshape(cols.size, self.n)
+        np.copyto(rows, picked.T)
+        sums = rows.sum(axis=1)
+        self.give(picked, rows)
+        return sums
+
+
+def _cumsum_rows(a: np.ndarray, out: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """``np.cumsum(a, axis=0)`` into ``out`` (which may be ``a``), summed
+    from the last row when ``reverse``.
 
     On wide batches numpy's strided accumulate is several times slower than
     adding whole rows, so those go row by row.  Both add in the same order,
     so the result is the same bit for bit either way.
     """
     if reverse:
-        return _cumsum_rows(a[::-1])[::-1]
-    if a.shape[1] < _ROW_SUM_MIN_WIDTH:
-        return np.cumsum(a, axis=0)
-    out = np.empty_like(a)
-    out[0] = a[0]
-    for k in range(1, a.shape[0]):
-        np.add(out[k - 1], a[k], out=out[k])
+        _cumsum_rows(a[::-1], out[::-1])
+    elif a.shape[1] < _ROW_SUM_MIN_WIDTH:
+        np.cumsum(a, axis=0, out=out)
+    else:
+        out[0] = a[0]
+        for k in range(1, a.shape[0]):
+            np.add(out[k - 1], a[k], out=out[k])
     return out
 
 
-def _cell_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float):
-    """Cell voltages (bitline minus sense line) given cell currents, rows on axis 0: (n, B)."""
+def _cell_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float,
+                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Cell voltages (bitline minus sense line) given cell currents, rows on
+    axis 0, into ``out``: (n, B).  ``tmp`` is scratch of the same shape."""
     # suffix[k] = sum of currents at rows >= k: what the BL still delivers at k
-    suffix = _cumsum_rows(i_cell, reverse=True)
-    v_bl = _cumsum_rows(suffix)
+    suffix = _cumsum_rows(i_cell, out, reverse=True)
+    head = v_drive - wire.r_driver * suffix[0]
+    v_bl = _cumsum_rows(suffix, out)
     # the SL segment leaving row k carries the sum of currents at rows <= k
-    v_sl = _cumsum_rows(_cumsum_rows(i_cell), reverse=True)
+    v_sl = _cumsum_rows(_cumsum_rows(i_cell, tmp), tmp, reverse=True)
     v_sl *= wire.r_sl_per_cell
     v_bl *= -wire.r_bl_per_cell
-    v_bl += v_drive - wire.r_driver * suffix[0]
+    v_bl += head
     v_bl -= v_sl
     return v_bl
 
 
-def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float) -> np.ndarray:
-    """max |f(v(i)) - i| / i_on per column."""
-    d = f - i_cell
+def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float, tmp: np.ndarray) -> np.ndarray:
+    """max |f(v(i)) - i| / i_on per column; ``tmp`` is (n, B) scratch."""
+    d = np.subtract(f, i_cell, out=tmp)
     np.abs(d, out=d)
     return d.max(axis=0) / i_on
 
 
-def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float):
+def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float,
+                  ws: _Workspace) -> np.ndarray:
     """Exact cell currents (n, B) of the linear ladder whose cells draw g*v + c.
 
     A backward sweep over the rows carries the relation the rows below k
@@ -160,83 +243,124 @@ def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float)
     Every division is by 1 + (non-negative product), because ``g >= 0``
     and all wire resistances are >= 0, so the sweep is stable at any wire
     and exact when a resistance is 0.  Vectorized over the batch axis.
+    Both inputs are spent: the currents are returned in ``g``, and ``c``
+    is overwritten.  No ufunc call writes an array it reads, because numpy
+    runs such a call on a width-1 batch through its slow general loop.
     """
     n, B = g.shape
     r_bl, r_sl = wire.r_bl_per_cell, wire.r_sl_per_cell
     r_src = wire.r_driver + r_bl
-    out = np.empty_like(g)
     # Rows >= k relate (S_k, vs_k) to (vb_k, T_{k-1}):
     #   S_k  = A*vb_k - nB*T_{k-1} + E,   vs_k = P*vb_k + Q*T_{k-1} + F,
     # where S_k is the bitline current into row k and T_{k-1} the sense-line
     # current arriving from rows < k.  A, nB, P, Q >= 0; Bb = 1 - nB and
     # Pb = 1 - P are carried separately so that no coefficient is formed
     # by a subtraction.
-    i_v = np.empty_like(g)  # i_k = i_v*vb_k - i_t*T_{k-1} + i_c
-    i_t = np.empty_like(g)
-    i_c = np.empty_like(g)
-    w_v = np.empty_like(g)  # vb_{k+1} = (vb_k + w_t*T_k + w_c) * w_v
-    w_t = np.empty_like(g)
-    w_c = np.empty_like(g)
-    A = nB = P = Q = E = F = np.zeros(B)
-    Bb = Pb = np.ones(B)
+    i_v, i_t, i_c = ws.take(B), ws.take(B), c  # i_k = i_v*vb_k - i_t*T_{k-1} + i_c
+    w_v, w_t, w_c = ws.take(B), ws.take(B), ws.take(B)  # vb_{k+1} = (vb_k + w_t*T_k + w_c) * w_v
+    rows = ws.rows(B)
+    A, nB, E, P, Q, F, Bb, Pb = rows[:8]
+    ra, al, alb, bb, beta, gamma, inv2, t1, t2 = rows[8:]
+    for row in (A, nB, E, P, Q, F):
+        row[...] = 0.0
+    Bb[...] = Pb[...] = 1.0
     for k in range(n - 1, -1, -1):
         gk = g[k]
-        ra = r_bl * A
-        inv1 = np.divide(1.0, 1.0 + ra, out=w_v[k])
+        np.multiply(A, r_bl, out=ra)
+        inv1 = np.divide(1.0, np.add(ra, 1.0, out=t1), out=w_v[k])
         np.multiply(nB, r_bl, out=w_t[k])
         np.multiply(E, -r_bl, out=w_c[k])
         # rows > k seen from row k's bitline node, row k's cell still open:
         # vs_k = al*vb_k + beta*T_k + gamma
-        al = P * inv1
-        alb = (Pb + ra) * inv1
-        bb = (Bb + ra) * inv1
-        ral = r_bl * al
-        beta = (Q + r_sl) + ral * nB
-        gamma = F - ral * E
+        np.multiply(P, inv1, out=al)
+        np.multiply(np.add(Pb, ra, out=t1), inv1, out=alb)
+        np.multiply(np.add(Bb, ra, out=t1), inv1, out=bb)
+        ral = np.multiply(al, r_bl, out=ra)
+        np.add(np.add(Q, r_sl, out=t1), np.multiply(ral, nB, out=t2), out=beta)
+        np.subtract(F, np.multiply(ral, E, out=t1), out=gamma)
         # close row k's cell, i = g*(vb - vs) + c
-        inv2 = 1.0 / (1.0 + gk * beta)
-        Q = beta * inv2
-        Pb = alb * inv2
-        Bb = bb * inv2
-        ivk = np.multiply(gk, Pb, out=i_v[k])
+        np.divide(1.0, np.add(np.multiply(gk, beta, out=t1), 1.0, out=t2), out=inv2)
+        np.multiply(beta, inv2, out=Q)
+        np.multiply(alb, inv2, out=Pb)
         itk = np.multiply(gk, Q, out=i_t[k])
-        ick = np.multiply(c[k] - gk * gamma, inv2, out=i_c[k])
-        A = A * inv1 + bb * ivk
-        nB = nB * inv1 + bb * itk
-        E = E * inv1 + bb * ick
-        P = al + beta * ivk
-        F = gamma + beta * ick
-    vb = (v_drive - r_src * E) / (1.0 + r_src * A)
-    T = np.zeros(B)
+        ick = np.multiply(np.subtract(c[k], np.multiply(gk, gamma, out=t1), out=t2), inv2,
+                          out=i_c[k])
+        ivk = np.multiply(gk, Pb, out=i_v[k])
+        for coef, x in ((A, ivk), (nB, itk), (E, ick)):
+            np.add(np.multiply(coef, inv1, out=t1), np.multiply(bb, x, out=t2), out=coef)
+        np.add(al, np.multiply(beta, ivk, out=t1), out=P)
+        np.add(gamma, np.multiply(beta, ick, out=t1), out=F)
+        np.multiply(bb, inv2, out=Bb)
+    vb, T, T_next, t3 = ra, beta, gamma, inv2  # rows the backward sweep is done with
+    np.divide(np.subtract(v_drive, np.multiply(E, r_src, out=t1), out=t2),
+              np.add(np.multiply(A, r_src, out=t1), 1.0, out=t3), out=vb)
+    T[...] = 0.0
     for k in range(n):
-        out[k] = ik = i_v[k] * vb - i_t[k] * T + i_c[k]
-        T = T + ik
-        vb = (vb + w_t[k] * T + w_c[k]) * w_v[k]
-    return out
+        diff = np.subtract(np.multiply(i_v[k], vb, out=t1), np.multiply(i_t[k], T, out=t2),
+                           out=t3)
+        ik = np.add(diff, i_c[k], out=g[k])
+        T, T_next = np.add(T, ik, out=T_next), T
+        np.add(np.add(vb, np.multiply(w_t[k], T, out=t1), out=t2), w_c[k], out=t1)
+        np.multiply(t1, w_v[k], out=vb)
+    ws.give(i_v, i_t, w_v, w_t, w_c)
+    return g
 
 
-def _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive):
+def _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws):
     """Take ``i + s*step``, halving s (down to _MIN_STEP) while a column's
-    residual does not fall below ``res``.  Returns (i, v, f, residual)."""
+    residual does not fall below ``res``.  Returns (i, v, f, residual) in
+    fresh slabs and gives back the slabs of ``i_cell`` and ``step``.  The
+    halvings work on the failing columns alone, in arrays of their own."""
     i_on = device.i_on
-    trial = i_cell + step
-    v = _cell_voltages(trial, wire, v_drive)
-    f = device.currents(stored, gates, v)
-    r = _residual(f, trial, i_on)
+    B = i_cell.shape[1]
+    trial = np.add(i_cell, step, out=ws.take(B))
+    tmp = ws.take(B)
+    v = _cell_voltages(trial, wire, v_drive, ws.take(B), tmp)
+    f = device.currents(cells, v, out=ws.take(B))
+    r = _residual(f, trial, i_on, tmp)
+    ws.give(tmp)
     bad = np.flatnonzero(~(r < res))
     scale = 1.0
     while bad.size and scale > _MIN_STEP:
         scale *= 0.5
         sub = i_cell[:, bad] + scale * step[:, bad]
-        v_sub = _cell_voltages(sub, wire, v_drive)
-        f_sub = device.currents(stored[:, bad], gates[:, bad], v_sub)
-        r_sub = _residual(f_sub, sub, i_on)
+        tmp = np.empty_like(sub)
+        v_sub = _cell_voltages(sub, wire, v_drive, np.empty_like(sub), tmp)
+        f_sub = device.currents(DeviceCells(*(None if a is None else a[:, bad] for a in cells)),
+                                v_sub)
+        r_sub = _residual(f_sub, sub, i_on, tmp)
         trial[:, bad] = sub
         v[:, bad] = v_sub
         f[:, bad] = f_sub
         r[bad] = r_sub
         bad = bad[~(r_sub < res[bad])]
+    ws.give(i_cell, step)
     return trial, v, f, r
+
+
+def _ohmic_start(i_cell, v, cells, starved, wire, v_drive, ws):
+    """Restart the ``starved`` columns of (i_cell, v) from the exact
+    currents of their ohmic ladder: gate-on cells at their chord
+    conductance f(v_drive) / v_drive, gate-off cells at their constant
+    leak.  ``i_cell`` holds the full-bias currents f(v_drive)."""
+    s = starved.size
+    leak = np.take(cells.leak, starved, axis=1, out=ws.take(s), mode="clip")
+    g = np.take(i_cell, starved, axis=1, out=ws.take(s), mode="clip")
+    g -= leak  # a gate-off cell's f(v_drive) is its leak: g = 0 there
+    g /= v_drive
+    i_start = _ladder_sweep(g, leak, wire, v_drive, ws)
+    i_cell[:, starved] = i_start
+    tmp = ws.take(s)
+    v[:, starved] = _cell_voltages(i_start, wire, v_drive, leak, tmp)
+    ws.give(i_start, leak, tmp)
+
+
+def _check_settings(tol, max_iter):
+    """Refuse a tolerance or an iteration cap that no solve can honor."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter must be an int >= 1, got {max_iter!r}")
 
 
 def solve_columns_fast(
@@ -265,80 +389,68 @@ def solve_columns_fast(
     ``device.conductances`` (which owns the reverse-bias rule: g = 0 where
     the current is flat), solves that linear ladder exactly with an O(n)
     sweep, and backtracks - halving the step while a column's residual
-    does not fall.  Converged columns leave the active set at once.
-    Non-convergent problems are returned flagged (with their last
-    f(v(i))), never silently.
+    does not fall.  Converged columns are summed and leave the active set
+    at once.  Non-convergent problems are returned flagged (with their
+    last f(v(i))), never silently.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    _check_settings(tol, max_iter)
     stored = np.atleast_2d(np.asarray(stored) > 0)
     gates = np.atleast_2d(np.asarray(gates) > 0)
     stored, gates = np.broadcast_arrays(stored, gates)
     B, n = stored.shape
-    # 0/1 bytes (the device model only tests > 0), rows on axis 0 so that
-    # the ladder sweep reads contiguous rows
-    stored = np.ascontiguousarray(stored.T, dtype=np.uint8)
-    gates = np.ascontiguousarray(gates.T, dtype=np.uint8)
-
-    i_on = device.i_on
-    result = np.empty((n, B))
+    i_out = np.zeros(B)
     iters = np.full(B, max_iter, dtype=np.int64)
-    residual = np.empty(B)
+    residual = np.zeros(B)
     converged = np.zeros(B, dtype=bool)
+    if not B:
+        return FastBatchResult(i_out, iters, converged, residual)
+    # rows on axis 0, so that the ladder sweep reads contiguous rows
+    cells = device.cells(np.ascontiguousarray(stored.T), np.ascontiguousarray(gates.T))
+    ws = _Workspace(n, B)
+    i_on = device.i_on
     active = np.arange(B)
 
-    i_cell = device.currents(stored, gates, v_drive)
-    v = _cell_voltages(i_cell, wire, v_drive)
+    i_cell = device.currents(cells, v_drive, out=ws.take(B))
+    tmp = ws.take(B)
+    v = _cell_voltages(i_cell, wire, v_drive, ws.take(B), tmp)
+    ws.give(tmp)
     # starved columns (full bias reverse-biases a cell): the ohmic start
     starved = np.flatnonzero(v.min(axis=0) < 0)
     if starved.size:
-        i_start = i_cell[:, starved]
-        on = gates[:, starved] > 0
-        i_start = _ladder_sweep(np.where(on, i_start / v_drive, 0.0),
-                                np.where(on, 0.0, i_start), wire, v_drive)
-        i_cell[:, starved] = i_start
-        v[:, starved] = _cell_voltages(i_start, wire, v_drive)
-    f = device.currents(stored, gates, v)
-    res = _residual(f, i_cell, i_on)
+        _ohmic_start(i_cell, v, cells, starved, wire, v_drive, ws)
+    f = device.currents(cells, v, out=ws.take(B))
+    tmp = ws.take(B)
+    res = _residual(f, i_cell, i_on, tmp)
+    ws.give(tmp)
     for it in range(1, max_iter + 1):
         done = res < tol
         if done.any():
             cols = active[done]
-            result[:, cols] = f[:, done]
+            i_out[cols] = ws.column_sums(f, np.flatnonzero(done))
             residual[cols] = res[done]
             iters[cols] = it
             converged[cols] = True
-            keep = ~done
+            keep = np.flatnonzero(~done)
             active = active[keep]
             if not active.size:
                 break
-            # np.compress keeps rows contiguous; a[:, keep] is column-major
-            i_cell, v, f, stored, gates = (np.compress(keep, a, axis=1)
-                                           for a in (i_cell, v, f, stored, gates))
+            i_cell, v, f = (ws.compact(a, keep) for a in (i_cell, v, f))
+            cells = DeviceCells(*(None if a is None else ws.compact(a, keep) for a in cells))
             res = res[keep]
         if it == max_iter:
             break
-        # each (n, B) array is dropped once spent: wide batches are memory-bound
-        g = device.conductances(stored, gates, v)
-        f -= g * v  # f now holds c of the linearization i = g*v + c
-        del v
-        step = _ladder_sweep(g, f, wire, v_drive)
-        del g, f
+        g = device.conductances(cells, v, out=ws.take(active.size))
+        v *= g
+        f -= v  # f now holds c of the linearization i = g*v + c
+        ws.give(v)
+        step = _ladder_sweep(g, f, wire, v_drive, ws)
+        ws.give(f)
         step -= i_cell
-        i_cell, v, f, res = _newton_trial(i_cell, step, res, stored, gates, device, wire, v_drive)
-        del step
+        i_cell, v, f, res = _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws)
     if active.size:
-        result[:, active] = f
+        i_out[active] = ws.column_sums(f, np.arange(active.size))
         residual[active] = res
-
-    # sum each column's cells contiguously, in the order np.sum takes on a
-    # (B, n) row; summing down axis 0 adds in another order
-    return FastBatchResult(
-        i_out=np.ascontiguousarray(result.T).sum(axis=1),
-        iterations=iters,
-        converged=converged,
-        residual=residual,
-    )
+    return FastBatchResult(i_out=i_out, iterations=iters, converged=converged, residual=residual)
 
 
 def _branch_stamps(ends_a: np.ndarray, ends_b: np.ndarray, nu: int):
@@ -391,8 +503,7 @@ def solve_column_dense(
     Jacobian raises :class:`SolverError`; running out of iterations
     returns a flagged result.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    _check_settings(tol, max_iter)
     n, wire = p.n, p.wire
     # nodes: bitline 0..n-1, sense line n..2n-1, driver pad 2n, 0 V pad 2n+1;
     # each path starts at its pad, r[k] is the segment arriving at path[k+1]
@@ -427,13 +538,14 @@ def solve_column_dense(
     bl, sl = rows, n + rows
     cell_kcl, cell_jac = _branch_stamps(idx[bl], idx[sl], nu)
     i_on = p.device.i_on
+    cells = p.device.cells(p.stored_bits, p.gate_bits)
 
     def assemble(u: np.ndarray):
         # a pinned node's unknown is -1, which reads the appended 0
         pot = np.append(u, 0.0)[idx] + fixed
         vd = pot[bl] - pot[sl]
-        icell = p.device.currents(p.stored_bits, p.gate_bits, vd)
-        gcell = p.device.conductances(p.stored_bits, p.gate_bits, vd)
+        icell = p.device.currents(cells, vd)
+        gcell = p.device.conductances(cells, vd)
         F = J_wire @ u + F_pads + _stamp(cell_kcl, icell, nu)
         J = J_wire + _stamp(cell_jac, gcell, nu * nu).reshape(nu, nu)
         return F, J, pot, icell

@@ -123,7 +123,7 @@ def make_lut_from_model(model, stored_bit: int) -> DeviceLut:
     """Sample a parametric device's gate-on branch for one stored state
     into a LUT with 33 device-axis knots over [0, v_nominal]."""
     vd = np.linspace(0.0, model.v_nominal, 33)
-    return DeviceLut(vd, model.currents(stored_bit, 1, vd))
+    return DeviceLut(vd, model.currents(model.cells(stored_bit, 1), vd))
 
 
 def write_table(path, vg, vd, grid):
@@ -141,7 +141,8 @@ def write_lut_csv(path, model, stored_bit: int):
     ``make_lut_from_model``, which ``load_device_lut(path, v_nominal)``
     returns bit for bit."""
     vd = np.linspace(0.0, model.v_nominal, 33)
-    grid = np.column_stack([model.currents(stored_bit, gate, vd) for gate in (0, 1)])
+    grid = np.column_stack([model.currents(model.cells(stored_bit, gate), vd)
+                            for gate in (0, 1)])
     return write_table(path, (0.0, model.v_nominal), vd, grid)
 
 

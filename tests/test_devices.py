@@ -1,10 +1,12 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
 
 from binsparx.config import build_wire, load_run_config
-from binsparx.devices import WIRE_PRESETS, DeviceLut, DeviceModel, WireModel, load_device_lut
+from binsparx.devices import (WIRE_PRESETS, DeviceCells, DeviceLut, DeviceModel, WireModel,
+                              load_device_lut)
 from binsparx.errors import ConfigError, ConfigWarning, ParseError
 
 from conftest import bilinear_reference, make_lut_from_model, write_table
@@ -12,7 +14,12 @@ from conftest import bilinear_reference, make_lut_from_model, write_table
 
 def cell_current(model, stored_bit, gate_on, v_cell) -> float:
     """One cell's current through the vectorized model."""
-    return float(model.currents(stored_bit, gate_on, v_cell))
+    return float(model.currents(model.cells(stored_bit, gate_on), v_cell))
+
+
+def evaluate(model, query, stored, gate, v):
+    """``model.currents`` or ``model.conductances`` of cells (stored, gate) at bias v."""
+    return getattr(model, query)(model.cells(stored, gate), v)
 
 
 class TestCellCurrent:
@@ -51,7 +58,7 @@ class TestCellCurrent:
                   DeviceModel.sram8t(curve="linear")):
             v = np.arange(0.0, m.v_nominal + 1e-3, 1e-3)
             for stored, gate in [(1, 1), (0, 1), (1, 0)]:
-                i = m.currents(stored, gate, v)
+                i = evaluate(m, "currents", stored, gate, v)
                 assert np.all(np.diff(i) >= -1e-15)
 
     def test_default_ratio_invariants(self):
@@ -146,7 +153,8 @@ class TestLut:
         m = DeviceModel.sram8t(v_nominal=v_nominal, lut_stored1=load_device_lut(p, v_nominal))
         cells = np.abs(queries)
         want = [bilinear_reference(vg, vd, grid, v_nominal, qd) for qd in cells]
-        np.testing.assert_allclose(m.currents(1, 1, cells), want, rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(evaluate(m, "currents", 1, 1, cells), want,
+                                   rtol=1e-12, atol=1e-18)
 
     def test_flat_outside_device_axis(self):
         lut = DeviceLut([0.0, 1.0], [2e-6, 4e-6])
@@ -243,8 +251,8 @@ class TestLutOverride:
         with_lut.lut_stored0 = lut0
         v = np.linspace(0.0, base.v_nominal, 101)
         for stored, gate in [(1, 1), (0, 1), (1, 0), (0, 0)]:
-            a = base.currents(stored, gate, v)
-            b = with_lut.currents(stored, gate, v)
+            a = evaluate(base, "currents", stored, gate, v)
+            b = evaluate(with_lut, "currents", stored, gate, v)
             scale = max(base.i_on * 1e-4, float(np.abs(a).max()))
             assert np.abs(a - b).max() <= 0.01 * scale
 
@@ -258,11 +266,11 @@ class TestLutOverride:
         v = np.linspace(-0.2, 1.0, 121)
         for gate in (0, 1):
             for query in ("currents", "conductances"):
-                got = getattr(m, query)(1 - attached, gate, v)
-                assert np.array_equal(got, getattr(base, query)(1 - attached, gate, v))
+                got = evaluate(m, query, 1 - attached, gate, v)
+                assert np.array_equal(got, evaluate(base, query, 1 - attached, gate, v))
         mixed = (np.arange(121) % 2, np.arange(121) // 2 % 2)
         for query in ("currents", "conductances"):
-            got, want = getattr(m, query)(*mixed, v), getattr(base, query)(*mixed, v)
+            got, want = evaluate(m, query, *mixed, v), evaluate(base, query, *mixed, v)
             other = mixed[0] != attached
             assert np.array_equal(got[other], want[other])
 
@@ -271,9 +279,9 @@ class TestLutOverride:
         m = DeviceModel.sram8t()
         m.lut_stored1 = make_lut_from_model(base, 1)
         m.lut_stored0 = make_lut_from_model(base, 0)
-        g = m.conductances(1, 1, 0.3)
+        g = evaluate(m, "conductances", 1, 1, 0.3)
         # slope of the interpolant approximates the parametric slope
-        assert g == pytest.approx(base.conductances(1, 1, 0.3), rel=0.05)
+        assert g == pytest.approx(evaluate(base, "conductances", 1, 1, 0.3), rel=0.05)
 
 
 class TestConductances:
@@ -290,7 +298,7 @@ class TestConductances:
             # a stored-1 table sampled on [0, v_nominal / 2] only: above it
             # the lookup clamps, flat
             vd = np.linspace(0.0, m.v_nominal / 2, 17)
-            m.lut_stored1 = DeviceLut(vd, factory().currents(1, 1, vd))
+            m.lut_stored1 = DeviceLut(vd, evaluate(factory(), "currents", 1, 1, vd))
         # midway between the LUT knots (spacing v_nominal / 32), so that
         # v +- h never straddles a kink of the interpolant; reverse bias is
         # flat; 0.5 and 0.6 V lie beyond the short table's axis
@@ -299,6 +307,94 @@ class TestConductances:
         h = 3e-6
         for stored in (0, 1):
             for gate in (0, 1):
-                diff = (m.currents(stored, gate, v + h) - m.currents(stored, gate, v - h)) / (2 * h)
-                g = m.conductances(stored, gate, v)
+                i_up = evaluate(m, "currents", stored, gate, v + h)
+                diff = (i_up - evaluate(m, "currents", stored, gate, v - h)) / (2 * h)
+                g = evaluate(m, "conductances", stored, gate, v)
                 assert np.abs(g - diff).max() <= 1e-9 * m.i_on, (stored, gate)
+
+
+def where_reference(m, query, stored, gate, v):
+    """The cell model written with np.where per stored state, sharing no
+    code with ``DeviceModel.cells``: the same arithmetic, cell by cell."""
+    s1, on, v = np.broadcast_arrays(np.asarray(stored) > 0, np.asarray(gate) > 0,
+                                    np.asarray(v, dtype=np.float64))
+    norm = math.tanh(m.v_nominal / m.v_knee)
+    out = np.empty(v.shape)
+    for state, lut, target in ((True, m.lut_stored1, m.i_on), (False, m.lut_stored0, m.i_hrs)):
+        cells = s1 == state
+        vc = v[cells]
+        if query == "currents":
+            vp = np.clip(vc, 0.0, None)
+            if lut is not None:
+                branch = lut.lookup(vp)
+            elif m.curve == "linear":
+                branch = target * (vp / m.v_nominal)
+            else:
+                branch = target * np.tanh(vp / m.v_knee) / norm
+            out[cells] = np.where(on[cells], branch, m.i_off)
+        else:
+            if lut is not None:
+                branch = lut.slope_vd(vc)
+            elif m.curve == "linear":
+                branch = np.full(vc.shape, target / m.v_nominal)
+            else:
+                branch = target / (m.v_knee * norm) / np.cosh(vc / m.v_knee) ** 2
+            out[cells] = np.where(on[cells] & (vc >= 0), branch, 0.0)
+    return out
+
+
+def _models():
+    sram_lut2 = DeviceModel.sram8t()
+    sram_lut2.lut_stored1 = make_lut_from_model(DeviceModel.sram8t(), 1)
+    sram_lut2.lut_stored0 = make_lut_from_model(DeviceModel.sram8t(), 0)
+    # a stored-1 table over [-0.1, 0.35] V only: it has a slope below 0 V,
+    # which the reverse-bias rule must still zero
+    reram_lut1 = DeviceModel.reram1t1r()
+    reram_lut1.lut_stored1 = DeviceLut(np.linspace(-0.1, 0.35, 10), np.linspace(0.0, 8e-7, 10))
+    return {"sram": DeviceModel.sram8t(), "reram": DeviceModel.reram1t1r(),
+            "sram-linear": DeviceModel.sram8t(curve="linear"),
+            "reram-linear": DeviceModel.reram1t1r(curve="linear"),
+            "both-lut": sram_lut2, "one-lut": reram_lut1}
+
+
+class TestCellsContract:
+    """``currents`` and ``conductances`` read the per-cell data that ``cells``
+    builds once; they equal the np.where model bit for bit."""
+
+    @pytest.mark.parametrize("query", ["currents", "conductances"])
+    @pytest.mark.parametrize("name", list(_models()))
+    def test_equals_where_reference(self, name, query):
+        m = _models()[name]
+        # every (stored, gate) pair against biases below, at and above 0 V
+        v = np.concatenate((-np.array([0.9, 0.3, 0.05, 1e-9]), [0.0, -0.0],
+                            np.linspace(1e-9, 0.9, 41)))
+        stored, gate = np.array([0, 1, 0, 1])[:, None], np.array([0, 0, 1, 1])[:, None]
+        cells = m.cells(stored, gate)
+        got = getattr(m, query)(cells, v)
+        assert got.shape == (4, v.size)
+        assert np.array_equal(got, where_reference(m, query, stored, gate, v))
+        # into a caller's buffer, which it returns
+        out = np.full((4, v.size), np.nan)
+        assert getattr(m, query)(cells, v, out=out) is out
+        assert np.array_equal(out, got)
+
+    @pytest.mark.parametrize("query", ["currents", "conductances"])
+    @pytest.mark.parametrize("name", list(_models()))
+    def test_scalar_drive(self, rng, name, query):
+        # the solver's start point: every cell at the scalar drive voltage
+        m = _models()[name]
+        stored, gate = rng.integers(0, 2, (2, 16, 5))
+        got = getattr(m, query)(m.cells(stored, gate), m.v_nominal)
+        assert got.shape == (16, 5)
+        assert np.array_equal(got, where_reference(m, query, stored, gate, m.v_nominal))
+
+    def test_cells_record(self):
+        m = DeviceModel.reram1t1r()
+        m.lut_stored0 = make_lut_from_model(DeviceModel.reram1t1r(), 0)
+        cells = m.cells(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+        assert isinstance(cells, DeviceCells)
+        assert np.array_equal(cells.target, [0.0, 0.0, m.i_hrs, m.i_on])
+        assert np.array_equal(cells.leak, [m.i_off, m.i_off, 0.0, 0.0])
+        norm = math.tanh(m.v_nominal / m.v_knee)
+        assert np.array_equal(cells.slope, cells.target / (m.v_knee * norm))
+        assert cells.lut1 is None and np.array_equal(cells.lut0, [False, False, True, False])

@@ -630,6 +630,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             EngineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("binsparx", "no"), ("binsparx", 1), ("nonidealities", "no"), ("best_effort", "no"),
+        ("n", 2.5), ("n", "64"), ("m", True), ("m", 0), ("solver_max_iter", 2.5),
+        ("solver_max_iter", 0), ("solver_tol", "1e-6"), ("solver_tol", True),
+        ("adc_offset", "x"), ("adc_offset", None),
+    ])
+    def test_fields_checked_at_construction(self, field, value):
+        # each was accepted (a truthy string read as on), or failed later
+        # with a bare TypeError
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig(**{field: value})
+
+    def test_numpy_fields_become_python_values(self):
+        cfg = EngineConfig(n=np.int64(32), m=np.int32(16), binsparx=np.False_,
+                           solver_max_iter=np.int64(7), solver_tol=np.float64(1e-5))
+        assert (cfg.n, cfg.m, cfg.binsparx, cfg.solver_max_iter) == (32, 16, False, 7)
+        assert type(cfg.n) is int and type(cfg.binsparx) is bool
+        assert Engine(cfg).adc.bits == 5
+
     def test_adc_fields_accept_numpy_numbers(self):
         cfg = EngineConfig(adc_bits=np.int64(4), adc_quantum=np.float64(2e-6))
         adc = cfg.resolved_adc()

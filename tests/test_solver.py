@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from binsparx import solver
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.errors import DomainError, ShapeError
 from binsparx.solver import (
     ColumnProblem,
+    FastBatchResult,
     _cell_voltages,
     _cumsum_rows,
     _ladder_sweep,
+    _Workspace,
     solve_column_dense,
     solve_columns_fast,
 )
@@ -139,11 +142,16 @@ class TestDenseOracle:
         assert ints.converged and ints.i_out == floats.i_out
 
 
+def _voltages(i_cell, wire):
+    """``_cell_voltages`` into fresh buffers."""
+    return _cell_voltages(i_cell, wire, V, np.empty_like(i_cell), np.empty_like(i_cell))
+
+
 def _sweep(g, wire):
     """One ladder sweep of ohmic cells g (one column): (cell currents, cell voltages)."""
-    g = np.asarray(g, dtype=np.float64)[:, None]
-    i_cell = _ladder_sweep(g, np.zeros_like(g), wire, V)
-    return i_cell[:, 0], _cell_voltages(i_cell, wire, V)[:, 0]
+    g = np.array(g, dtype=np.float64)[:, None]  # a copy: the sweep spends its inputs
+    i_cell = _ladder_sweep(g, np.zeros_like(g), wire, V, _Workspace(*g.shape))
+    return i_cell[:, 0], _voltages(i_cell, wire)[:, 0]
 
 
 class TestLinearLadder:
@@ -259,9 +267,24 @@ class TestResultInvariants:
 
     @pytest.mark.parametrize("width", [1, 255, 256, 700])
     def test_row_sums_equal_numpy_cumsum(self, rng, width):
+        # below 256 columns np.cumsum runs, from 256 the row-by-row loop:
+        # both equal np.cumsum bit for bit, into a fresh buffer or in place
         a = rng.random((64, width)) * 1e-6
-        assert np.array_equal(_cumsum_rows(a), np.cumsum(a, axis=0))
-        assert np.array_equal(_cumsum_rows(a, reverse=True), np.cumsum(a[::-1], axis=0)[::-1])
+        for reverse, want in ((False, np.cumsum(a, axis=0)),
+                              (True, np.cumsum(a[::-1], axis=0)[::-1])):
+            assert np.array_equal(_cumsum_rows(a, np.empty_like(a), reverse), want)
+            b = a.copy()
+            assert _cumsum_rows(b, b, reverse) is b and np.array_equal(b, want)
+        # the in-place cell voltages equal the np.cumsum formula
+        wire = WireModel(20.0, 30.0, 1000.0, 0.0)
+        suffix = np.cumsum(a[::-1], axis=0)[::-1]
+        v_sl = np.cumsum(np.cumsum(a, axis=0)[::-1], axis=0)[::-1] * wire.r_sl_per_cell
+        want = np.cumsum(suffix, axis=0) * -wire.r_bl_per_cell
+        want += V - wire.r_driver * suffix[0]
+        want -= v_sl
+        out, tmp = np.full_like(a, np.nan), np.full_like(a, np.nan)
+        assert _cell_voltages(a, wire, V, out, tmp) is out
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME, MIXED],
                              ids=["M4", "extreme", "mixed"])
@@ -272,7 +295,7 @@ class TestResultInvariants:
             # x = 1..64 ON cells: one batch holds columns that start at full
             # bias and columns that full bias starves (ohmic start)
             stored, gates = _columns_with_on(rng, np.repeat(np.arange(1, 65), 5)[:300])
-            v = _cell_voltages(dev.currents(stored.T, gates.T, V), wire, V)
+            v = _voltages(dev.currents(dev.cells(stored.T, gates.T), V), wire)
             starved = v.min(axis=0) < 0
             assert not starved[[0, 1]].any() and starved[[137, 299]].all()
         else:
@@ -310,6 +333,65 @@ class TestResultInvariants:
         assert batch.i_out.shape == (6,)
 
 
+def _same_result(a, b) -> bool:
+    """Two ``FastBatchResult``s equal bit for bit."""
+    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+               for f in ("i_out", "iterations", "converged", "residual"))
+
+
+def _column(res, b):
+    """Column ``b`` of a ``FastBatchResult`` as a batch of one."""
+    return FastBatchResult(*(np.asarray(getattr(res, f))[b:b + 1]
+                             for f in ("i_out", "iterations", "converged", "residual")))
+
+
+class TestWorkspace:
+    """Each call works in a workspace of its own, reused within the call."""
+
+    def test_calls_leak_nothing(self, rng):
+        dev, wire = DeviceModel.reram1t1r(), WireModel.preset("M3")
+        narrow = rng.integers(0, 2, (2, 5, 64))
+        wide = rng.integers(0, 2, (2, 700, 64))
+        first = solve_columns_fast(*narrow, dev, wire, V)
+        assert _same_result(first, solve_columns_fast(*narrow, dev, wire, V))
+        wide_first = solve_columns_fast(*wide, dev, wire, V)
+        assert _same_result(wide_first, solve_columns_fast(*wide, dev, wire, V))
+        # a narrow call after a wide one reads nothing the wide one left
+        assert _same_result(first, solve_columns_fast(*narrow, dev, wire, V))
+        for b in (0, 4, 699):
+            alone = solve_columns_fast(wide[0][b], wide[1][b], dev, wire, V)
+            assert _same_result(alone, _column(wide_first, b))
+
+    def test_backtracking_batch_equals_columns_alone(self, rng, monkeypatch):
+        # x = 0..64 ON cells at extreme wire: some Newton step overshoots and
+        # is halved, on the failing columns alone
+        halvings, inside = [0], [False]
+        newton_trial, residual = solver._newton_trial, solver._residual
+
+        def counting_trial(*args):
+            inside[0] = True
+            halvings[0] -= 1  # the full step's own residual
+            try:
+                return newton_trial(*args)
+            finally:
+                inside[0] = False
+
+        def counting_residual(*args):
+            halvings[0] += inside[0]
+            return residual(*args)
+
+        monkeypatch.setattr(solver, "_newton_trial", counting_trial)
+        monkeypatch.setattr(solver, "_residual", counting_residual)
+        stored, gates = _columns_with_on(rng, np.arange(65))
+        dev = DeviceModel.sram8t()
+        batch = solve_columns_fast(stored, gates, dev, EXTREME, V, max_iter=4000)
+        assert halvings[0] > 0
+        assert batch.converged.all()
+        for b in range(len(stored)):
+            alone = solve_columns_fast(stored[b], gates[b], dev, EXTREME, V, max_iter=4000)
+            assert _same_result(alone, _column(batch, b))
+
+
 class TestProblemValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -334,6 +416,21 @@ class TestProblemValidation:
             _fast(p, tol=tol)
         with pytest.raises(DomainError, match="tol"):
             solve_column_dense(p, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "5"])
+    def test_max_iter_must_be_a_positive_int(self, max_iter):
+        # 0 and -3 returned a flagged result with 0 and -3 iterations, 2.5 a
+        # bare TypeError
+        p = _problem(np.ones(4, int), np.ones(4, int))
+        with pytest.raises(DomainError, match="max_iter"):
+            _fast(p, max_iter=max_iter)
+        with pytest.raises(DomainError, match="max_iter"):
+            solve_column_dense(p, max_iter=max_iter)
+
+    def test_max_iter_accepts_numpy_ints(self):
+        p = _problem(np.ones(4, int), np.ones(4, int))
+        assert _fast(p, max_iter=np.int64(1)).iterations[0] == 1
+        assert solve_column_dense(p, max_iter=np.int32(50)).converged
 
     def test_solver_arg_validation(self):
         # tol and max_iter are keyword-only, so a stray sixth positional
