@@ -11,10 +11,9 @@ after another one in the same process would inherit that one's heap and
 its page-fault count.  The subprocess prints one JSON line:
 
 - ``col_per_s``: column solves per second of ``vmm_batch`` wall time,
-  the median over ``--repeats`` timed calls;
+  the median over three timed calls;
 - ``faults_per_call``: minor page faults per ``solve_columns_fast`` call,
-  the median over the calls after the first ``vmm_batch`` (over all of
-  them when ``--repeats`` is 1);
+  the median over the calls after the first ``vmm_batch``;
 - ``solve_calls``: ``solve_columns_fast`` calls per ``vmm_batch``;
 - ``peak_rss_mb``: the subprocess's peak resident set;
 - ``checksum``: the first 16 hex digits of the SHA-256 of the outputs,
@@ -42,11 +41,13 @@ import sys
 import time
 from pathlib import Path
 
+NS = (64, 128, 256)
 ROWS, COLS, BATCH = 512, 256, 24
+REPEATS = 3
 SEED = 0
 
 
-def child(n: int, repeats: int) -> dict:
+def child(n: int) -> dict:
     import numpy as np
 
     import binsparx.engine as engine_module
@@ -70,15 +71,15 @@ def child(n: int, repeats: int) -> dict:
                                  adc_bits="full", best_effort=True))
     prepared = engine.prepare(w)
     rates = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = len(calls)
         t0 = time.perf_counter()
         out = engine.vmm_batch(prepared, acts)
         seconds = time.perf_counter() - t0
         rates.append(sum(c for c, _ in calls[start:]) / seconds)
-    per_batch = len(calls) // repeats
+    per_batch = len(calls) // REPEATS
     # the first batch's calls fault the heap in; the later ones show the steady state
-    faults = [f for _, f in calls[per_batch:]] or [f for _, f in calls]
+    faults = [f for _, f in calls[per_batch:]]
     return {
         "n": n,
         "col_per_s": round(statistics.median(rates), 1),
@@ -93,21 +94,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                     help="the src/ directory to import binsparx from")
-    ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256])
-    ap.add_argument("--repeats", type=int, default=3, help="timed vmm_batch calls per n")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
     if args.child is not None:
         sys.path.insert(0, str(args.src))
-        print(json.dumps(child(args.child, args.repeats)))
+        print(json.dumps(child(args.child)))
         return 0
     threads = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads}
-    for n in args.n:
-        run = subprocess.run([sys.executable, __file__, "--child", str(n), "--src", str(args.src),
-                              "--repeats", str(args.repeats)],
+    for n in NS:
+        run = subprocess.run([sys.executable, __file__, "--child", str(n), "--src", str(args.src)],
                              env=env, capture_output=True, text=True)
         if run.returncode:
             sys.stderr.write(run.stderr)

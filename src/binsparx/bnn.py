@@ -52,10 +52,8 @@ class BinaryTensor:
 
     def __post_init__(self):
         a = _int_array(self.values, "BinaryTensor")
-        # |x| of the most negative integer wraps to itself, so it is outside too
-        outside = np.abs(a) != 1
-        if outside.any():
-            bad = a.flat[int(np.argmax(outside.ravel()))]
+        if a.size and not np.isin(a, (-1, 1)).all():
+            bad = a.flat[int(np.argmax(~np.isin(a, (-1, 1)).ravel()))]
             raise DomainError(f"BinaryTensor: element {bad} outside {{-1,+1}}")
         object.__setattr__(self, "values", np.ascontiguousarray(a, dtype=np.int8))
 
