@@ -15,6 +15,9 @@ its page-fault count.  The subprocess prints one JSON line:
 - ``faults_per_call``: minor page faults per ``solve_columns_fast`` call,
   the median over the calls after the first ``vmm_batch``;
 - ``solve_calls``: ``solve_columns_fast`` calls per ``vmm_batch``;
+- ``on_rows_mean`` and ``on_rows_max``: gate-on rows per column solve,
+  the mean over every column and the largest in any call.  The solver
+  iterates over a call's largest gate-on count, not over n;
 - ``peak_rss_mb``: the subprocess's peak resident set;
 - ``checksum``: the first 16 hex digits of the SHA-256 of the outputs,
   which two trees with bit-identical solves share.
@@ -55,12 +58,17 @@ def child(n: int) -> dict:
 
     solve = engine_module.solve_columns_fast
     calls = []  # (columns, minor faults) per solve_columns_fast call
+    on_rows = []  # (gate-on rows summed over the columns, largest), per call
 
     def counted(stored, gates, *args, **kwargs):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         res = solve(stored, gates, *args, **kwargs)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         calls.append((res.i_out.size, faults))
+        # two numbers, not the array: a kept array would grow the heap and
+        # fault the next call's pages in
+        on = np.count_nonzero(gates, axis=-1)
+        on_rows.append((int(on.sum()), int(on.max())))
         return res
 
     engine_module.solve_columns_fast = counted
@@ -85,6 +93,8 @@ def child(n: int) -> dict:
         "col_per_s": round(statistics.median(rates), 1),
         "faults_per_call": statistics.median(faults),
         "solve_calls": per_batch,
+        "on_rows_mean": round(sum(s for s, _ in on_rows) / sum(c for c, _ in calls), 1),
+        "on_rows_max": max(m for _, m in on_rows),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "checksum": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16],
     }

@@ -164,7 +164,8 @@ class DeviceCells(NamedTuple):
 
     ``target``: the cell's gate-on current at nominal bias (i_on for
     stored 1, i_hrs for stored 0), 0 where the gate is off.  ``leak``:
-    i_off where the gate is off, 0 elsewhere.  ``slope``: the scale of the
+    i_off where the gate is off, 0 elsewhere, or None where the caller
+    accounts for the leak itself.  ``slope``: the scale of the
     branch's slope, target / (v_knee * tanh(v_nominal / v_knee)), or
     target / v_nominal for linear cells.  ``lut1`` and ``lut0``: the
     gate-on cells of each stored state whose branch a table replaces, or
@@ -172,7 +173,7 @@ class DeviceCells(NamedTuple):
     """
 
     target: np.ndarray
-    leak: np.ndarray
+    leak: np.ndarray | None
     slope: np.ndarray
     lut1: np.ndarray | None
     lut0: np.ndarray | None
@@ -190,6 +191,14 @@ class DeviceModel:
     attached for a stored state replaces that state's parametric branch;
     it is the gate-on curve, a measured table that
     :func:`load_device_lut` sliced at ``v_nominal``.
+
+    The fast solver relies on the gate-off leak being a constant current,
+    whatever the cell's bias: it folds every gate-off cell into the wire
+    as a fixed sink and iterates over the gate-on cells alone.  Anything
+    that makes a cell's current depend on the cell itself (a per-cell
+    variation factor, say) belongs on the gate-on branch, in ``target``
+    and ``slope``.  A bias-dependent leak would break the folding, and a
+    per-cell one the closed form of the offset it gives the wire.
     """
 
     kind: str = "sram8t"
@@ -230,19 +239,32 @@ class DeviceModel:
         gate-off leakage i_on/1e5 unless ``kw`` sets ``i_off``."""
         return cls(kind="reram1t1r", i_on=i_on, i_hrs=i_hrs, **{"i_off": i_on / 1e5, **kw})
 
-    def cells(self, stored, gate) -> DeviceCells:
+    def cells(self, stored, gate, leak: bool = True, out=None) -> DeviceCells:
         """Per-cell data of a batch of cells, broadcast over stored and gate
         bits: built once per solve, then read by every :meth:`currents`
-        and :meth:`conductances` call at that batch's biases."""
-        s1, on = np.broadcast_arrays(np.asarray(stored) > 0, np.asarray(gate) > 0)
-        target = np.where(on, np.where(s1, self.i_on, self.i_hrs), 0.0)
+        and :meth:`conductances` call at that batch's biases.  With
+        ``leak`` False a gate-off cell draws nothing (``leak`` is None):
+        the fast solver, which folds the leak into the wire, passes its
+        padding rows as gate-off cells.  ``out``, if given, is two float64
+        arrays of the broadcast shape that receive ``target`` and
+        ``slope``."""
+        s1, on = np.broadcast_arrays(*(b if b.dtype == bool else b > 0
+                                       for b in map(np.asarray, (stored, gate))))
+        target, slope = (np.empty(s1.shape), np.empty(s1.shape)) if out is None else out
+        # each cell's (stored, gate) pair, 0..3, reads its values from a
+        # table: one gather per array, where nested np.where takes three
+        # passes.  The pair lives in slope's buffer until slope is written.
+        pair = np.add(s1, on, dtype=np.intp, out=slope.view(np.intp))
+        pair += on
+        np.take([0.0, 0.0, self.i_hrs, self.i_on], pair, out=target, mode="clip")
+        leaks = np.take([self.i_off, self.i_off, 0.0, 0.0], pair) if leak else None
         if self.curve == "linear":
-            slope = target / self.v_nominal
+            np.divide(target, self.v_nominal, out=slope)
         else:
-            slope = target / (self.v_knee * math.tanh(self.v_nominal / self.v_knee))
+            np.divide(target, self.v_knee * math.tanh(self.v_nominal / self.v_knee), out=slope)
         return DeviceCells(
             target=target,
-            leak=np.where(on, 0.0, self.i_off),
+            leak=leaks,
             slope=slope,
             lut1=on & s1 if self.lut_stored1 is not None else None,
             lut0=on & ~s1 if self.lut_stored0 is not None else None,
@@ -279,7 +301,8 @@ class DeviceModel:
             np.tanh(out, out=out)
             out *= cells.target
             out /= math.tanh(self.v_nominal / self.v_knee)
-        out += cells.leak
+        if cells.leak is not None:
+            out += cells.leak
         for mask, values in luts:
             out[mask] = values
         return out

@@ -72,17 +72,19 @@ __all__ = [
 
 # cap on cells (columns x rows) per solve_columns call, except that one
 # gate row's columns always share a call (a row tile of more than
-# 2**17 / n - 1 columns, 2047 at n=64, exceeds it).  A call's (rows,
-# columns) float64 arrays are then 1 MB each, and its workspace holds 11
-# of them beside the device's three per-cell arrays, so it stays near
-# 14 MB however large the run.  Measured at n=64 (SRAM, M4) on a 2-vCPU
-# Xeon, one process per width: a column cost 9.5-9.8 us at 2,048 columns
-# per call, 10.2-10.7 us at 4,096 and 12-15 us at 16k-32k, and a call
-# added 14 MB to the process's peak RSS at 2,048 columns, 25 MB at 4,096
-# and 179 MB at 32k.  At n >= 128 a call is only 1,024 columns or fewer wide, and
-# the sweep's per-row ufunc overhead shows: twice this cap solves n=128 at
-# 30-31k instead of 24-25k columns/s and n=256 at 9.2k instead of 6.2-6.8k
-# (bench/solve_rate.py), for 14 MB more peak RSS.
+# 2**17 / n - 1 columns, 2047 at n=64, exceeds it).  The solver works over
+# a call's largest gate-on count m, not over n, so its workspace holds 17
+# (m, columns) float64 slabs, the device's per-cell arrays among them: at
+# most 17 MB, and half that where BinSparX caps m at n/2.  Measured at
+# n=64 (SRAM, M4, BinSparX gate rows, m = 31-32) on a 2-vCPU Xeon, one
+# process per width: a column cost 4.8-4.9 us at 2,048 columns per call,
+# 4.0-4.1 us at 4,096 and 4.6-6.7 us at 16k-32k, and a call added 8-9 MB
+# to the process's peak RSS at 2,048 columns, 16 MB at 4,096 and 119 MB
+# at 32k.  At n >= 128 a call is only 1,024 columns or fewer wide, and the
+# sweep's per-row ufunc overhead shows: twice this cap solves n=128 at
+# 69-71k instead of 54-59k columns/s and n=256 at 21-22k instead of
+# 16-17k (bench/solve_rate.py), for 6-7 MB more peak RSS at n=128 and
+# 19 MB at n=256.
 _MAX_BATCH_ELEMS = 2**17
 
 
@@ -321,7 +323,7 @@ class Engine:
             raise ShapeError(
                 f"activation length {acts.shape[1]} != weight rows {prepared.rows}"
             )
-        if acts.size and not np.isin(acts, (-1, 1)).all():
+        if acts.size and (acts.dtype.kind not in "biuf" or (np.abs(acts) != 1).any()):
             raise DomainError("activations must be in {-1,+1}")
         cfg = self.config
         if stats is None:

@@ -9,32 +9,66 @@ never appears) at the far end, row n-1, the worst case for IR drop.
 Segment currents follow from charge conservation: the bitline segment
 arriving at row k carries the sum of cell currents at rows >= k, and the
 sense-line segment leaving row k toward the pad carries the sum of cell
-currents at rows <= k.  Two solvers share this wiring:
+currents at rows <= k.  So a current i_j drawn at row j takes
+
+    M_kj = r_driver + r_bl * (min(k, j) + 1) + r_sl * (n - max(k, j))
+
+off the cell voltage at row k.  Two solvers share this wiring:
 
 * ``solve_columns_fast`` - batched Newton iteration on the cell-current
-  vector.  Each step linearizes every cell at its bias and solves that
-  linear ladder exactly with an O(n) backward/forward sweep over the
-  rows, then backtracks (halves the step) for any column whose residual
-  would not fall.  For ohmic cells the first sweep is the closed form.
-  A column starts with every cell at full bias, unless those currents
-  would already reverse-bias one of its cells, as stiff wire does to the
-  far rows; it then starts from one sweep of its ohmic ladder, a few
-  Newton steps from the answer where full bias can be dozens away.
+  vector of each column's gate-on cells (the compressed ladder below).
+  Each step linearizes every cell at its bias and solves that linear
+  ladder exactly with an O(m) backward/forward sweep over the rows, then
+  backtracks (halves the step) for any column whose residual would not
+  fall.  For ohmic cells the first sweep is the closed form.  A column
+  starts with every cell at full bias, unless those currents would
+  already reverse-bias one of its cells, as stiff wire does to the far
+  rows; it then starts from one sweep of its ohmic ladder, a few Newton
+  steps from the answer where full bias can be dozens away.
 * ``solve_column_dense`` - the independent oracle: nodal analysis of one
   column with one unknown per node (zero-resistance segments merged) and
-  Newton-Raphson on the node voltages.  It shares no code with the sweep;
-  ``validate-solver``, the tests and the benchmark check the fast path
-  against it.  The engine always solves with ``solve_columns_fast``.
+  Newton-Raphson on the node voltages, over every row.  It shares no code
+  with the sweep; ``validate-solver``, the tests and the benchmark check
+  the fast path against it.  The engine always solves with
+  ``solve_columns_fast``.
 
 Each column is solved independently: activations drive access-transistor
 gates, which draw no steady-state row current, so rows do not couple.
 
+The compressed ladder.  A gate-off cell draws the constant ``i_off``
+whatever its bias, so only a column's m_b gate-on cells, at rows
+p_0 < ... < p_{m_b-1}, are unknowns.  Between two of them the wire is a
+chain of segments with nothing but constant sinks tapped off it, so by
+superposition the column is exactly a ladder of m_b rows:
+
+* the bitline segment arriving at compressed row t is
+  ``r_bl * (p_t - p_{t-1})``, and ``r_driver + r_bl * (p_0 + 1)`` at
+  t = 0; the sense-line segment leaving row t is
+  ``r_sl * (p_{t+1} - p_t)``, and ``r_sl * (n - p_last)`` at the last.
+  These segments give exactly M restricted to the gate-on rows;
+* the gate-off cells shift each gate-on cell's voltage by the fixed
+  ``dv_t = -i_off * sum over gate-off j of M_{p_t j}``, and add
+  ``i_off * (n - m_b)`` to ``i_out``.  ``dv`` has a closed form in
+  integer counts of the gate-off rows above and below each p_t.
+
+Newton linearizes each cell at its present voltage v as
+i = f + g*(v' - v) in its next voltage v'.  The compressed ladder alone
+sets u = v' - dv, so its sweep solves the cells i = g*u + (f - g*(v - dv));
+the ohmic start, i = g*v', solves i = g*u + g*dv.  A call solves its
+columns over the largest m_b among them, each column padded at the bottom
+with rows of zero resistance, target 0 and leak 0.  In the sweep every
+operation on such a row reduces to ``x * 1`` or ``x + 0``, so padding is
+exact: a column's answer is the same bit for bit alone or in any batch.
+Everything that depends on the gate row alone (positions, segments,
+``dv``, the leak total) is computed once per distinct gate row and then
+expanded; only the stored bits are gathered per column.
+
 ``solve_columns_fast`` builds the device's per-cell data once per call
 (:meth:`DeviceModel.cells`) and works in one workspace per call: a single
-block of (n, B) float slabs plus a few width-B rows.  Every pass - the
+block of (m, B) float slabs plus a few width-B rows.  Every pass - the
 sweep, the cell voltages, the device evaluations, the residual and the
 active-set compaction - writes into slabs with ``out=``, and an array of
-the shrinking active width is a view of a slab's first n*w floats.  The
+the shrinking active width is a view of a slab's first m*w floats.  The
 block is there for the page faults, not the arithmetic.  Allocating about
 30 (n, B) temporaries per Newton iteration cost about 12.8k minor page
 faults per 4,096-column call at n=64, because glibc handed the freed heap
@@ -49,6 +83,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,12 +102,13 @@ __all__ = [
 _MIN_STEP = 2.0**-10
 # batch width from which row-by-row cumulative sums beat np.cumsum(axis=0)
 _ROW_SUM_MIN_WIDTH = 256
-# (n, B) slabs in one call's workspace.  The ladder sweep is the peak: the
-# currents, its g and c, the three float arrays of the device cells and
-# its own five coefficient arrays
-_SLABS = 11
+# (m, B) slabs in one call's workspace.  The ohmic start is the peak: the
+# ladder's three arrays, the device cells' target and slope, the currents
+# and voltages, the starved columns' ladder, g and c, and the sweep's five
+# coefficient arrays
+_SLABS = 17
 # width-B scratch rows: the ladder sweep's recurrence
-_ROWS = 17
+_ROWS = 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,26 +171,34 @@ class FastBatchResult:
     residual: np.ndarray     # (B,)
 
 
+class _Ladder(NamedTuple):
+    """The compressed ladders of a batch, rows on axis 0: (m, B) arrays."""
+
+    r_bl: np.ndarray  # bitline segment arriving at the row; row 0's holds r_driver
+    r_sl: np.ndarray  # sense-line segment leaving the row toward the pad
+    dv: np.ndarray    # the gate-off cells' fixed shift of the row's cell voltage
+
+
 class _Workspace:
     """The float working set of one :func:`solve_columns_fast` call.
 
-    One block of ``_SLABS`` slabs, each the size of one (n, B) array, plus
+    One block of ``_SLABS`` slabs, each the size of one (m, B) array, plus
     a few width-B rows.  An array of the current active width w is a view
-    of a slab's first n*w floats, so narrowing the active set narrows the
+    of a slab's first m*w floats, so narrowing the active set narrows the
     views and never reallocates.  :meth:`take` hands out a free slab and
     :meth:`give` returns it.
     """
 
-    def __init__(self, n: int, width: int):
-        self.n = n
-        self._block = np.empty((_SLABS, n * width))
+    def __init__(self, m: int, width: int):
+        self.m = m
+        self._block = np.empty((_SLABS, m * width))
         self._free = list(range(_SLABS))
         self._rows = np.empty((_ROWS, width))
 
     def take(self, width: int) -> np.ndarray:
-        """A free slab as an (n, width) array."""
+        """A free slab as an (m, width) array."""
         j = self._free.pop()
-        return self._block[j, : self.n * width].reshape(self.n, width)
+        return self._block[j, : self.m * width].reshape(self.m, width)
 
     def give(self, *arrays: np.ndarray):
         """Return slabs that :meth:`take` handed out; other arrays are ignored."""
@@ -179,16 +223,83 @@ class _Workspace:
         return out
 
     def column_sums(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Sum of each of ``a``'s columns ``cols``, each column added
-        contiguously, in the order np.sum takes on a (B, n) row; summing
-        down axis 0 adds in another order."""
+        """Sum of each of ``a``'s columns ``cols``, adding the rows in order
+        from row 0, into a scratch row that the next sweep overwrites.
+        One fixed order for every width: np.sum adds a lone column
+        pairwise but a wide slice row by row, and the padding rows' zeros
+        must not move a column's sum."""
         picked = self.take(cols.size)
         np.take(a, cols, axis=1, out=picked, mode="clip")
-        rows = self.take(cols.size).reshape(cols.size, self.n)
-        np.copyto(rows, picked.T)
-        sums = rows.sum(axis=1)
-        self.give(picked, rows)
-        return sums
+        total, spare = self.rows(cols.size)[:2]
+        np.copyto(total, picked[0])
+        for row in picked[1:]:
+            total, spare = np.add(total, row, spare), total
+        self.give(picked)
+        return total
+
+
+def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: WireModel):
+    """The compressed ladders of (B, n) stored and gate bit columns.
+
+    Returns the call's workspace, sized to the largest gate-on count m
+    (1 at least), the gate-on cells' :class:`DeviceCells` (m, B), the
+    :class:`_Ladder` in three of the workspace's slabs, and each column's
+    leak total i_off * (gate-off cells).  Positions, segments, ``dv`` and
+    the leak total are computed once per distinct gate row.
+    """
+    B, n = gates.shape
+    key = np.packbits(gates, axis=1)
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    count = np.count_nonzero(gates[first], axis=1)
+    m = max(1, int(count.max()))
+    # gate-on rows p of gate row u, ascending, and their compressed rows t
+    u, p = np.nonzero(gates[first])
+    start = np.cumsum(count) - count
+    t = np.arange(p.size) - start[u]
+    top, bottom = t == 0, t == count[u] - 1
+    gap_up = np.diff(p, prepend=-1)
+    gap_up[top] = p[top] + 1
+    gap_down = np.empty_like(p)
+    gap_down[:-1] = np.diff(p)
+    gap_down[bottom] = n - p[bottom]
+    r_bl = wire.r_bl_per_cell * gap_up
+    r_bl[top] += wire.r_driver
+    # dv from integer counts: the gate-off rows above p (j < p, toward the
+    # driver) number p - t, and their indices sum to p(p-1)/2 less the
+    # gate-on rows' above p
+    on_sum = np.concatenate(([0], np.cumsum(p)))
+    n_off = n - count[u]
+    off_above = p - t
+    sum_above = p * (p - 1) // 2 - (on_sum[:-1] - on_sum[start][u])
+    off_below = n_off - off_above
+    sum_below = (n * (n - 1) // 2 - (on_sum[start + count] - on_sum[start])[u]) - sum_above
+    # sum over gate-off j of min(p, j) + 1 and of n - max(p, j)
+    bl_share = sum_above + off_above + (p + 1) * off_below
+    sl_share = (n - p) * off_above + n * off_below - sum_below
+    dv = -device.i_off * (wire.r_driver * n_off + wire.r_bl_per_cell * bl_share
+                          + wire.r_sl_per_cell * sl_share)
+    # per distinct gate row, padded at the bottom: zero segments, dv 0, gate off
+    per_row = np.zeros((3, m, first.size))
+    for row, values in zip(per_row, (r_bl, wire.r_sl_per_cell * gap_down, dv)):
+        row[t, u] = values
+    pos = np.zeros((m, first.size), dtype=np.intp)
+    pos[t, u] = p
+
+    ws = _Workspace(m, B)
+    ladder = _Ladder(*(np.take(a, inverse, axis=1, out=ws.take(B), mode="clip")
+                       for a in per_row))
+    # the stored bits at each column's gate-on rows, by flat index into
+    # stored (a padding row reads row 0; it is gate-off, so it draws nothing)
+    slab = ws.take(B)
+    at = np.take(pos, inverse, axis=1, out=slab.view(np.intp), mode="clip")
+    at += np.arange(0, B * n, n)
+    picked = np.take(np.ascontiguousarray(stored).ravel(), at)
+    ws.give(slab)
+    on = np.arange(m)[:, None] < count[inverse]
+    cells = device.cells(picked, on, leak=False, out=(ws.take(B), ws.take(B)))
+    leak = (device.i_off * (n - count))[inverse]
+    return ws, cells, ladder, leak
 
 
 def _cumsum_rows(a: np.ndarray, out: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -210,103 +321,103 @@ def _cumsum_rows(a: np.ndarray, out: np.ndarray, reverse: bool = False) -> np.nd
     return out
 
 
-def _cell_voltages(i_cell: np.ndarray, wire: WireModel, v_drive: float,
+def _cell_voltages(i_cell: np.ndarray, ladder: _Ladder, v_drive: float,
                    out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Cell voltages (bitline minus sense line) given cell currents, rows on
-    axis 0, into ``out``: (n, B).  ``tmp`` is scratch of the same shape."""
+    """Cell voltages (bitline minus sense line, less ``dv``) given cell
+    currents, rows on axis 0, into ``out``: (m, B).  ``tmp`` is scratch of
+    the same shape."""
     # suffix[k] = sum of currents at rows >= k: what the BL still delivers at k
-    suffix = _cumsum_rows(i_cell, out, reverse=True)
-    head = v_drive - wire.r_driver * suffix[0]
-    v_bl = _cumsum_rows(suffix, out)
+    drop = _cumsum_rows(i_cell, out, reverse=True)
+    drop *= ladder.r_bl
+    v_bl = _cumsum_rows(drop, out)
+    np.subtract(v_drive, v_bl, out=v_bl)
     # the SL segment leaving row k carries the sum of currents at rows <= k
-    v_sl = _cumsum_rows(_cumsum_rows(i_cell, tmp), tmp, reverse=True)
-    v_sl *= wire.r_sl_per_cell
-    v_bl *= -wire.r_bl_per_cell
-    v_bl += head
+    v_sl = _cumsum_rows(i_cell, tmp)
+    v_sl *= ladder.r_sl
+    _cumsum_rows(v_sl, v_sl, reverse=True)
     v_bl -= v_sl
+    v_bl += ladder.dv
     return v_bl
 
 
 def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float, tmp: np.ndarray) -> np.ndarray:
-    """max |f(v(i)) - i| / i_on per column; ``tmp`` is (n, B) scratch."""
+    """max |f(v(i)) - i| / i_on per column; ``tmp`` is (m, B) scratch."""
     d = np.subtract(f, i_cell, out=tmp)
     np.abs(d, out=d)
     return d.max(axis=0) / i_on
 
 
-def _ladder_sweep(g: np.ndarray, c: np.ndarray, wire: WireModel, v_drive: float,
+def _ladder_sweep(g: np.ndarray, c: np.ndarray, ladder: _Ladder, v_drive: float,
                   ws: _Workspace) -> np.ndarray:
-    """Exact cell currents (n, B) of the linear ladder whose cells draw g*v + c.
+    """Exact cell currents (m, B) of the linear ladder whose cells draw
+    g*u + c, u the voltage the ladder's segments leave them (``dv`` is
+    the caller's to fold into c).
 
     A backward sweep over the rows carries the relation the rows below k
     impose at row k; a forward sweep from the driver then fixes every row.
     Every division is by 1 + (non-negative product), because ``g >= 0``
-    and all wire resistances are >= 0, so the sweep is stable at any wire
-    and exact when a resistance is 0.  Vectorized over the batch axis.
-    Both inputs are spent: the currents are returned in ``g``, and ``c``
-    is overwritten.  No ufunc call writes an array it reads, because numpy
-    runs such a call on a width-1 batch through its slow general loop.
+    and all segment resistances are >= 0, so the sweep is stable at any
+    wire and exact when a segment is 0 ohm.  Vectorized over the batch
+    axis.  Both inputs are spent: the currents are returned in ``g``, and
+    ``c`` is overwritten.  No ufunc call writes an array it reads, because
+    numpy runs such a call on a width-1 batch through its slow general
+    loop; the outputs go positionally, which costs less per call than
+    ``out=``.
     """
-    n, B = g.shape
-    r_bl, r_sl = wire.r_bl_per_cell, wire.r_sl_per_cell
-    r_src = wire.r_driver + r_bl
+    m, B = g.shape
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    r_bl, r_sl = ladder.r_bl, ladder.r_sl
     # Rows >= k relate (S_k, vs_k) to (vb_k, T_{k-1}):
-    #   S_k  = A*vb_k - nB*T_{k-1} + E,   vs_k = P*vb_k + Q*T_{k-1} + F,
+    #   S_k  = A*vb_k - P*T_{k-1} + E,   vs_k = P*vb_k + Q*T_{k-1} + F,
     # where S_k is the bitline current into row k and T_{k-1} the sense-line
-    # current arriving from rows < k.  A, nB, P, Q >= 0; Bb = 1 - nB and
-    # Pb = 1 - P are carried separately so that no coefficient is formed
-    # by a subtraction.
+    # current arriving from rows < k.  The sub-ladder is a reciprocal
+    # two-port, so one coefficient P serves both relations.  A, P, Q >= 0;
+    # Pb = 1 - P is carried separately so that no coefficient is formed by
+    # a subtraction.
     i_v, i_t, i_c = ws.take(B), ws.take(B), c  # i_k = i_v*vb_k - i_t*T_{k-1} + i_c
-    w_v, w_t, w_c = ws.take(B), ws.take(B), ws.take(B)  # vb_{k+1} = (vb_k + w_t*T_k + w_c) * w_v
-    rows = ws.rows(B)
-    A, nB, E, P, Q, F, Bb, Pb = rows[:8]
-    ra, al, alb, bb, beta, gamma, inv2, t1, t2 = rows[8:]
-    for row in (A, nB, E, P, Q, F):
+    w_v, w_t, w_c = ws.take(B), ws.take(B), ws.take(B)  # vb_{k+1} = (vb_k + w_t*T_k - w_c) * w_v
+    A, E, P, Q, F, Pb, ra, al, alb, beta, gamma, inv2, t1, t2, below = ws.rows(B)
+    for row in (A, E, P, Q, F, below):
         row[...] = 0.0
-    Bb[...] = Pb[...] = 1.0
-    for k in range(n - 1, -1, -1):
+    Pb[...] = 1.0
+    for k in range(m - 1, -1, -1):
         gk = g[k]
-        np.multiply(A, r_bl, out=ra)
-        inv1 = np.divide(1.0, np.add(ra, 1.0, out=t1), out=w_v[k])
-        np.multiply(nB, r_bl, out=w_t[k])
-        np.multiply(E, -r_bl, out=w_c[k])
+        rb = r_bl[k + 1] if k + 1 < m else below  # the bitline segment to row k+1
+        mul(A, rb, ra)
+        inv1 = div(1.0, add(ra, 1.0, t1), w_v[k])
+        mul(P, rb, w_t[k])
+        mul(E, rb, w_c[k])
         # rows > k seen from row k's bitline node, row k's cell still open:
         # vs_k = al*vb_k + beta*T_k + gamma
-        np.multiply(P, inv1, out=al)
-        np.multiply(np.add(Pb, ra, out=t1), inv1, out=alb)
-        np.multiply(np.add(Bb, ra, out=t1), inv1, out=bb)
-        ral = np.multiply(al, r_bl, out=ra)
-        np.add(np.add(Q, r_sl, out=t1), np.multiply(ral, nB, out=t2), out=beta)
-        np.subtract(F, np.multiply(ral, E, out=t1), out=gamma)
+        mul(P, inv1, al)
+        mul(add(Pb, ra, t1), inv1, alb)
+        ral = mul(al, rb, ra)
+        add(add(Q, r_sl[k], t1), mul(ral, P, t2), beta)
+        sub(F, mul(ral, E, t1), gamma)
         # close row k's cell, i = g*(vb - vs) + c
-        np.divide(1.0, np.add(np.multiply(gk, beta, out=t1), 1.0, out=t2), out=inv2)
-        np.multiply(beta, inv2, out=Q)
-        np.multiply(alb, inv2, out=Pb)
-        itk = np.multiply(gk, Q, out=i_t[k])
-        ick = np.multiply(np.subtract(c[k], np.multiply(gk, gamma, out=t1), out=t2), inv2,
-                          out=i_c[k])
-        ivk = np.multiply(gk, Pb, out=i_v[k])
-        for coef, x in ((A, ivk), (nB, itk), (E, ick)):
-            np.add(np.multiply(coef, inv1, out=t1), np.multiply(bb, x, out=t2), out=coef)
-        np.add(al, np.multiply(beta, ivk, out=t1), out=P)
-        np.add(gamma, np.multiply(beta, ick, out=t1), out=F)
-        np.multiply(bb, inv2, out=Bb)
+        div(1.0, add(mul(gk, beta, t1), 1.0, t2), inv2)
+        mul(beta, inv2, Q)
+        mul(alb, inv2, Pb)
+        mul(gk, Q, i_t[k])
+        ick = mul(sub(c[k], mul(gk, gamma, t1), t2), inv2, i_c[k])
+        ivk = mul(gk, Pb, i_v[k])
+        add(mul(A, inv1, t1), mul(alb, ivk, t2), A)
+        add(mul(E, inv1, t1), mul(alb, ick, t2), E)
+        add(al, mul(beta, ivk, t1), P)
+        add(gamma, mul(beta, ick, t1), F)
     vb, T, T_next, t3 = ra, beta, gamma, inv2  # rows the backward sweep is done with
-    np.divide(np.subtract(v_drive, np.multiply(E, r_src, out=t1), out=t2),
-              np.add(np.multiply(A, r_src, out=t1), 1.0, out=t3), out=vb)
+    r_src = r_bl[0]
+    div(sub(v_drive, mul(E, r_src, t1), t2), add(mul(A, r_src, t1), 1.0, t3), vb)
     T[...] = 0.0
-    for k in range(n):
-        diff = np.subtract(np.multiply(i_v[k], vb, out=t1), np.multiply(i_t[k], T, out=t2),
-                           out=t3)
-        ik = np.add(diff, i_c[k], out=g[k])
-        T, T_next = np.add(T, ik, out=T_next), T
-        np.add(np.add(vb, np.multiply(w_t[k], T, out=t1), out=t2), w_c[k], out=t1)
-        np.multiply(t1, w_v[k], out=vb)
+    for k in range(m):
+        ik = add(sub(mul(i_v[k], vb, t1), mul(i_t[k], T, t2), t3), i_c[k], g[k])
+        T, T_next = add(T, ik, T_next), T
+        mul(sub(add(vb, mul(w_t[k], T, t1), t2), w_c[k], t1), w_v[k], vb)
     ws.give(i_v, i_t, w_v, w_t, w_c)
     return g
 
 
-def _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws):
+def _newton_trial(i_cell, step, res, cells, device, ladder, v_drive, ws):
     """Take ``i + s*step``, halving s (down to _MIN_STEP) while a column's
     residual does not fall below ``res``.  Returns (i, v, f, residual) in
     fresh slabs and gives back the slabs of ``i_cell`` and ``step``.  The
@@ -315,7 +426,7 @@ def _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws):
     B = i_cell.shape[1]
     trial = np.add(i_cell, step, out=ws.take(B))
     tmp = ws.take(B)
-    v = _cell_voltages(trial, wire, v_drive, ws.take(B), tmp)
+    v = _cell_voltages(trial, ladder, v_drive, ws.take(B), tmp)
     f = device.currents(cells, v, out=ws.take(B))
     r = _residual(f, trial, i_on, tmp)
     ws.give(tmp)
@@ -325,7 +436,8 @@ def _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws):
         scale *= 0.5
         sub = i_cell[:, bad] + scale * step[:, bad]
         tmp = np.empty_like(sub)
-        v_sub = _cell_voltages(sub, wire, v_drive, np.empty_like(sub), tmp)
+        v_sub = _cell_voltages(sub, _Ladder(*(a[:, bad] for a in ladder)), v_drive,
+                               np.empty_like(sub), tmp)
         f_sub = device.currents(DeviceCells(*(None if a is None else a[:, bad] for a in cells)),
                                 v_sub)
         r_sub = _residual(f_sub, sub, i_on, tmp)
@@ -338,21 +450,20 @@ def _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws):
     return trial, v, f, r
 
 
-def _ohmic_start(i_cell, v, cells, starved, wire, v_drive, ws):
+def _ohmic_start(i_cell, v, starved, ladder, v_drive, ws):
     """Restart the ``starved`` columns of (i_cell, v) from the exact
     currents of their ohmic ladder: gate-on cells at their chord
-    conductance f(v_drive) / v_drive, gate-off cells at their constant
-    leak.  ``i_cell`` holds the full-bias currents f(v_drive)."""
+    conductance f(v_drive) / v_drive, which ``i_cell`` holds."""
     s = starved.size
-    leak = np.take(cells.leak, starved, axis=1, out=ws.take(s), mode="clip")
+    part = _Ladder(*(np.take(a, starved, axis=1, out=ws.take(s), mode="clip") for a in ladder))
     g = np.take(i_cell, starved, axis=1, out=ws.take(s), mode="clip")
-    g -= leak  # a gate-off cell's f(v_drive) is its leak: g = 0 there
     g /= v_drive
-    i_start = _ladder_sweep(g, leak, wire, v_drive, ws)
+    c = np.multiply(g, part.dv, out=ws.take(s))
+    i_start = _ladder_sweep(g, c, part, v_drive, ws)
     i_cell[:, starved] = i_start
     tmp = ws.take(s)
-    v[:, starved] = _cell_voltages(i_start, wire, v_drive, leak, tmp)
-    ws.give(i_start, leak, tmp)
+    v[:, starved] = _cell_voltages(i_start, part, v_drive, c, tmp)
+    ws.give(i_start, c, tmp, *part)
 
 
 def _check_settings(tol, max_iter):
@@ -376,22 +487,24 @@ def solve_columns_fast(
     """Batched Newton solve of many columns at once.
 
     ``stored`` and ``gates`` broadcast against each other to (B, n).  The
-    unknown is the cell-current vector i; the line voltages v(i) follow
-    from it, and a column converges when its residual
-    max |f(v(i)) - i| / i_on drops below ``tol`` (f: the device model), at
-    which point it returns f(v(i)).  Iteration 1 evaluates the start
-    point: every cell at full bias, i = f(v_drive), unless that leaves one
-    of the column's cells reverse-biased.  Such a starved column starts
-    instead from the exact currents of its ohmic ladder, which one sweep
-    gives: gate-on cells at their chord conductance f(v_drive)/v_drive,
-    gate-off cells at their constant leakage.  Each further iteration
-    linearizes every cell at its current bias as i = g*v + c, with g from
-    ``device.conductances`` (which owns the reverse-bias rule: g = 0 where
-    the current is flat), solves that linear ladder exactly with an O(n)
-    sweep, and backtracks - halving the step while a column's residual
-    does not fall.  Converged columns are summed and leave the active set
-    at once.  Non-convergent problems are returned flagged (with their
-    last f(v(i))), never silently.
+    unknown is the current vector i of each column's gate-on cells; its
+    gate-off cells are folded into the wire (the module docstring's
+    compressed ladder).  The line voltages v(i) follow from i, and a
+    column converges when its residual max |f(v(i)) - i| / i_on drops
+    below ``tol`` (f: the device model), at which point it returns the
+    sum of f(v(i)) plus its gate-off cells' leak.  Iteration 1 evaluates
+    the start point: every cell at full bias, i = f(v_drive), unless that
+    leaves one of the column's cells reverse-biased.  Such a starved
+    column starts instead from the exact currents of its ohmic ladder,
+    which one sweep gives: gate-on cells at their chord conductance
+    f(v_drive)/v_drive.  Each further iteration linearizes every cell at
+    its current bias as i = g*v + c, with g from ``device.conductances``
+    (which owns the reverse-bias rule: g = 0 where the current is flat),
+    solves that linear ladder exactly with an O(m) sweep, and backtracks -
+    halving the step while a column's residual does not fall.  Converged
+    columns are summed and leave the active set at once.  Non-convergent
+    problems are returned flagged (with their last f(v(i))), never
+    silently.
     """
     _check_settings(tol, max_iter)
     stored = np.atleast_2d(np.asarray(stored) > 0)
@@ -404,20 +517,18 @@ def solve_columns_fast(
     converged = np.zeros(B, dtype=bool)
     if not B:
         return FastBatchResult(i_out, iters, converged, residual)
-    # rows on axis 0, so that the ladder sweep reads contiguous rows
-    cells = device.cells(np.ascontiguousarray(stored.T), np.ascontiguousarray(gates.T))
-    ws = _Workspace(n, B)
+    ws, cells, ladder, leak = _compress(stored, gates, device, wire)
     i_on = device.i_on
     active = np.arange(B)
 
     i_cell = device.currents(cells, v_drive, out=ws.take(B))
     tmp = ws.take(B)
-    v = _cell_voltages(i_cell, wire, v_drive, ws.take(B), tmp)
+    v = _cell_voltages(i_cell, ladder, v_drive, ws.take(B), tmp)
     ws.give(tmp)
     # starved columns (full bias reverse-biases a cell): the ohmic start
     starved = np.flatnonzero(v.min(axis=0) < 0)
     if starved.size:
-        _ohmic_start(i_cell, v, cells, starved, wire, v_drive, ws)
+        _ohmic_start(i_cell, v, starved, ladder, v_drive, ws)
     f = device.currents(cells, v, out=ws.take(B))
     tmp = ws.take(B)
     res = _residual(f, i_cell, i_on, tmp)
@@ -426,7 +537,7 @@ def solve_columns_fast(
         done = res < tol
         if done.any():
             cols = active[done]
-            i_out[cols] = ws.column_sums(f, np.flatnonzero(done))
+            i_out[cols] = ws.column_sums(f, np.flatnonzero(done)) + leak[cols]
             residual[cols] = res[done]
             iters[cols] = it
             converged[cols] = True
@@ -436,19 +547,21 @@ def solve_columns_fast(
                 break
             i_cell, v, f = (ws.compact(a, keep) for a in (i_cell, v, f))
             cells = DeviceCells(*(None if a is None else ws.compact(a, keep) for a in cells))
+            ladder = _Ladder(*(ws.compact(a, keep) for a in ladder))
             res = res[keep]
         if it == max_iter:
             break
         g = device.conductances(cells, v, out=ws.take(active.size))
+        v -= ladder.dv
         v *= g
-        f -= v  # f now holds c of the linearization i = g*v + c
+        f -= v  # f now holds c of the linearization i = g*(v - dv) + c
         ws.give(v)
-        step = _ladder_sweep(g, f, wire, v_drive, ws)
+        step = _ladder_sweep(g, f, ladder, v_drive, ws)
         ws.give(f)
         step -= i_cell
-        i_cell, v, f, res = _newton_trial(i_cell, step, res, cells, device, wire, v_drive, ws)
+        i_cell, v, f, res = _newton_trial(i_cell, step, res, cells, device, ladder, v_drive, ws)
     if active.size:
-        i_out[active] = ws.column_sums(f, np.arange(active.size))
+        i_out[active] = ws.column_sums(f, np.arange(active.size)) + leak[active]
         residual[active] = res
     return FastBatchResult(i_out=i_out, iterations=iters, converged=converged, residual=residual)
 

@@ -1,14 +1,18 @@
 """Measurement harnesses called directly, not through the command line."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from binsparx import analysis
 from binsparx import engine as engine_module
 from binsparx.analysis import solver_validation_suite, sweep_deviation
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import Engine, EngineConfig, LayerSpec
 from binsparx.errors import ConfigError
+from binsparx.solver import solve_column_dense
 
 ZERO_WIRE = WireModel(0.0, 0.0, 0.0, 0.0)
 
@@ -136,11 +140,53 @@ def test_solver_validation_suite_passes():
     assert [(c["preset"], c["i_on"]) for c in rep["corners"]] == [
         (preset, i_on) for preset in ("M3", "M4", "M6") for i_on in (1e-6, 2e-6)
     ]
-    assert all(c["trials"] == 2 for c in rep["corners"])
+    assert all(c["trials"] == 2 and c["nonconverged"] == 0 for c in rep["corners"])
     assert rep["max_rel_error"] <= rep["budget"] == 0.005
     assert rep["zero_parasitic_rel_error"] <= 1e-9
     assert rep["linear_closed_form_rel_error"] <= 1e-9
     assert rep["passed"] is True
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solver_validation_suite_anchored_dense_solves_converge(monkeypatch, seed):
+    # at tol 1e-12, below the oracle's round-off floor, the anchored dense
+    # solves ran all 60 iterations unconverged and the suite read i_out anyway
+    anchored = []
+
+    def recording(p, tol=1e-6, max_iter=60):
+        res = solve_column_dense(p, tol=tol, max_iter=max_iter)
+        if p.device.i_off == 0.0:  # the anchored checks' clean devices
+            anchored.append(res)
+        return res
+
+    monkeypatch.setattr(analysis, "solve_column_dense", recording)
+    rep = solver_validation_suite(trials=1, seed=seed)
+    assert len(anchored) == 2
+    assert all(res.converged and res.iterations <= 1 for res in anchored)
+    assert rep["anchored_converged"] is True and rep["passed"] is True
+
+
+def test_solver_validation_suite_fails_when_an_anchored_solve_does_not_converge(monkeypatch):
+    def unconverged(p, tol=1e-6, max_iter=60):
+        res = solve_column_dense(p, tol=tol, max_iter=max_iter)
+        return replace(res, converged=False) if p.device.i_off == 0.0 else res
+
+    monkeypatch.setattr(analysis, "solve_column_dense", unconverged)
+    rep = solver_validation_suite(trials=1, seed=0)
+    assert rep["linear_closed_form_rel_error"] <= 1e-9
+    assert rep["anchored_converged"] is False and rep["passed"] is False
+
+
+def test_solver_validation_suite_fails_when_a_corner_solve_does_not_converge(monkeypatch):
+    def unconverged(p, tol=1e-6, max_iter=60):
+        res = solve_column_dense(p, tol=tol, max_iter=max_iter)
+        return replace(res, converged=False) if p.device.i_off > 0.0 else res
+
+    monkeypatch.setattr(analysis, "solve_column_dense", unconverged)
+    rep = solver_validation_suite(trials=2, seed=0)
+    assert [c["nonconverged"] for c in rep["corners"]] == [2] * 6
+    assert rep["max_rel_error"] <= rep["budget"] and rep["anchored_converged"] is True
+    assert rep["passed"] is False
 
 
 def test_solver_validation_suite_rejects_an_unknown_kind_before_solving(monkeypatch):

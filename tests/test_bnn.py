@@ -49,6 +49,17 @@ class TestMapping:
         with pytest.raises(DomainError):
             BinaryTensor([1.5])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
+    def test_wrapping_extremes_are_refused(self, dtype):
+        # |x| of the most negative integer wraps to itself, so |x| != 1
+        # still refuses it, as np.isin(a, (-1, 1)) did
+        info = np.iinfo(dtype)
+        for bad in {info.min, info.max, 0}:
+            with pytest.raises(DomainError, match=str(bad)):
+                BinaryTensor(np.array([1, bad, 1], dtype=dtype))
+        if info.min < 0:
+            assert BinaryTensor(np.array([1, -1], dtype=dtype)).values.tolist() == [1, -1]
+
 
 class TestNandnetDot:
     def test_worked_example(self):

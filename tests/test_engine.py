@@ -73,6 +73,14 @@ class TestGoldenExactness:
             eng.vmm_batch(prep, np.ones((1, 63), dtype=np.int8))
         with pytest.raises(DomainError):
             eng.vmm_batch(prep, np.zeros((1, 64), dtype=np.int8))
+        # |x| != 1 refuses what a {-1, +1} membership test refuses
+        for bad in (np.int8(-128), np.nan, 1j, "1"):
+            acts = np.ones((1, 64), dtype=np.asarray(bad).dtype)
+            acts[0, 5] = bad
+            with pytest.raises(DomainError):
+                eng.vmm_batch(prep, acts)
+        ok = np.where(np.arange(64) % 2, 1.0, -1.0)[None]
+        assert np.array_equal(eng.vmm_batch(prep, ok), eng.vmm_batch(prep, ok.astype(np.int8)))
 
 
 def _corner_counts(A, W, n):

@@ -8,7 +8,9 @@ from binsparx.solver import (
     ColumnProblem,
     FastBatchResult,
     _cell_voltages,
+    _compress,
     _cumsum_rows,
+    _Ladder,
     _ladder_sweep,
     _Workspace,
     solve_column_dense,
@@ -142,15 +144,25 @@ class TestDenseOracle:
         assert ints.converged and ints.i_out == floats.i_out
 
 
+def _full_ladder(wire, n, width=1):
+    """The segments of ``wire`` at every one of n rows, no leak offset:
+    the uncompressed ladder of ``width`` columns."""
+    r_bl = np.full((n, width), float(wire.r_bl_per_cell))
+    r_bl[0] += wire.r_driver
+    return _Ladder(r_bl, np.full((n, width), float(wire.r_sl_per_cell)), np.zeros((n, width)))
+
+
 def _voltages(i_cell, wire):
-    """``_cell_voltages`` into fresh buffers."""
-    return _cell_voltages(i_cell, wire, V, np.empty_like(i_cell), np.empty_like(i_cell))
+    """``_cell_voltages`` of the uncompressed ladder into fresh buffers."""
+    return _cell_voltages(i_cell, _full_ladder(wire, *i_cell.shape), V,
+                          np.empty_like(i_cell), np.empty_like(i_cell))
 
 
 def _sweep(g, wire):
     """One ladder sweep of ohmic cells g (one column): (cell currents, cell voltages)."""
     g = np.array(g, dtype=np.float64)[:, None]  # a copy: the sweep spends its inputs
-    i_cell = _ladder_sweep(g, np.zeros_like(g), wire, V, _Workspace(*g.shape))
+    i_cell = _ladder_sweep(g, np.zeros_like(g), _full_ladder(wire, len(g)), V,
+                           _Workspace(*g.shape))
     return i_cell[:, 0], _voltages(i_cell, wire)[:, 0]
 
 
@@ -223,6 +235,112 @@ class TestLinearLadder:
         assert abs(fast.i_out[0] - i_cf) / i_cf < 1e-12
 
 
+def _green(wire, n):
+    """M[k, j]: the drop at row k's cell per ampere drawn at row j, from the
+    module docstring's formula."""
+    k, j = np.indices((n, n))
+    return (wire.r_driver + wire.r_bl_per_cell * (np.minimum(k, j) + 1)
+            + wire.r_sl_per_cell * (n - np.maximum(k, j)))
+
+
+def _gate_mix(rng, n):
+    """(stored, gates) columns with 0, 1, n, conv-like (rows 0-8 only) and
+    random gate-on counts, one random gate row repeated apart."""
+    gates = (rng.random((12, n)) < rng.random((12, 1))).astype(int)
+    gates[0] = 0
+    gates[1] = 0
+    gates[1, 0] = 1
+    gates[2] = 0
+    gates[2, n - 1] = 1
+    gates[3] = 1
+    gates[4:7] = 0
+    gates[4:7, :9] = rng.integers(0, 2, (3, 9))
+    gates[9] = gates[7]
+    return rng.integers(0, 2, (12, n)), gates
+
+
+class TestCompressedLadder:
+    """Gate-off cells folded into the wire, Newton over the gate-on rows."""
+
+    @pytest.mark.parametrize("wire", [WireModel(20.0, 30.0, 1000.0, 0.0), EXTREME,
+                                      WireModel(0.0, 40.0, 0.0, 0.0)],
+                             ids=["distinct", "extreme", "zero-bl"])
+    @pytest.mark.parametrize("n", [37, 64])
+    def test_segments_and_offsets_equal_full_column(self, rng, wire, n):
+        dev = DeviceModel.reram1t1r(i_off=1e-8)
+        stored, gates = _gate_mix(rng, n)
+        _, cells, ladder, leak = _compress(stored > 0, gates > 0, dev, wire)
+        M = _green(wire, n)
+        for b in range(len(gates)):
+            p = np.flatnonzero(gates[b])
+            m_b = p.size
+            # the segments give M restricted to the gate-on rows
+            rb, rs = ladder.r_bl[:m_b, b], ladder.r_sl[:m_b, b]
+            s, t = np.indices((m_b, m_b))
+            lo, hi = np.minimum(s, t), np.maximum(s, t)
+            compressed = np.cumsum(rb)[lo] + np.cumsum(rs[::-1])[::-1][hi]
+            assert np.allclose(compressed, M[np.ix_(p, p)], rtol=1e-13, atol=0)
+            # dv and the leak total equal a full-n voltage pass over the
+            # leak alone, driven at 0 V so that no V - drop cancels digits
+            i_leak = np.where(gates[b] > 0, 0.0, dev.i_off)[:, None]
+            drop = _cell_voltages(i_leak, _full_ladder(wire, n), 0.0, np.empty_like(i_leak),
+                                  np.empty_like(i_leak))[:, 0]
+            assert np.allclose(ladder.dv[:m_b, b], drop[p], rtol=1e-12, atol=1e-300)
+            assert np.allclose(drop, -M @ i_leak[:, 0], rtol=1e-12, atol=1e-300)
+            assert leak[b] == pytest.approx(i_leak.sum(), rel=1e-13)
+            # padding rows: zero segments, no offset, no target current
+            for a in (*ladder, cells.target):
+                assert not a[m_b:, b].any()
+            assert np.array_equal(cells.target[:m_b, b] > dev.i_hrs, stored[b, p] > 0)
+
+    @pytest.mark.parametrize("wire,n", [(WireModel.preset("M3"), 64), (EXTREME, 16)],
+                             ids=["M3", "extreme"])
+    @pytest.mark.parametrize("factory", [DeviceModel.sram8t, DeviceModel.reram1t1r])
+    def test_exaggerated_leak_against_dense(self, rng, factory, wire, n):
+        # the default leaks are too small to show an offset error: at
+        # i_off = 1e-8 a wrong dv moves i_out by far more than the tolerance
+        dev = factory(i_hrs=max(factory().i_hrs, 1e-8), i_off=1e-8)
+        stored, gates = _gate_mix(rng, n)
+        fast = solve_columns_fast(stored, gates, dev, wire, V, tol=1e-10, max_iter=2000)
+        assert fast.converged.all()
+        for b in range(len(gates)):
+            ref = solve_column_dense(_problem(stored[b], gates[b], dev, wire), tol=1e-10,
+                                     max_iter=200)
+            assert ref.converged
+            assert fast.i_out[b] == pytest.approx(ref.i_out, rel=1e-8)
+
+    @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME, MIXED],
+                             ids=["M4", "extreme", "mixed"])
+    @pytest.mark.parametrize("factory", [DeviceModel.sram8t, DeviceModel.reram1t1r])
+    def test_mixed_batch_equals_columns_alone(self, rng, factory, wire):
+        # bit for bit: a column padded to the batch's largest gate-on count
+        # solves exactly as it does alone, unpadded
+        dev = factory()
+        stored, gates = _gate_mix(rng, 64)
+        batch = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000)
+        assert batch.converged.all()
+        for b in range(len(gates)):
+            alone = solve_columns_fast(stored[b], gates[b], dev, wire, V, max_iter=4000)
+            assert _same_result(alone, _column(batch, b))
+
+    def test_compressed_sweep_equals_full_sweep(self, rng):
+        # ohmic cells, no leak: the sweep over the gate-on rows alone gives
+        # the full column's currents there
+        wire = WireModel(20.0, 30.0, 1000.0, 0.0)
+        dev = _clean_device(curve="linear")
+        stored, gates = _gate_mix(rng, 64)
+        ws, cells, ladder, _ = _compress(stored > 0, gates > 0, dev, wire)
+        g = cells.target / V
+        compressed = _ladder_sweep(g.copy(), np.zeros_like(g), ladder, V, ws)
+        full = np.where((stored > 0) & (gates > 0), dev.i_on / V, 0.0).T
+        full = _ladder_sweep(full, np.zeros_like(full), _full_ladder(wire, 64, len(gates)), V,
+                             _Workspace(*full.shape))
+        for b in range(len(gates)):
+            p = np.flatnonzero(gates[b])
+            assert np.allclose(compressed[: p.size, b], full[p, b], rtol=1e-12, atol=1e-300)
+            assert not compressed[p.size :, b].any()
+
+
 class TestResultInvariants:
     def test_conservation_and_bounds(self, rng):
         p = _problem(rng.integers(0, 2, 64), rng.integers(0, 2, 64))
@@ -275,15 +393,16 @@ class TestResultInvariants:
             assert np.array_equal(_cumsum_rows(a, np.empty_like(a), reverse), want)
             b = a.copy()
             assert _cumsum_rows(b, b, reverse) is b and np.array_equal(b, want)
-        # the in-place cell voltages equal the np.cumsum formula
-        wire = WireModel(20.0, 30.0, 1000.0, 0.0)
+        # the in-place cell voltages equal the np.cumsum formula, on
+        # per-row segments with some 0 ohm ones
+        r_bl, r_sl = np.where(rng.random((2, 64, width)) < 0.2, 0.0, rng.random((2, 64, width)) * 50)
+        dv = -rng.random((64, width)) * 1e-3
         suffix = np.cumsum(a[::-1], axis=0)[::-1]
-        v_sl = np.cumsum(np.cumsum(a, axis=0)[::-1], axis=0)[::-1] * wire.r_sl_per_cell
-        want = np.cumsum(suffix, axis=0) * -wire.r_bl_per_cell
-        want += V - wire.r_driver * suffix[0]
-        want -= v_sl
+        want = V - np.cumsum(suffix * r_bl, axis=0)
+        want -= np.cumsum((np.cumsum(a, axis=0) * r_sl)[::-1], axis=0)[::-1]
+        want += dv
         out, tmp = np.full_like(a, np.nan), np.full_like(a, np.nan)
-        assert _cell_voltages(a, wire, V, out, tmp) is out
+        assert _cell_voltages(a, _Ladder(r_bl, r_sl, dv), V, out, tmp) is out
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("wire", [WireModel.preset("M4"), EXTREME, MIXED],
