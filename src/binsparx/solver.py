@@ -251,10 +251,11 @@ def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: 
     key = np.packbits(gates, axis=1)
     _, first, inverse = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
                                   return_index=True, return_inverse=True)
-    count = np.count_nonzero(gates[first], axis=1)
+    rows = gates[first]
+    count = np.count_nonzero(rows, axis=1)
     m = max(1, int(count.max()))
     # gate-on rows p of gate row u, ascending, and their compressed rows t
-    u, p = np.nonzero(gates[first])
+    u, p = np.nonzero(rows)
     start = np.cumsum(count) - count
     t = np.arange(p.size) - start[u]
     top, bottom = t == 0, t == count[u] - 1
@@ -323,10 +324,10 @@ def _cumsum_rows(a: np.ndarray, out: np.ndarray, reverse: bool = False) -> np.nd
 
 def _cell_voltages(i_cell: np.ndarray, ladder: _Ladder, v_drive: float,
                    out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Cell voltages (bitline minus sense line, less ``dv``) given cell
-    currents, rows on axis 0, into ``out``: (m, B).  ``tmp`` is scratch of
-    the same shape."""
-    # suffix[k] = sum of currents at rows >= k: what the BL still delivers at k
+    """Cell voltages (bitline minus sense line, shifted by ``dv``) given
+    cell currents, rows on axis 0, into ``out``: (m, B).  ``tmp`` is
+    scratch of the same shape."""
+    # the BL segment arriving at row k carries the sum of currents at rows >= k
     drop = _cumsum_rows(i_cell, out, reverse=True)
     drop *= ladder.r_bl
     v_bl = _cumsum_rows(drop, out)
