@@ -248,6 +248,9 @@ def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: 
     the leak total are computed once per distinct gate row.
     """
     B, n = gates.shape
+    # in float: a WireModel may hold ints, and r_bl gets r_driver added in place
+    r_drv, r_bl_cell, r_sl_cell = (float(r) for r in
+                                   (wire.r_driver, wire.r_bl_per_cell, wire.r_sl_per_cell))
     key = np.packbits(gates, axis=1)
     _, first, inverse = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
                                   return_index=True, return_inverse=True)
@@ -264,8 +267,8 @@ def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: 
     gap_down = np.empty_like(p)
     gap_down[:-1] = np.diff(p)
     gap_down[bottom] = n - p[bottom]
-    r_bl = wire.r_bl_per_cell * gap_up
-    r_bl[top] += wire.r_driver
+    r_bl = r_bl_cell * gap_up
+    r_bl[top] += r_drv
     # dv from integer counts: the gate-off rows above p (j < p, toward the
     # driver) number p - t, and their indices sum to p(p-1)/2 less the
     # gate-on rows' above p
@@ -278,11 +281,10 @@ def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: 
     # sum over gate-off j of min(p, j) + 1 and of n - max(p, j)
     bl_share = sum_above + off_above + (p + 1) * off_below
     sl_share = (n - p) * off_above + n * off_below - sum_below
-    dv = -device.i_off * (wire.r_driver * n_off + wire.r_bl_per_cell * bl_share
-                          + wire.r_sl_per_cell * sl_share)
+    dv = -device.i_off * (r_drv * n_off + r_bl_cell * bl_share + r_sl_cell * sl_share)
     # per distinct gate row, padded at the bottom: zero segments, dv 0, gate off
     per_row = np.zeros((3, m, first.size))
-    for row, values in zip(per_row, (r_bl, wire.r_sl_per_cell * gap_down, dv)):
+    for row, values in zip(per_row, (r_bl, r_sl_cell * gap_down, dv)):
         row[t, u] = values
     pos = np.zeros((m, first.size), dtype=np.intp)
     pos[t, u] = p

@@ -143,6 +143,21 @@ class TestDenseOracle:
         floats = solve_column_dense(_problem(stored, gates, wire=WireModel(40.0, 0.0, 1000.0, 0.0)))
         assert ints.converged and ints.i_out == floats.i_out
 
+    @pytest.mark.parametrize("ints,floats", [
+        (WireModel(40, 0), WireModel(40.0, 0.0)),
+        (WireModel(25, 25), WireModel(25.0, 25.0)),
+        (WireModel(40, 0, 1000, 0), WireModel(40.0, 0.0, 1000.0, 0.0)),
+    ], ids=["int-bl", "int-both", "all-int"])
+    def test_integer_resistances_fast(self, rng, ints, floats):
+        # the fast solver too: int resistances next to a float driver lump
+        stored, gates = rng.integers(0, 2, (2, 6, 16))
+        gates[0] = 1
+        a = solve_columns_fast(stored, gates, DeviceModel.reram1t1r(), ints, V)
+        b = solve_columns_fast(stored, gates, DeviceModel.reram1t1r(), floats, V)
+        assert a.converged.all()
+        np.testing.assert_array_equal(a.i_out, b.i_out)
+        np.testing.assert_array_equal(a.iterations, b.iterations)
+
 
 def _full_ladder(wire, n, width=1):
     """The segments of ``wire`` at every one of n rows, no leak offset:
