@@ -319,8 +319,9 @@ def _cumsum_rows(a: np.ndarray, out: np.ndarray, reverse: bool = False) -> np.nd
         np.cumsum(a, axis=0, out=out)
     else:
         out[0] = a[0]
+        add = np.add
         for k in range(1, a.shape[0]):
-            np.add(out[k - 1], a[k], out=out[k])
+            add(out[k - 1], a[k], out[k])
     return out
 
 
