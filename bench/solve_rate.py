@@ -18,6 +18,10 @@ its page-fault count.  The subprocess prints one JSON line:
 - ``on_rows_mean`` and ``on_rows_max``: gate-on rows per column solve,
   the mean over every column and the largest in any call.  The solver
   iterates over a call's largest gate-on count, not over n;
+- ``padding_share``: the share of the solver's rows that are padding,
+  summed over one ``vmm_batch``'s calls: (m x columns - gate-on rows) /
+  (m x columns), m a call's largest gate-on count (1 at least).  The
+  solver pads every column of a call to m rows;
 - ``peak_rss_mb``: the subprocess's peak resident set;
 - ``checksum``: the first 16 hex digits of the SHA-256 of the outputs,
   which two trees with bit-identical solves share.
@@ -86,6 +90,8 @@ def child(n: int) -> dict:
         seconds = time.perf_counter() - t0
         rates.append(sum(c for c, _ in calls[start:]) / seconds)
     per_batch = len(calls) // REPEATS
+    last = slice(len(calls) - per_batch, None)  # one vmm_batch's calls
+    held = sum(max(1, m) * c for (c, _), (_, m) in zip(calls[last], on_rows[last]))
     # the first batch's calls fault the heap in; the later ones show the steady state
     faults = [f for _, f in calls[per_batch:]]
     return {
@@ -95,6 +101,7 @@ def child(n: int) -> dict:
         "solve_calls": per_batch,
         "on_rows_mean": round(sum(s for s, _ in on_rows) / sum(c for c, _ in calls), 1),
         "on_rows_max": max(m for _, m in on_rows),
+        "padding_share": round(1 - sum(s for s, _ in on_rows[last]) / held, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "checksum": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16],
     }

@@ -73,13 +73,14 @@ def sweep_deviation(
     engine has it enabled.
 
     Every x draws its columns from ``rng`` in turn, in the same order as
-    one call per x.  Whole x values are drawn and solved in groups of about
-    ``_MAX_BATCH_ELEMS`` cells, so memory stays bounded however many
-    trials; each group is one :meth:`Engine.solve_rows` call, which solves
-    the dummy column beside every drawn column where the engine has one.
-    A column's solve does not depend on its batch, so the result equals
-    one call per x bit for bit.  The sweep measures the electrical solve,
-    so an engine with non-idealities off is a ``ConfigError``.
+    one call per x.  Whole x values are drawn in groups of about
+    ``_CALL_COLUMNS`` columns, which bounds the drawn arrays however many
+    trials.  Each group is one :meth:`Engine.solve_rows` pass, which sizes
+    its own solver calls by gate-on rows and solves the dummy column beside
+    every drawn column where the engine has one.  A column's solve does not
+    depend on its batch, so the result equals one call per x bit for bit.
+    The sweep measures the electrical solve, so an engine with
+    non-idealities off is a ``ConfigError``.
     """
     if not engine.config.nonidealities:
         raise ConfigError("sweep_deviation: the sweep measures the electrical solve, "
@@ -97,7 +98,7 @@ def sweep_deviation(
     shape = (len(xs), trials_per_x)
     i_out = np.empty(shape)
     conv = np.empty(shape, dtype=bool)
-    group = max(1, _engine._MAX_BATCH_ELEMS // (trials_per_x * n))
+    group = max(1, _engine._CALL_COLUMNS // trials_per_x)
     for g0 in range(0, len(xs), group):
         g1 = min(len(xs), g0 + group)
         stored = np.empty((g1 - g0, trials_per_x, n), dtype=np.int8)

@@ -2,14 +2,15 @@
 
 :meth:`Engine.prepare` lays a signed weight matrix out on n-row arrays as
 one :class:`~binsparx.bnn.TiledWeights` record, column-flipped when BinSparX
-is on.  :meth:`Engine.vmm_batch` then works one row tile at a time: the
-dynamic activation flip, an exact ON-cell count of every column (ideal
-path) or one electrical read of the whole row tile, and the
-sign-corrected dot-product recovery.  The electrical read is one
-:meth:`Engine.solve_rows` call over all of the row tile's columns, with
-the all-HRS dummy column beside them when it is on, then one
-dummy-compensation and ADC step.  Partial sums add up across row tiles as
-exact integers, so only intra-column analog effects are non-ideal.
+is on.  :meth:`Engine.vmm_batch` then gives every row tile the dynamic
+activation flip, an exact ON-cell count of every column (ideal path) or
+an electrical read, and the sign-corrected dot-product recovery.  The
+electrical reads of all row tiles are one :meth:`Engine.solve_rows` pass
+over every row tile's distinct gate rows, each against its own row
+tile's columns with the all-HRS dummy column beside them when it is on;
+each row tile then gets its own dummy-compensation and ADC step, in tile
+order.  Partial sums add up across row tiles as exact integers, so only
+intra-column analog effects are non-ideal.
 
 Each distinct post-flip gate row of a row tile is solved once.  Conv
 patches repeat, and the dynamic flip maps a sub-vector and its complement
@@ -70,22 +71,49 @@ __all__ = [
     "im2col",
 ]
 
-# cap on cells (columns x rows) per solve_columns call, except that one
-# gate row's columns always share a call (a row tile of more than
-# 2**17 / n - 1 columns, 2047 at n=64, exceeds it).  The solver works over
-# a call's largest gate-on count m, not over n, so its workspace holds 17
-# (m, columns) float64 slabs, the device's per-cell arrays among them: at
-# most 17 MB, and half that where BinSparX caps m at n/2.  Measured at
-# n=64 (SRAM, M4, BinSparX gate rows, m = 31-32) on a 2-vCPU Xeon, one
-# process per width: a column cost 4.8-4.9 us at 2,048 columns per call,
-# 4.0-4.1 us at 4,096 and 4.6-6.7 us at 16k-32k, and a call added 8-9 MB
-# to the process's peak RSS at 2,048 columns, 16 MB at 4,096 and 119 MB
-# at 32k.  At n >= 128 a call is only 1,024 columns or fewer wide, and the
-# sweep's per-row ufunc overhead shows: twice this cap solves n=128 at
-# 69-71k instead of 54-59k columns/s and n=256 at 21-22k instead of
-# 16-17k (bench/solve_rate.py), for 6-7 MB more peak RSS at n=128 and
-# 19 MB at n=256.
-_MAX_BATCH_ELEMS = 2**17
+# columns per solve_columns call at BinSparX's gate-on cap m = n/2.  A call
+# of n-row columns holds max(1, m) x columns <= _call_cells(n) gate-on
+# cells, m its largest gate-on count, except that one gate row's columns
+# always share a call.  The solver iterates over m, not n, and its
+# workspace is 17 float64 (m, columns) slabs: 6.7 MB at n=64, 13 MB at 128
+# and 27 MB at 256, reserved at that size for the fuller calls (see
+# solve_columns_fast's ``reserve``).  Its sweep pays a per-row ufunc
+# overhead per call, so narrow calls are slow: bench/solve_rate.py solved
+# n=128 at 40-42k columns/s with 512 columns per call and 51-59k with
+# 1,024.  Wide calls cost peak RSS: perfbench infer-conv-structured
+# (n=64), 25 s runs, read 53 MB at the parent, 58-65 MB at 2,048 columns
+# and 57 MB at this width, as glibc keeps freed heap of up to twice the
+# largest block it has handed back.
+_CALL_COLUMNS = 1536
+
+
+def _call_cells(n: int) -> int:
+    """Gate-on cells (max(1, m) x columns) a solver call of n-row columns holds."""
+    return _CALL_COLUMNS * n // 2
+
+
+def _count_sorted_chunks(count: np.ndarray, width: int, n: int):
+    """Split gate rows into solver calls: index arrays into ``count``.
+
+    ``count`` holds each gate row's gate-on count and ``width`` the columns
+    each row brings, of ``n`` rows each.  The rows go in ascending count (a
+    stable sort); each call takes the most rows for which max(1, largest
+    count) x rows x ``width`` stays within :func:`_call_cells`, one row at
+    least.
+    """
+    order = np.argsort(count, kind="stable")
+    m = np.maximum(count[order], 1)
+    # a call from row b0 that ends by the last row of count level v (so no
+    # count in it exceeds v) and holds at most fits[v] rows meets the cap;
+    # the greedy call is the longest of these
+    levels = np.unique(m)
+    ends = np.searchsorted(m, levels, side="right")
+    fits = _call_cells(n) // (levels * max(1, width))
+    b0 = 0
+    while b0 < order.size:
+        b1 = max(b0 + 1, int(np.minimum(ends, b0 + fits).max()))
+        yield order[b0:b1]
+        b0 = b1
 
 
 def _token_or_number(value, tokens, kind) -> bool:
@@ -183,8 +211,9 @@ class RunStats:
     ``clamp_events`` and ``nonconverged`` count once per input and column.
     In hardware every m-column array reads its own dummy column, so a
     dummy solve that does not converge, or a digital-domain dummy level
-    that clamps, counts once per array: ceil(cols / m) times per row tile,
-    though the engine solves the dummy once.
+    that clamps, counts once per array: ceil(cols / m) times per input and
+    row tile, though the engine solves one dummy per distinct gate row of
+    a row tile, beside that row's columns.
     """
 
     def __init__(self, hist_bins: int):
@@ -271,37 +300,70 @@ class Engine:
         res = solve_columns_fast(
             stored, gates, cfg.device, cfg.wire, cfg.device.v_nominal,
             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
+            reserve=_call_cells(np.shape(gates)[-1]),
         )
         return res.i_out, res.converged
 
-    def solve_rows(self, stored: np.ndarray, gates: np.ndarray):
-        """Solve stored columns (U or 1, ml, n_phys) against gate rows (U, n_phys).
+    def solve_rows(self, stored: np.ndarray, gates: np.ndarray, which: np.ndarray | None = None):
+        """Solve gate rows (U, n_phys) against stored column sets (S, ml, n_phys).
 
-        Each of row u's ``ml`` stored columns is solved with gate row
-        ``gates[u]``; a leading 1 gives every row the same stored columns.
-        With the dummy column on, an all-zero stored column rides along
-        with every gate row as column ``ml``.  Returns (i_out (U, ml + d),
-        converged (U, ml + d)), d = 1 with the dummy on and 0 otherwise.
-        Rows go to :meth:`solve_columns` in chunks of at most
-        ``_MAX_BATCH_ELEMS`` cells (one row at least); this is the only
-        chunk loop, for VMMs and sweeps alike.
+        Gate row u is solved against the ``ml`` stored columns
+        ``stored[which[u]]`` (``which`` defaults to u), so rows of several
+        row tiles share one pass without copying any tile's columns per
+        row.  With the dummy column on, an all-zero stored column rides
+        along with every gate row as column ``ml``.  Returns
+        (i_out (U, ml + d), converged (U, ml + d)), d = 1 with the dummy on
+        and 0 otherwise.
+
+        This is the only chunk loop, for VMMs and sweeps alike.  The solver
+        pads every column of a call to the call's largest gate-on count, so
+        the rows go to :meth:`solve_columns` in ascending gate-on count (a
+        stable sort), each call filled while max(1, its largest count) x
+        its columns stays within :func:`_call_cells`; one gate row's
+        columns always share a call.  No column's solve depends on
+        its batch, so the layout changes no answer.
         """
         U, n_phys = gates.shape
         ml = stored.shape[1]
         width = ml + self.dummy
-        stored = np.broadcast_to(stored, (U, ml, n_phys))
+        which = np.arange(U) if which is None else which
         i_out = np.empty((U, width))
         conv = np.empty((U, width), dtype=bool)
-        chunk = max(1, _MAX_BATCH_ELEMS // max(1, width * n_phys))
-        for b0 in range(0, U, chunk):
-            b1 = min(U, b0 + chunk)
-            cells = np.zeros((b1 - b0, width, n_phys), dtype=stored.dtype)
-            cells[:, :ml] = stored[b0:b1]
+        for rows in _count_sorted_chunks(np.count_nonzero(gates, axis=1), width, n_phys):
+            cells = np.zeros((rows.size, width, n_phys), dtype=stored.dtype)
+            cells[:, :ml] = stored[which[rows]]
             i, c = self.solve_columns(cells.reshape(-1, n_phys),
-                                      np.repeat(gates[b0:b1], width, axis=0))
-            i_out[b0:b1] = i.reshape(-1, width)
-            conv[b0:b1] = c.reshape(-1, width)
+                                      np.repeat(gates[rows], width, axis=0))
+            i_out[rows] = i.reshape(-1, width)
+            conv[rows] = c.reshape(-1, width)
         return i_out, conv
+
+    def _solve_tiles(self, prepared: TiledWeights, gates: np.ndarray):
+        """Solve every row tile's distinct gate rows in one :meth:`solve_rows` pass.
+
+        ``gates`` is (B, row_tiles, n).  A column's solve depends only on
+        its stored bits and its gate row, so each distinct gate row of a
+        row tile is solved once.  Returns, per row tile, (i_out, converged,
+        inverse): the distinct rows' results and the index that expands
+        them back to the B inputs.
+        """
+        firsts, inverses = [], []
+        for r in range(gates.shape[1]):
+            key = np.packbits(gates[:, r], axis=1)
+            _, first, inverse = np.unique(
+                key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                return_index=True, return_inverse=True,
+            )
+            firsts.append(first)
+            inverses.append(inverse)
+        sizes = [f.size for f in firsts]
+        i_out, conv = self.solve_rows(
+            np.ascontiguousarray(prepared.stored.transpose(0, 2, 1)),
+            np.concatenate([gates[f, r] for r, f in enumerate(firsts)]),
+            np.repeat(np.arange(len(sizes)), sizes),
+        )
+        cut = np.cumsum(sizes)[:-1]
+        return list(zip(np.split(i_out, cut), np.split(conv, cut), inverses))
 
     # -- the VMM -------------------------------------------------------------
 
@@ -339,25 +401,18 @@ class Engine:
         arrays = -(-cols // cfg.m)  # one dummy column per m-column array
         out = np.zeros((B, cols), dtype=np.int64)
         digital_dummy = self.dummy and cfg.dummy_domain == "digital"
+        if cfg.nonidealities:
+            reads = self._solve_tiles(prepared, gates)
 
         for r, nl in enumerate(n_logical):
-            g = np.ascontiguousarray(gates[:, r])  # (B, n)
-            stored = prepared.stored[r]
-            ideal = g.astype(np.int64) @ stored.astype(np.int64)  # (B, cols)
+            ideal = gates[:, r].astype(np.int64) @ prepared.stored[r].astype(np.int64)  # (B, cols)
             if cfg.binsparx:
                 cap = (nl + 1) // 2
                 if ideal.size and int(ideal.max()) > cap:
                     raise BinsparxError(f"internal: ideal column sum exceeds the {cap} cap")
             stats.add_ideal(layer, ideal)
             if cfg.nonidealities:
-                # a column's solve depends only on its stored bits and its
-                # gate row: solve each distinct gate row once, then expand
-                key = np.packbits(g, axis=1)
-                _, first, inverse = np.unique(
-                    key.view(np.dtype((np.void, key.shape[1]))).ravel(),
-                    return_index=True, return_inverse=True,
-                )
-                i_out, conv = self.solve_rows(np.ascontiguousarray(stored.T)[None], g[first])
+                i_out, conv, inverse = reads[r]
                 i_out, conv = i_out[inverse], conv[inverse]
                 # column ``cols`` is the dummy when it is on; every array
                 # reads its own, so the shared dummy's failures and clamps

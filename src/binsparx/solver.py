@@ -76,7 +76,10 @@ back to the kernel between calls and the next call faulted it in again.
 glibc keeps a freed block as large as the largest it has freed (its mmap
 and trim thresholds follow that size), so the next call's block reuses
 it: about 0 faults per call after the first.  The block is freed at the
-end of each call; no buffer outlives it.
+end of each call; no buffer outlives it.  A freed block serves only a
+request that fits in it, so calls of varying size fragment the heap; a
+caller making many of them reserves the largest size for its fuller
+calls (``reserve``), as the engine does.
 """
 
 from __future__ import annotations
@@ -133,8 +136,7 @@ class ColumnProblem:
         for name, arr in (("stored_bits", stored), ("gate_bits", gates)):
             if arr.size and arr.max() > 1:
                 raise DomainError(f"ColumnProblem: {name} must be 0/1")
-        if self.v_drive <= 0:
-            raise DomainError("ColumnProblem: v_drive must be > 0")
+        _check_drive(self.v_drive)
         object.__setattr__(self, "stored_bits", stored)
         object.__setattr__(self, "gate_bits", gates)
 
@@ -186,12 +188,17 @@ class _Workspace:
     a few width-B rows.  An array of the current active width w is a view
     of a slab's first m*w floats, so narrowing the active set narrows the
     views and never reallocates.  :meth:`take` hands out a free slab and
-    :meth:`give` returns it.
+    :meth:`give` returns it.  A call of more than half of ``reserve``
+    floats per slab allocates room for ``reserve``, never more than twice
+    its own size; its slabs sit packed at the block's start, so it touches
+    no more memory than its own size.
     """
 
-    def __init__(self, m: int, width: int):
+    def __init__(self, m: int, width: int, reserve: int = 0):
         self.m = m
-        self._block = np.empty((_SLABS, m * width))
+        size = m * width
+        self._memory = np.empty(_SLABS * (max(size, reserve) if 2 * size > reserve else size))
+        self._block = self._memory[: _SLABS * size].reshape(_SLABS, size)
         self._free = list(range(_SLABS))
         self._rows = np.empty((_ROWS, width))
 
@@ -203,7 +210,7 @@ class _Workspace:
     def give(self, *arrays: np.ndarray):
         """Return slabs that :meth:`take` handed out; other arrays are ignored."""
         for a in arrays:
-            if a.base is self._block:
+            if a.base is self._memory:
                 self._free.append((a.ctypes.data - self._block.ctypes.data)
                                   // self._block.strides[0])
 
@@ -238,14 +245,16 @@ class _Workspace:
         return total
 
 
-def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: WireModel):
+def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: WireModel,
+              reserve: int = 0):
     """The compressed ladders of (B, n) stored and gate bit columns.
 
     Returns the call's workspace, sized to the largest gate-on count m
-    (1 at least), the gate-on cells' :class:`DeviceCells` (m, B), the
-    :class:`_Ladder` in three of the workspace's slabs, and each column's
-    leak total i_off * (gate-off cells).  Positions, segments, ``dv`` and
-    the leak total are computed once per distinct gate row.
+    (1 at least) and to ``reserve`` cells, the gate-on cells'
+    :class:`DeviceCells` (m, B), the :class:`_Ladder` in three of the
+    workspace's slabs, and each column's leak total i_off * (gate-off
+    cells).  Positions, segments, ``dv`` and the leak total are computed
+    once per distinct gate row.
     """
     B, n = gates.shape
     # in float: a WireModel may hold ints, and r_bl gets r_driver added in place
@@ -289,7 +298,7 @@ def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: 
     pos = np.zeros((m, first.size), dtype=np.intp)
     pos[t, u] = p
 
-    ws = _Workspace(m, B)
+    ws = _Workspace(m, B, reserve)
     ladder = _Ladder(*(np.take(a, inverse, axis=1, out=ws.take(B), mode="clip")
                        for a in per_row))
     # the stored bits at each column's gate-on rows, by flat index into
@@ -470,6 +479,13 @@ def _ohmic_start(i_cell, v, starved, ladder, v_drive, ws):
     ws.give(i_start, c, tmp, *part)
 
 
+def _check_drive(v_drive):
+    """Refuse a drive voltage that is not finite and > 0: the one check for
+    both solvers, the dense one through :class:`ColumnProblem`."""
+    if not (np.isfinite(v_drive) and v_drive > 0):
+        raise DomainError(f"v_drive must be finite and > 0, got {v_drive}")
+
+
 def _check_settings(tol, max_iter):
     """Refuse a tolerance or an iteration cap that no solve can honor."""
     if not (np.isfinite(tol) and tol > 0):
@@ -487,6 +503,7 @@ def solve_columns_fast(
     *,
     tol: float = 1e-6,
     max_iter: int = 200,
+    reserve: int = 0,
 ) -> FastBatchResult:
     """Batched Newton solve of many columns at once.
 
@@ -509,8 +526,18 @@ def solve_columns_fast(
     columns are summed and leave the active set at once.  Non-convergent
     problems are returned flagged (with their last f(v(i))), never
     silently.
+
+    ``reserve`` sizes the workspace for that many gate-on cells (m x
+    columns) when the call holds more than half of them; it changes no
+    result.  A caller making many calls of varying size passes the
+    largest: its fuller calls then all ask for a block of one size, and
+    the block one call frees serves the next, where blocks of varying
+    sizes fragment the heap and raise the peak RSS.
     """
+    _check_drive(v_drive)
     _check_settings(tol, max_iter)
+    if isinstance(reserve, bool) or not isinstance(reserve, numbers.Integral) or reserve < 0:
+        raise DomainError(f"reserve must be an int >= 0, got {reserve!r}")
     stored = np.atleast_2d(np.asarray(stored) > 0)
     gates = np.atleast_2d(np.asarray(gates) > 0)
     stored, gates = np.broadcast_arrays(stored, gates)
@@ -521,7 +548,7 @@ def solve_columns_fast(
     converged = np.zeros(B, dtype=bool)
     if not B:
         return FastBatchResult(i_out, iters, converged, residual)
-    ws, cells, ladder, leak = _compress(stored, gates, device, wire)
+    ws, cells, ladder, leak = _compress(stored, gates, device, wire, reserve)
     i_on = device.i_on
     active = np.arange(B)
 

@@ -77,18 +77,23 @@ def test_sweep_chunks_equal_one_batch(monkeypatch):
     solve = Engine.solve_columns
 
     def counting(self, stored, gates):
-        # (columns, all-zero stored columns) per call
-        calls.append((len(gates), int((~np.asarray(stored).any(axis=1)).sum())))
+        # (columns, all-zero stored columns, largest gate-on count) per call
+        calls.append((len(gates), int((~np.asarray(stored).any(axis=1)).sum()),
+                      int(np.count_nonzero(gates, axis=1).max())))
         return solve(self, stored, gates)
 
     monkeypatch.setattr(Engine, "solve_columns", counting)
-    # 6 columns of 32 rows per call, 3 drawn and 3 dummy; one x of 5 trials
-    # per group: each x is a call of 3 drawn columns and one of 2, every
-    # drawn column with its dummy beside it
-    monkeypatch.setattr(engine_module, "_MAX_BATCH_ELEMS", 6 * 32)
+    # two x of 5 trials per group; a call holds max(1, m) x columns <= 12 x
+    # 32/2 = 192 gate-on cells, so a group's 20 columns, of up to 32 gate-on
+    # rows each, need several calls.  A call may exceed the cap only as one
+    # drawn column and its dummy
+    monkeypatch.setattr(engine_module, "_CALL_COLUMNS", 12)
     chunked = sweep_deviation(eng, range(0, 33, 4), 5, rng=np.random.default_rng(7))
-    assert calls == [(6, 3), (4, 2)] * 9
-    assert sum(c - z for c, z in calls) == sum(z for _, z in calls) == 45
+    assert len(calls) > 5  # more calls than groups
+    assert all(c == 2 or max(1, m) * c <= 6 * 32 for c, _, m in calls)
+    # summed over the calls: every drawn column with its dummy beside it
+    assert all(c == 2 * z for c, z, _ in calls)
+    assert sum(z for _, z, _ in calls) == 45
     _assert_same_sweep(chunked, whole)
 
 

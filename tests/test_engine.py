@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binsparx import engine as engine_module
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import (
@@ -205,13 +206,14 @@ class TestNonIdealPath:
         assert conv.all()
 
     def test_dummy_solved_once_per_row_tile(self, rng, monkeypatch):
-        # the dummy depends only on a row tile's gates: 2 row tiles x 2 arrays
-        # need 2 dummy solves, not 4, each riding in its row tile's call
-        dummy_batches = []
+        # the dummy depends only on a row tile's gate row: 5 inputs x 2 row
+        # tiles x 2 arrays need 10 dummy solves, not 20, each riding beside
+        # its gate row's 128 columns
+        calls = []  # (columns, dummy columns) per call
         solve = Engine.solve_columns
 
         def counting(self, stored, gates):
-            dummy_batches.append(int((~np.asarray(stored).any(axis=1)).sum()))
+            calls.append((len(gates), int((~np.asarray(stored).any(axis=1)).sum())))
             return solve(self, stored, gates)
 
         monkeypatch.setattr(Engine, "solve_columns", counting)
@@ -220,9 +222,10 @@ class TestNonIdealPath:
         for domain in ("analog", "digital"):
             eng = Engine(EngineConfig(n=64, m=64, binsparx=False,
                                       device=DeviceModel.reram1t1r(), dummy_domain=domain))
-            dummy_batches.clear()
+            calls.clear()
             eng.vmm_batch(eng.prepare(W), A)
-            assert dummy_batches == [5, 5]
+            assert sum(dummy for _, dummy in calls) == 10
+            assert all(columns == 129 * dummy for columns, dummy in calls)
 
     @pytest.mark.parametrize("binsparx", [False, True])
     @pytest.mark.parametrize("domain", ["analog", "digital"])
@@ -330,9 +333,11 @@ class TestColumnDeduplication:
                                   device=DeviceModel.reram1t1r()))
         out = eng.vmm_batch(eng.prepare(W), A)
         assert np.array_equal(out, signed_vmm(A, W))
-        # one call per row tile, its dummy beside both arrays' columns
-        assert data_columns == [distinct * (64 + 16)] * 2
-        assert dummy_columns == [distinct, distinct]
+        # summed over the calls: each distinct gate row of each row tile is
+        # solved once, its dummy beside both arrays' columns
+        assert sum(data_columns) == 2 * distinct * (64 + 16)
+        assert sum(dummy_columns) == 2 * distinct
+        assert all(data == dummy * (64 + 16) for data, dummy in zip(data_columns, dummy_columns))
 
     @pytest.mark.parametrize("domain", ["analog", "digital"])
     def test_dummy_counts_once_per_array(self, rng, domain):
@@ -400,6 +405,104 @@ class TestColumnDeduplication:
         out = eng.vmm_batch(eng.prepare(W), np.zeros((0, 100), dtype=np.int8), stats=stats)
         assert out.shape == (0, 40)
         assert stats.clamp_events == 0 and stats.nonconverged == 0
+
+
+# ReRAM with either dummy domain, and SRAM (no dummy)
+POOLED_CASES = {
+    "reram-analog": dict(device=DeviceModel.reram1t1r(i_hrs=2.5e-7), dummy_domain="analog"),
+    "reram-digital": dict(device=DeviceModel.reram1t1r(i_hrs=2.5e-7), dummy_domain="digital"),
+    "sram": dict(device=DeviceModel.sram8t()),
+}
+
+
+def _pooled_engine(case, binsparx):
+    # a 2-bit ADC and a 3-iteration cap at 3 kohm per cell: some reads
+    # clamp, some solves do not converge
+    return Engine(EngineConfig(n=32, m=16, binsparx=binsparx, wire=WireModel(3e3, 3e3, 1e3, 0.0),
+                               adc_bits=2, solver_max_iter=3, best_effort=True,
+                               **POOLED_CASES[case]))
+
+
+def _ragged_model(rng, inputs):
+    """Row tiles of 32, 32 and 18 rows; arrays of 16, 16 and 8 columns; rows
+    drawn from 12 distinct ones and the complements of 4 of them."""
+    W = rng.choice([-1, 1], size=(82, 40)).astype(np.int8)
+    base = rng.choice([-1, 1], size=(12, 82)).astype(np.int8)
+    return W, np.concatenate([base, -base[:4]])[rng.integers(0, 16, inputs)]
+
+
+def _record_calls(monkeypatch, width):
+    """Record (gate rows, columns, gate-on counts) of each solve_columns call."""
+    calls = []
+    solve = Engine.solve_columns
+
+    def recording(self, stored, gates):
+        calls.append((len(gates) // width, len(gates), np.count_nonzero(gates, axis=1)))
+        return solve(self, stored, gates)
+
+    monkeypatch.setattr(Engine, "solve_columns", recording)
+    return calls
+
+
+class TestPooledSolve:
+    """Every row tile's distinct gate rows go through one solve_rows pass,
+    in calls of ascending gate-on count sized by their gate-on rows."""
+
+    @pytest.mark.parametrize("binsparx", [False, True])
+    @pytest.mark.parametrize("case", list(POOLED_CASES))
+    def test_one_gate_row_per_call_equals_default(self, rng, monkeypatch, case, binsparx):
+        W, A = _ragged_model(rng, 60)
+        eng = _pooled_engine(case, binsparx)
+        prep = eng.prepare(W)
+        stats = RunStats(32)
+        out = eng.vmm_batch(prep, A, stats)
+        calls = _record_calls(monkeypatch, 40 + eng.dummy)
+        # 16 cells a call at n=32: less than any gate row's columns hold
+        monkeypatch.setattr(engine_module, "_CALL_COLUMNS", 1)
+        alone = RunStats(32)
+        assert np.array_equal(eng.vmm_batch(prep, A, alone), out)
+        assert alone.to_dict() == stats.to_dict()
+        assert all(rows == 1 for rows, _, _ in calls)
+        # one call per distinct gate row of each of the 3 row tiles: 12 or
+        # more each, as BinSparX may map a row and its complement to one
+        assert len(calls) >= 3 * 12
+        # the case is only a check of the counts if they are not 0
+        assert stats.clamp_events > 0 and stats.nonconverged > 0
+
+    @pytest.mark.parametrize("call_columns", [None, 200, 20])
+    @pytest.mark.parametrize("case", ["reram-analog", "sram"])
+    def test_calls_fill_greedily_within_the_budget(self, rng, monkeypatch, case, call_columns):
+        if call_columns is not None:
+            monkeypatch.setattr(engine_module, "_CALL_COLUMNS", call_columns)
+        budget = engine_module._call_cells(32)
+        W = rng.choice([-1, 1], size=(82, 40)).astype(np.int8)
+        A = rng.choice([-1, 1], size=(100, 82)).astype(np.int8)
+        eng = _pooled_engine(case, True)
+        width = 40 + eng.dummy
+        calls = _record_calls(monkeypatch, width)
+        out = eng.vmm_batch(eng.prepare(W), A)
+        assert len(calls) > 1
+        assert sum(rows for rows, _, _ in calls) == 3 * 100  # random rows do not repeat
+        for rows, columns, count in calls:
+            assert rows == 1 or max(1, count.max()) * columns <= budget
+        # ascending counts, and each call stopped where the next row would
+        # have broken the cap
+        for (_, columns, count), (_, _, following) in zip(calls, calls[1:]):
+            assert following.min() >= count.max()
+            assert max(1, following.min()) * (columns + width) > budget
+        monkeypatch.setattr(engine_module, "_CALL_COLUMNS", 2**16)
+        assert np.array_equal(eng.vmm_batch(eng.prepare(W), A), out)
+
+    @pytest.mark.parametrize("case", list(POOLED_CASES))
+    def test_empty_batch_on_ragged_tiles(self, rng, monkeypatch, case):
+        W, _ = _ragged_model(rng, 0)
+        eng = _pooled_engine(case, True)
+        calls = _record_calls(monkeypatch, 40 + eng.dummy)
+        stats = RunStats(32)
+        out = eng.vmm_batch(eng.prepare(W), np.zeros((0, 82), dtype=np.int8), stats)
+        assert out.shape == (0, 40) and out.dtype == np.int64
+        assert calls == []
+        assert stats.clamp_events == stats.nonconverged == 0
 
 
 class TestRunStats:

@@ -526,6 +526,22 @@ class TestWorkspace:
             assert _same_result(alone, _column(batch, b))
 
 
+    @pytest.mark.parametrize("wire", [WireModel.preset("M3"), EXTREME], ids=["M3", "extreme"])
+    def test_reserve_changes_no_result(self, rng, wire):
+        # a call of more than half the reserve allocates that much, with its
+        # slabs packed at the start; extreme wire runs the ohmic start,
+        # which takes every slab
+        assert _Workspace(4, 10, 70)._memory.size == solver._SLABS * 70
+        assert _Workspace(4, 10, 100)._memory.size == solver._SLABS * 40
+        # 17 columns, the last all ON: m x columns = 64 x 17 = 1088 cells
+        stored, gates = _columns_with_on(rng, np.arange(0, 65, 4))
+        dev = DeviceModel.reram1t1r()
+        plain = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000)
+        for reserve in (1, 1100, 2000, 10**5):
+            wide = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000, reserve=reserve)
+            assert _same_result(wide, plain)
+
+
 class TestProblemValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -541,6 +557,16 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             ColumnProblem(2, np.ones(2, int), np.ones(2, int),
                           DeviceModel.sram8t(), WireModel.preset("M3"), 0.0)
+
+    @pytest.mark.parametrize("v_drive", [0.0, -0.7, np.nan, np.inf])
+    def test_drive_must_be_finite_and_positive(self, v_drive):
+        # unchecked, the fast solver returned 0 A flagged converged at 0 and
+        # -0.7 V, a finite current flagged converged at inf, and NaN at NaN
+        ones = np.ones(4, int)
+        with pytest.raises(DomainError, match="v_drive"):
+            solve_columns_fast(ones, ones, DeviceModel.sram8t(), WireModel.preset("M3"), v_drive)
+        with pytest.raises(DomainError, match="v_drive"):
+            ColumnProblem(4, ones, ones, DeviceModel.sram8t(), WireModel.preset("M3"), v_drive)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -560,6 +586,12 @@ class TestProblemValidation:
             _fast(p, max_iter=max_iter)
         with pytest.raises(DomainError, match="max_iter"):
             solve_column_dense(p, max_iter=max_iter)
+
+    @pytest.mark.parametrize("reserve", [-1, 2.5, True, "5"])
+    def test_reserve_must_be_a_nonnegative_int(self, reserve):
+        p = _problem(np.ones(4, int), np.ones(4, int))
+        with pytest.raises(DomainError, match="reserve"):
+            _fast(p, reserve=reserve)
 
     def test_max_iter_accepts_numpy_ints(self):
         p = _problem(np.ones(4, int), np.ones(4, int))
