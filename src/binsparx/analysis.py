@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import DEVICE_FACTORIES, WIRE_PRESETS, DeviceModel, WireModel
-from . import engine as _engine
+from . import solver as _solver
 from .engine import Engine
 from .errors import ConfigError, DomainError
 from .readout import dummy_compensate
@@ -98,7 +98,7 @@ def sweep_deviation(
     shape = (len(xs), trials_per_x)
     i_out = np.empty(shape)
     conv = np.empty(shape, dtype=bool)
-    group = max(1, _engine._CALL_COLUMNS // trials_per_x)
+    group = max(1, _solver._CALL_COLUMNS // trials_per_x)
     for g0 in range(0, len(xs), group):
         g1 = min(len(xs), g0 + group)
         stored = np.empty((g1 - g0, trials_per_x, n), dtype=np.int8)

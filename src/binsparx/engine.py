@@ -57,7 +57,7 @@ from .errors import (
     ShapeError,
 )
 from .readout import DUMMY_DOMAINS, AdcModel, dummy_compensate
-from .solver import solve_columns_fast
+from .solver import _call_cells, solve_columns_fast
 from .sparsify import adc_bits_required, postprocess, sparsify_activations, sparsify_tile
 
 __all__ = [
@@ -71,43 +71,24 @@ __all__ = [
     "im2col",
 ]
 
-# columns per solve_columns call at BinSparX's gate-on cap m = n/2.  A call
-# of n-row columns holds max(1, m) x columns <= _call_cells(n) gate-on
-# cells, m its largest gate-on count, except that one gate row's columns
-# always share a call.  The solver iterates over m, not n, and its
-# workspace is 17 float64 (m, columns) slabs: 6.7 MB at n=64, 13 MB at 128
-# and 27 MB at 256, reserved at that size for the fuller calls (see
-# solve_columns_fast's ``reserve``).  Its sweep pays a per-row ufunc
-# overhead per call, so narrow calls are slow: bench/solve_rate.py solved
-# n=128 at 40-42k columns/s with 512 columns per call and 51-59k with
-# 1,024.  Wide calls cost peak RSS: perfbench infer-conv-structured
-# (n=64), 25 s runs, read 53 MB at the parent, 58-65 MB at 2,048 columns
-# and 57 MB at this width, as glibc keeps freed heap of up to twice the
-# largest block it has handed back.
-_CALL_COLUMNS = 1536
-
-
-def _call_cells(n: int) -> int:
-    """Gate-on cells (max(1, m) x columns) a solver call of n-row columns holds."""
-    return _CALL_COLUMNS * n // 2
-
-
 def _count_sorted_chunks(count: np.ndarray, width: int, n: int):
     """Split gate rows into solver calls: index arrays into ``count``.
 
     ``count`` holds each gate row's gate-on count and ``width`` the columns
     each row brings, of ``n`` rows each.  The rows go in ascending count (a
     stable sort); each call takes the most rows for which max(1, largest
-    count) x rows x ``width`` stays within :func:`_call_cells`, one row at
-    least.
+    count) x rows x ``width`` stays within
+    :func:`binsparx.solver._call_cells`, one row at least.
     """
     order = np.argsort(count, kind="stable")
     m = np.maximum(count[order], 1)
     # a call from row b0 that ends by the last row of count level v (so no
     # count in it exceeds v) and holds at most fits[v] rows meets the cap;
-    # the greedy call is the longest of these
-    levels = np.unique(m)
-    ends = np.searchsorted(m, levels, side="right")
+    # the greedy call is the longest of these.  The levels come from a diff
+    # of the sorted counts: np.unique's first call on an int array in a
+    # process maps about 1.6 MB more (numpy 2.4), which showed in peak RSS
+    ends = np.flatnonzero(np.append(m[1:] != m[:-1], m.size > 0)) + 1
+    levels = m[ends - 1]
     fits = _call_cells(n) // (levels * max(1, width))
     b0 = 0
     while b0 < order.size:
@@ -300,7 +281,6 @@ class Engine:
         res = solve_columns_fast(
             stored, gates, cfg.device, cfg.wire, cfg.device.v_nominal,
             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-            reserve=_call_cells(np.shape(gates)[-1]),
         )
         return res.i_out, res.converged
 

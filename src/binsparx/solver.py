@@ -77,9 +77,9 @@ glibc keeps a freed block as large as the largest it has freed (its mmap
 and trim thresholds follow that size), so the next call's block reuses
 it: about 0 faults per call after the first.  The block is freed at the
 end of each call; no buffer outlives it.  A freed block serves only a
-request that fits in it, so calls of varying size fragment the heap; a
-caller making many of them reserves the largest size for its fuller
-calls (``reserve``), as the engine does.
+request that fits in it, so calls of varying size fragment the heap: a
+call of more than half of :func:`_call_cells` gate-on cells reserves
+that many, so the engine's fuller calls all ask for a block of one size.
 """
 
 from __future__ import annotations
@@ -112,6 +112,31 @@ _ROW_SUM_MIN_WIDTH = 256
 _SLABS = 17
 # width-B scratch rows: the ladder sweep's recurrence
 _ROWS = 15
+# a solver call's size in gate-on cells, max(1, m) x columns, m its largest
+# gate-on count (_call_cells).  The engine fills its calls up to it, one
+# gate row's columns always in one call, and a call of more than half of
+# it reserves a workspace of that size (_Workspace).  The workspace is 17
+# float64 slabs of the call's cells, 8.9 MB at 2**16.  At BinSparX's
+# gate-on cap m = n/2 a call is _CALL_COLUMNS columns wide at n=64 and
+# 2**16 / (n/2) from n=86 on: 1,024 columns at n=128 and 512 at 256, as
+# wide as under the earlier cap of 2**17 cells counted over all n rows.
+# Measured on a 2-vCPU Xeon: 2,048 columns at n=64 raised perfbench
+# infer-conv-structured's peak RSS from 53 to 58-65 MB (25 s runs; glibc
+# keeps freed heap of up to twice the largest block it has handed back)
+# and 1,024 made vmm-random-reram 7% slower.  At n > 64 the trade is
+# checked by bench/solve_rate.py alone, as perfbench runs n=64 only: 1,536
+# columns at every n solved its n=128 at 61-80k columns/s and n=256 at
+# 21-25k, against 50-74k and 16-24k at this cap (50-70k and 15-21k under
+# the earlier one), but its peak RSS read 52-53 and 63-64 MB instead of
+# 47-49.  So those calls keep the earlier
+# width until a benchmark workload at n > 64 can weigh the trade.
+_CALL_COLUMNS = 1536
+_CALL_CELLS = 2**16
+
+
+def _call_cells(n: int) -> int:
+    """Gate-on cells (max(1, m) x columns) a solver call of n-row columns holds."""
+    return min(_CALL_CELLS, _CALL_COLUMNS * n // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +270,11 @@ class _Workspace:
         return total
 
 
-def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: WireModel,
-              reserve: int = 0):
+def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: WireModel):
     """The compressed ladders of (B, n) stored and gate bit columns.
 
     Returns the call's workspace, sized to the largest gate-on count m
-    (1 at least) and to ``reserve`` cells, the gate-on cells'
+    (1 at least) and reserved to :func:`_call_cells`, the gate-on cells'
     :class:`DeviceCells` (m, B), the :class:`_Ladder` in three of the
     workspace's slabs, and each column's leak total i_off * (gate-off
     cells).  Positions, segments, ``dv`` and the leak total are computed
@@ -298,7 +322,7 @@ def _compress(stored: np.ndarray, gates: np.ndarray, device: DeviceModel, wire: 
     pos = np.zeros((m, first.size), dtype=np.intp)
     pos[t, u] = p
 
-    ws = _Workspace(m, B, reserve)
+    ws = _Workspace(m, B, _call_cells(n))
     ladder = _Ladder(*(np.take(a, inverse, axis=1, out=ws.take(B), mode="clip")
                        for a in per_row))
     # the stored bits at each column's gate-on rows, by flat index into
@@ -503,7 +527,6 @@ def solve_columns_fast(
     *,
     tol: float = 1e-6,
     max_iter: int = 200,
-    reserve: int = 0,
 ) -> FastBatchResult:
     """Batched Newton solve of many columns at once.
 
@@ -526,18 +549,9 @@ def solve_columns_fast(
     columns are summed and leave the active set at once.  Non-convergent
     problems are returned flagged (with their last f(v(i))), never
     silently.
-
-    ``reserve`` sizes the workspace for that many gate-on cells (m x
-    columns) when the call holds more than half of them; it changes no
-    result.  A caller making many calls of varying size passes the
-    largest: its fuller calls then all ask for a block of one size, and
-    the block one call frees serves the next, where blocks of varying
-    sizes fragment the heap and raise the peak RSS.
     """
     _check_drive(v_drive)
     _check_settings(tol, max_iter)
-    if isinstance(reserve, bool) or not isinstance(reserve, numbers.Integral) or reserve < 0:
-        raise DomainError(f"reserve must be an int >= 0, got {reserve!r}")
     stored = np.atleast_2d(np.asarray(stored) > 0)
     gates = np.atleast_2d(np.asarray(gates) > 0)
     stored, gates = np.broadcast_arrays(stored, gates)
@@ -548,7 +562,7 @@ def solve_columns_fast(
     converged = np.zeros(B, dtype=bool)
     if not B:
         return FastBatchResult(i_out, iters, converged, residual)
-    ws, cells, ladder, leak = _compress(stored, gates, device, wire, reserve)
+    ws, cells, ladder, leak = _compress(stored, gates, device, wire)
     i_on = device.i_on
     active = np.arange(B)
 

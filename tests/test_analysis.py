@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from binsparx import analysis
-from binsparx import engine as engine_module
+from binsparx import solver as solver_module
 from binsparx.analysis import solver_validation_suite, sweep_deviation
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
@@ -87,7 +87,7 @@ def test_sweep_chunks_equal_one_batch(monkeypatch):
     # 32/2 = 192 gate-on cells, so a group's 20 columns, of up to 32 gate-on
     # rows each, need several calls.  A call may exceed the cap only as one
     # drawn column and its dummy
-    monkeypatch.setattr(engine_module, "_CALL_COLUMNS", 12)
+    monkeypatch.setattr(solver_module, "_CALL_COLUMNS", 12)
     chunked = sweep_deviation(eng, range(0, 33, 4), 5, rng=np.random.default_rng(7))
     assert len(calls) > 5  # more calls than groups
     assert all(c == 2 or max(1, m) * c <= 6 * 32 for c, _, m in calls)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsparx import engine as engine_module
+from binsparx import solver as solver_module
 from binsparx.bnn import BinaryTensor
 from binsparx.devices import DeviceModel, WireModel
 from binsparx.engine import (
@@ -458,7 +458,7 @@ class TestPooledSolve:
         out = eng.vmm_batch(prep, A, stats)
         calls = _record_calls(monkeypatch, 40 + eng.dummy)
         # 16 cells a call at n=32: less than any gate row's columns hold
-        monkeypatch.setattr(engine_module, "_CALL_COLUMNS", 1)
+        monkeypatch.setattr(solver_module, "_CALL_COLUMNS", 1)
         alone = RunStats(32)
         assert np.array_equal(eng.vmm_batch(prep, A, alone), out)
         assert alone.to_dict() == stats.to_dict()
@@ -473,8 +473,8 @@ class TestPooledSolve:
     @pytest.mark.parametrize("case", ["reram-analog", "sram"])
     def test_calls_fill_greedily_within_the_budget(self, rng, monkeypatch, case, call_columns):
         if call_columns is not None:
-            monkeypatch.setattr(engine_module, "_CALL_COLUMNS", call_columns)
-        budget = engine_module._call_cells(32)
+            monkeypatch.setattr(solver_module, "_CALL_COLUMNS", call_columns)
+        budget = solver_module._call_cells(32)
         W = rng.choice([-1, 1], size=(82, 40)).astype(np.int8)
         A = rng.choice([-1, 1], size=(100, 82)).astype(np.int8)
         eng = _pooled_engine(case, True)
@@ -490,8 +490,22 @@ class TestPooledSolve:
         for (_, columns, count), (_, _, following) in zip(calls, calls[1:]):
             assert following.min() >= count.max()
             assert max(1, following.min()) * (columns + width) > budget
-        monkeypatch.setattr(engine_module, "_CALL_COLUMNS", 2**16)
+        monkeypatch.setattr(solver_module, "_CALL_COLUMNS", 2**16)
         assert np.array_equal(eng.vmm_batch(eng.prepare(W), A), out)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_calls_above_n_64_hold_at_most_2_16_cells(self, rng, monkeypatch, n):
+        # BinSparX calls there stay as wide as under the earlier cap of
+        # 2**17 cells counted over all n rows: 1,024 columns at n=128
+        W = rng.choice([-1, 1], size=(n, 200)).astype(np.int8)
+        A = rng.choice([-1, 1], size=(60, n)).astype(np.int8)
+        eng = Engine(EngineConfig(n=n, wire=WireModel.preset("M3")))
+        calls = _record_calls(monkeypatch, 200)
+        eng.vmm_batch(eng.prepare(W), A)
+        held = [max(1, count.max()) * columns for _, columns, count in calls]
+        assert len(calls) > 1 and max(held) <= 2**16
+        # and each call but the last is more than half full
+        assert min(held[:-1]) > 2**15
 
     @pytest.mark.parametrize("case", list(POOLED_CASES))
     def test_empty_batch_on_ragged_tiles(self, rng, monkeypatch, case):

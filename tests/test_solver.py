@@ -527,19 +527,31 @@ class TestWorkspace:
 
 
     @pytest.mark.parametrize("wire", [WireModel.preset("M3"), EXTREME], ids=["M3", "extreme"])
-    def test_reserve_changes_no_result(self, rng, wire):
-        # a call of more than half the reserve allocates that much, with its
-        # slabs packed at the start; extreme wire runs the ohmic start,
-        # which takes every slab
+    def test_reserve_changes_no_result(self, rng, monkeypatch, wire):
+        # a call of more than half of _call_cells(n) gate-on cells reserves
+        # that many, with its slabs packed at the start; extreme wire runs
+        # the ohmic start, which takes every slab
         assert _Workspace(4, 10, 70)._memory.size == solver._SLABS * 70
         assert _Workspace(4, 10, 100)._memory.size == solver._SLABS * 40
+        assert _Workspace(4, 10, 30)._memory.size == solver._SLABS * 40
+        sizes = []
+
+        class Recording(_Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append(self._memory.size // solver._SLABS)
+
+        monkeypatch.setattr(solver, "_Workspace", Recording)
         # 17 columns, the last all ON: m x columns = 64 x 17 = 1088 cells
         stored, gates = _columns_with_on(rng, np.arange(0, 65, 4))
         dev = DeviceModel.reram1t1r()
         plain = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000)
-        for reserve in (1, 1100, 2000, 10**5):
-            wide = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000, reserve=reserve)
+        # caps of 32, 1088 and 1920 cells at n=64
+        for call_columns in (1, 34, 60):
+            monkeypatch.setattr(solver, "_CALL_COLUMNS", call_columns)
+            wide = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000)
             assert _same_result(wide, plain)
+        assert sizes == [1088, 1088, 1088, 1920]
 
 
 class TestProblemValidation:
@@ -586,12 +598,6 @@ class TestProblemValidation:
             _fast(p, max_iter=max_iter)
         with pytest.raises(DomainError, match="max_iter"):
             solve_column_dense(p, max_iter=max_iter)
-
-    @pytest.mark.parametrize("reserve", [-1, 2.5, True, "5"])
-    def test_reserve_must_be_a_nonnegative_int(self, reserve):
-        p = _problem(np.ones(4, int), np.ones(4, int))
-        with pytest.raises(DomainError, match="reserve"):
-            _fast(p, reserve=reserve)
 
     def test_max_iter_accepts_numpy_ints(self):
         p = _problem(np.ones(4, int), np.ones(4, int))
