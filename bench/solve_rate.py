@@ -22,6 +22,10 @@ its page-fault count.  The subprocess prints one JSON line:
   summed over one ``vmm_batch``'s calls: (m x columns - gate-on rows) /
   (m x columns), m a call's largest gate-on count (1 at least).  The
   solver pads every column of a call to m rows;
+- ``iters_p50`` and ``iters_max``: the solver's iterations per column
+  (``FastBatchResult.iterations``: evaluations of f(v(i)), fixed-point
+  steps and Newton steps alike), the median and the largest over one
+  ``vmm_batch``'s calls;
 - ``peak_rss_mb``: the subprocess's peak resident set;
 - ``checksum``: the first 16 hex digits of the SHA-256 of the outputs,
   which two trees with bit-identical solves share.
@@ -63,6 +67,7 @@ def child(n: int) -> dict:
     solve = engine_module.solve_columns_fast
     calls = []  # (columns, minor faults) per solve_columns_fast call
     on_rows = []  # (gate-on rows summed over the columns, largest), per call
+    iters = []  # ((iterations, columns), ...) per call
 
     def counted(stored, gates, *args, **kwargs):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -73,6 +78,8 @@ def child(n: int) -> dict:
         # fault the next call's pages in
         on = np.count_nonzero(gates, axis=-1)
         on_rows.append((int(on.sum()), int(on.max())))
+        its, columns = np.unique(res.iterations, return_counts=True)
+        iters.append(tuple(zip(its.tolist(), columns.tolist())))
         return res
 
     engine_module.solve_columns_fast = counted
@@ -94,6 +101,7 @@ def child(n: int) -> dict:
     held = sum(max(1, m) * c for (c, _), (_, m) in zip(calls[last], on_rows[last]))
     # the first batch's calls fault the heap in; the later ones show the steady state
     faults = [f for _, f in calls[per_batch:]]
+    column_iters = [it for call in iters[last] for it, columns in call for _ in range(columns)]
     return {
         "n": n,
         "col_per_s": round(statistics.median(rates), 1),
@@ -102,6 +110,8 @@ def child(n: int) -> dict:
         "on_rows_mean": round(sum(s for s, _ in on_rows) / sum(c for c, _ in calls), 1),
         "on_rows_max": max(m for _, m in on_rows),
         "padding_share": round(1 - sum(s for s, _ in on_rows[last]) / held, 3),
+        "iters_p50": statistics.median(column_iters),
+        "iters_max": max(column_iters),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "checksum": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16],
     }

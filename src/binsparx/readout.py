@@ -73,8 +73,13 @@ class AdcModel:
         """Digitize currents (amperes) to integer levels; also returns the
         saturation count."""
         x = np.asarray(i, dtype=np.float64)
-        if x.size and x.min() < 0:
-            raise DomainError("adc input must be >= 0")
+        if x.size:
+            lo, hi = x.min(), x.max()
+            # a NaN makes both NaN; a NaN level would cast to the int64 minimum
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DomainError(f"adc input must be finite, got values in [{lo}, {hi}]")
+            if lo < 0:
+                raise DomainError("adc input must be >= 0")
         raw = self._round((x - self.offset) / self.quantum)
         clamped = int(((raw < 0) | (raw > self.levels - 1)).sum())
         return np.clip(raw, 0, self.levels - 1).astype(np.int64), clamped

@@ -15,16 +15,27 @@ currents at rows <= k.  So a current i_j drawn at row j takes
 
 off the cell voltage at row k.  Two solvers share this wiring:
 
-* ``solve_columns_fast`` - batched Newton iteration on the cell-current
-  vector of each column's gate-on cells (the compressed ladder below).
-  Each step linearizes every cell at its bias and solves that linear
-  ladder exactly with an O(m) backward/forward sweep over the rows, then
-  backtracks (halves the step) for any column whose residual would not
-  fall.  For ohmic cells the first sweep is the closed form.  A column
-  starts with every cell at full bias, unless those currents would
-  already reverse-bias one of its cells, as stiff wire does to the far
-  rows; it then starts from one sweep of its ohmic ladder, a few Newton
-  steps from the answer where full bias can be dozens away.
+* ``solve_columns_fast`` - batched iteration on the cell-current vector
+  of each column's gate-on cells (the compressed ladder below), in two
+  phases.  A column first takes fixed-point steps i <- f(v(i)): each
+  re-evaluates the wire and the device at the currents the last
+  evaluation gave, about 17 (m, B) passes and no sweep.  Where BinSparX
+  caps a column at about n/2 conducting cells that map contracts by a
+  factor of about 0.01-0.05 per step, so one to three steps reach the
+  tolerance.  A column leaves the phase at its first step that cuts its
+  residual by less than ``_FIXED_POINT_RHO`` (the step is kept if it
+  lowers the residual at all, and undone if not) and goes on with
+  Newton steps.  Each Newton step linearizes every cell at its bias and
+  solves that linear ladder exactly with an O(m) backward/forward sweep
+  over the rows, a Python loop of about 70 passes, then backtracks
+  (halves the step) for any column whose residual would not fall.  For
+  ohmic cells the first sweep is the closed form, so a linear device's
+  columns skip the fixed-point phase.  A column starts with every cell
+  at full bias, unless those currents would already reverse-bias one of
+  its cells, as stiff wire does to the far rows; it then starts from one
+  sweep of its ohmic ladder, a few Newton steps from the answer where
+  full bias can be dozens away, and skips the fixed-point phase too, as
+  the map does not contract there.
 * ``solve_column_dense`` - the independent oracle: nodal analysis of one
   column with one unknown per node (zero-resistance segments merged) and
   Newton-Raphson on the node voltages, over every row.  It shares no code
@@ -103,6 +114,13 @@ __all__ = [
 
 # backtracking floor: below this step fraction a Newton step is taken anyway
 _MIN_STEP = 2.0**-10
+# a fixed-point trial that cuts a column's residual to at most this fraction
+# of its last value keeps the column in the phase.  Timed on a 2-vCPU Xeon,
+# alternating in one process: 1/4, 1/2 and 3/4 solved perfbench
+# validate-solver's tol-1e-9 columns 16-21% slower, as a column that
+# contracts by 1/4 a step takes many steps where Newton takes two or three;
+# on the engine workloads the four values differed by no more than noise
+_FIXED_POINT_RHO = 0.125
 # batch width from which row-by-row cumulative sums beat np.cumsum(axis=0)
 _ROW_SUM_MIN_WIDTH = 256
 # (m, B) slabs in one call's workspace.  The ohmic start is the peak: the
@@ -110,7 +128,8 @@ _ROW_SUM_MIN_WIDTH = 256
 # and voltages, the starved columns' ladder, g and c, and the sweep's five
 # coefficient arrays
 _SLABS = 17
-# width-B scratch rows: the ladder sweep's recurrence
+# width-B scratch rows: the ladder sweep's recurrence, and a fixed-point
+# trial's residual and its cut
 _ROWS = 15
 # a solver call's size in gate-on cells, max(1, m) x columns, m its largest
 # gate-on count (_call_cells).  The engine fills its calls up to it, one
@@ -158,6 +177,9 @@ class ColumnProblem:
                 f"ColumnProblem: expected length-{self.n} bit vectors, got "
                 f"{stored.shape} and {gates.shape}"
             )
+        if not self.n:
+            raise ShapeError(
+                f"ColumnProblem: a column needs at least one row, got shape {stored.shape}")
         for name, arr in (("stored_bits", stored), ("gate_bits", gates)):
             if arr.size and arr.max() > 1:
                 raise DomainError(f"ColumnProblem: {name} must be 0/1")
@@ -193,7 +215,9 @@ class FastBatchResult:
     """
 
     i_out: np.ndarray        # (B,)
-    iterations: np.ndarray   # (B,)
+    # (B,) evaluations of f(v(i)): the start point, each fixed-point step
+    # (an undone one too) and each Newton step (its halvings not counted)
+    iterations: np.ndarray
     converged: np.ndarray    # (B,) bool
     residual: np.ndarray     # (B,)
 
@@ -377,11 +401,14 @@ def _cell_voltages(i_cell: np.ndarray, ladder: _Ladder, v_drive: float,
     return v_bl
 
 
-def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float, tmp: np.ndarray) -> np.ndarray:
-    """max |f(v(i)) - i| / i_on per column; ``tmp`` is (m, B) scratch."""
+def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float, tmp: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """max |f(v(i)) - i| / i_on per column, into ``out`` if given; ``tmp``
+    is (m, B) scratch."""
     d = np.subtract(f, i_cell, out=tmp)
     np.abs(d, out=d)
-    return d.max(axis=0) / i_on
+    r = d.max(axis=0, out=out)
+    return np.divide(r, i_on, out=r if out is not None else None)
 
 
 def _ladder_sweep(g: np.ndarray, c: np.ndarray, ladder: _Ladder, v_drive: float,
@@ -503,6 +530,57 @@ def _ohmic_start(i_cell, v, starved, ladder, v_drive, ws):
     ws.give(i_start, c, tmp, *part)
 
 
+def _fixed_point_columns(device: DeviceModel, starved: np.ndarray) -> np.ndarray:
+    """The columns that open with the fixed-point phase: every column but
+    the starved ones, whose full-bias start is far from the answer, and
+    none of a linear device's, for which the first sweep is the closed
+    form."""
+    if device.curve == "linear":
+        return np.zeros_like(starved)
+    return ~starved
+
+
+def _fixed_point_trial(i_cell, v, f, res, width, stay, spare, cells, device, ladder, v_drive, ws):
+    """One step i <- f(v(i)) for the first ``width`` columns, the others
+    frozen.
+
+    A trial that lowers a column's residual is kept, and the others are
+    undone, restoring the column's (i, v, f) and residual.  Returns the new
+    (i, v, f) in the slabs of ``f`` and two fresh ones, giving back those
+    of ``i_cell`` and ``v``, and updates ``res`` in place.  ``stay`` (width
+    ``width``) receives which columns stay in the phase: those whose kept
+    trial cut the residual to at most ``_FIXED_POINT_RHO`` of its last
+    value.  ``spare`` is a bool row at least ``width`` wide.
+    """
+    w = i_cell.shape[1]
+    trial = f[:, :width]  # i' = f(v(i)), already evaluated
+    v_new, f_new, tmp = ws.take(w), ws.take(w), ws.take(width)
+    part = _Ladder(*(a[:, :width] for a in ladder))
+    v_trial = _cell_voltages(trial, part, v_drive, v_new[:, :width], tmp)
+    f_trial = device.currents(DeviceCells(*(None if a is None else a[:, :width] for a in cells)),
+                              v_trial, out=f_new[:, :width])
+    r, cut = ws.rows(width)[:2]
+    _residual(f_trial, trial, device.i_on, tmp, out=r)
+    ws.give(tmp)
+    last = res[:width]
+    np.less_equal(r, np.multiply(last, _FIXED_POINT_RHO, out=cut), out=stay)
+    kept = np.less(r, last, out=spare[:width])
+    stay &= kept
+    np.copyto(last, r, where=kept)
+    # the undone and the frozen columns keep their (i, v, f): f's slab is
+    # the new i, so its old values move to the new f first
+    undone = np.logical_not(kept, out=kept)
+    moves = ((f_new, f), (f, i_cell), (v_new, v))
+    if undone.any():
+        for dst, src in moves:
+            np.copyto(dst[:, :width], src[:, :width], where=undone)
+    if width < w:
+        for dst, src in moves:
+            dst[:, width:] = src[:, width:]
+    ws.give(i_cell, v)
+    return f, v_new, f_new
+
+
 def _check_drive(v_drive):
     """Refuse a drive voltage that is not finite and > 0: the one check for
     both solvers, the dense one through :class:`ColumnProblem`."""
@@ -528,27 +606,45 @@ def solve_columns_fast(
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> FastBatchResult:
-    """Batched Newton solve of many columns at once.
+    """Batched solve of many columns at once: fixed-point steps, then Newton.
 
-    ``stored`` and ``gates`` broadcast against each other to (B, n).  The
-    unknown is the current vector i of each column's gate-on cells; its
-    gate-off cells are folded into the wire (the module docstring's
+    ``stored`` and ``gates`` broadcast against each other to (B, n), n >= 1.
+    The unknown is the current vector i of each column's gate-on cells;
+    its gate-off cells are folded into the wire (the module docstring's
     compressed ladder).  The line voltages v(i) follow from i, and a
     column converges when its residual max |f(v(i)) - i| / i_on drops
     below ``tol`` (f: the device model), at which point it returns the
-    sum of f(v(i)) plus its gate-off cells' leak.  Iteration 1 evaluates
-    the start point: every cell at full bias, i = f(v_drive), unless that
-    leaves one of the column's cells reverse-biased.  Such a starved
-    column starts instead from the exact currents of its ohmic ladder,
-    which one sweep gives: gate-on cells at their chord conductance
-    f(v_drive)/v_drive.  Each further iteration linearizes every cell at
-    its current bias as i = g*v + c, with g from ``device.conductances``
-    (which owns the reverse-bias rule: g = 0 where the current is flat),
-    solves that linear ladder exactly with an O(m) sweep, and backtracks -
-    halving the step while a column's residual does not fall.  Converged
-    columns are summed and leave the active set at once.  Non-convergent
-    problems are returned flagged (with their last f(v(i))), never
-    silently.
+    sum of f(v(i)) plus its gate-off cells' leak.
+
+    Iteration 1 evaluates the start point: every cell at full bias,
+    i = f(v_drive), unless that leaves one of the column's cells
+    reverse-biased.  Such a starved column starts instead from the exact
+    currents of its ohmic ladder, which one sweep gives: gate-on cells at
+    their chord conductance f(v_drive)/v_drive.
+
+    Every other column, unless the device is linear, then takes
+    fixed-point steps i <- f(v(i)), reusing the f of its last residual.
+    A step that cuts the residual to at most ``_FIXED_POINT_RHO`` of its
+    last value is kept and the column stays in the phase.  A step that
+    lowers it by less is kept, and a step that does not lower it is
+    undone; either way the column switches to Newton.  Starved columns
+    skip the phase because full bias is far from their answer, and a
+    linear device's because its first Newton sweep is the exact answer.
+    While any column is in the phase, the columns that left it wait.
+
+    Each Newton step linearizes every cell at its current bias as
+    i = g*v + c, with g from ``device.conductances`` (which owns the
+    reverse-bias rule: g = 0 where the current is flat), solves that
+    linear ladder exactly with an O(m) sweep, and backtracks - halving
+    the step while a column's residual does not fall.
+
+    ``iterations`` counts a column's evaluations of f(v(i)): the start
+    point, each fixed-point step (an undone one too) and each Newton step
+    (its halvings not counted), and ``max_iter`` caps that count.  Every
+    decision and count depends on the column alone, so a column's result
+    is the same bit for bit alone or in any batch.  Converged columns are
+    summed and leave the active set at once.  Non-convergent problems are
+    returned flagged (with their last f(v(i))), never silently.
     """
     _check_drive(v_drive)
     _check_settings(tol, max_iter)
@@ -556,12 +652,21 @@ def solve_columns_fast(
     gates = np.atleast_2d(np.asarray(gates) > 0)
     stored, gates = np.broadcast_arrays(stored, gates)
     B, n = stored.shape
+    if not n:
+        raise ShapeError(
+            f"solve_columns_fast: columns need at least one row, got shape {stored.shape}")
     i_out = np.zeros(B)
     iters = np.full(B, max_iter, dtype=np.int64)
     residual = np.zeros(B)
-    converged = np.zeros(B, dtype=bool)
     if not B:
-        return FastBatchResult(i_out, iters, converged, residual)
+        return FastBatchResult(i_out, iters, residual < tol, residual)
+    # per column, evaluations of f(v(i)) so far; and masks over the active
+    # columns, each a view of a B-wide row.  Masks as wide as the shrinking
+    # active set would come in ever new sizes, which numpy's cache of small
+    # buffers keeps, scattered through the heap that the workspace reuses:
+    # they raised perfbench vmm-random-reram's peak RSS from 50 to 56 MB
+    count = np.ones(B, dtype=np.int64)
+    finished, alive, stay, spare = np.empty((4, B), dtype=bool)
     ws, cells, ladder, leak = _compress(stored, gates, device, wire)
     i_on = device.i_on
     active = np.arange(B)
@@ -571,31 +676,48 @@ def solve_columns_fast(
     v = _cell_voltages(i_cell, ladder, v_drive, ws.take(B), tmp)
     ws.give(tmp)
     # starved columns (full bias reverse-biases a cell): the ohmic start
-    starved = np.flatnonzero(v.min(axis=0) < 0)
-    if starved.size:
-        _ohmic_start(i_cell, v, starved, ladder, v_drive, ws)
+    starved = v.min(axis=0) < 0
+    if starved.any():
+        _ohmic_start(i_cell, v, np.flatnonzero(starved), ladder, v_drive, ws)
     f = device.currents(cells, v, out=ws.take(B))
     tmp = ws.take(B)
     res = _residual(f, i_cell, i_on, tmp)
     ws.give(tmp)
-    for it in range(1, max_iter + 1):
-        done = res < tol
-        if done.any():
-            cols = active[done]
-            i_out[cols] = ws.column_sums(f, np.flatnonzero(done)) + leak[cols]
-            residual[cols] = res[done]
-            iters[cols] = it
-            converged[cols] = True
-            keep = np.flatnonzero(~done)
-            active = active[keep]
+    # the fixed-point phase's columns are the first ``width`` active ones;
+    # ``stay`` marks those of them that stay in it.  At the start every
+    # column is tried, and those that skip the phase leave it at once
+    stay[:] = _fixed_point_columns(device, starved)
+    width = B
+    while True:
+        w = active.size
+        done = np.less(res, tol, out=finished[:w])
+        if count.max() >= max_iter:
+            np.logical_or(done, np.greater_equal(count, max_iter, out=spare[:w]), out=done)
+        staying = stay[:width]
+        if done.any() or not staying.all():
+            cols = np.flatnonzero(done)
+            out = active[cols]
+            i_out[out] = ws.column_sums(f, cols) + leak[out]
+            residual[out] = res[cols]
+            iters[out] = count[cols]
+            # the columns that stay in the phase first, then the others
+            live = np.logical_not(done, out=alive[:w])
+            np.logical_and(staying, live[:width], out=staying)
+            np.logical_and(live[:width], np.logical_not(staying, out=spare[:width]),
+                           out=live[:width])
+            keep = np.concatenate((np.flatnonzero(staying), np.flatnonzero(live)))
+            width = np.count_nonzero(staying)
+            active, res, count = active[keep], res[keep], count[keep]
             if not active.size:
                 break
             i_cell, v, f = (ws.compact(a, keep) for a in (i_cell, v, f))
             cells = DeviceCells(*(None if a is None else ws.compact(a, keep) for a in cells))
             ladder = _Ladder(*(ws.compact(a, keep) for a in ladder))
-            res = res[keep]
-        if it == max_iter:
-            break
+        if width:
+            i_cell, v, f = _fixed_point_trial(i_cell, v, f, res, width, stay[:width], spare,
+                                              cells, device, ladder, v_drive, ws)
+            count[:width] += 1
+            continue
         g = device.conductances(cells, v, out=ws.take(active.size))
         v -= ladder.dv
         v *= g
@@ -605,10 +727,9 @@ def solve_columns_fast(
         ws.give(f)
         step -= i_cell
         i_cell, v, f, res = _newton_trial(i_cell, step, res, cells, device, ladder, v_drive, ws)
-    if active.size:
-        i_out[active] = ws.column_sums(f, np.arange(active.size)) + leak[active]
-        residual[active] = res
-    return FastBatchResult(i_out=i_out, iterations=iters, converged=converged, residual=residual)
+        count += 1
+    return FastBatchResult(i_out=i_out, iterations=iters, converged=residual < tol,
+                           residual=residual)
 
 
 def _branch_stamps(ends_a: np.ndarray, ends_b: np.ndarray, nu: int):

@@ -55,6 +55,14 @@ class TestAdc:
         with pytest.raises(DomainError):
             _level(adc, -1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # unchecked, NaN read as level -2**63 with no clamp counted, and inf
+        # passed with a RuntimeWarning
+        adc = AdcModel(bits=4, quantum=1e-6)
+        with pytest.raises(DomainError, match="finite"):
+            adc.quantize_array(np.array([bad, 3e-6]))
+
     def test_clamp_counting(self):
         adc = AdcModel(bits=3, quantum=1e-6)
         levels, clamps = adc.quantize_array(np.array([0.0, 3e-6, 9e-6, 20e-6]))

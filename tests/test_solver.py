@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from binsparx import solver
-from binsparx.devices import DeviceModel, WireModel
+from binsparx.devices import DeviceLut, DeviceModel, WireModel
 from binsparx.errors import DomainError, ShapeError
 from binsparx.solver import (
     ColumnProblem,
@@ -554,7 +554,116 @@ class TestWorkspace:
         assert sizes == [1088, 1088, 1088, 1920]
 
 
+def _plateau_device():
+    """SRAM cells whose stored-1 branch is a table that is flat from 0.4 V
+    up: a fixed-point trial that lifts a cell onto the plateau draws the
+    full-bias current again, so it does not lower the residual."""
+    dev = DeviceModel.sram8t()
+    dev.lut_stored1 = DeviceLut([0.0, 0.2, 0.4, 1.0], [0.0, 0.1e-6, 1e-6, 1e-6])
+    return dev
+
+
+def _record_trials(monkeypatch) -> list:
+    """Patch the fixed-point step to log each column's outcome per trial:
+    S kept and staying in the phase, K kept but switching to Newton, U
+    undone (and switching)."""
+    log, trial = [], solver._fixed_point_trial
+
+    def recording(i_cell, v, f, res, width, stay, *args):
+        last = res[:width].copy()
+        out = trial(i_cell, v, f, res, width, stay, *args)
+        log.extend("S" if s else "K" if kept else "U" for s, kept in zip(stay, res[:width] < last))
+        return out
+
+    monkeypatch.setattr(solver, "_fixed_point_trial", recording)
+    return log
+
+
+class TestFixedPointPhase:
+    """Columns open with steps i <- f(v(i)) before Newton, each on its own."""
+
+    def test_column_alone_equals_column_in_batch(self, rng, monkeypatch):
+        # x = 1..64 ON cells on the plateau device: columns that converge in
+        # the phase, switch after a kept or an undone trial, or are starved
+        dev = _plateau_device()
+        stored, gates = _columns_with_on(rng, np.arange(1, 65))
+        log = _record_trials(monkeypatch)
+        batch = solve_columns_fast(stored, gates, dev, MIXED, V, max_iter=4000)
+        assert batch.converged.all()
+        seen = set()
+        for b in range(len(stored)):
+            log.clear()
+            alone = solve_columns_fast(stored[b], gates[b], dev, MIXED, V, max_iter=4000)
+            assert _same_result(alone, _column(batch, b))
+            trials = "".join(log)
+            if trials and set(trials) == {"S"} and alone.iterations[0] == 1 + len(trials):
+                seen.add("converged in the phase")
+            seen.update({"K": ["switched after a kept trial"],
+                         "U": ["switched after an undone trial"]}.get(trials[-1:], []))
+            if not trials and alone.iterations[0] > 1:
+                seen.add("starved")
+        assert seen == {"converged in the phase", "switched after a kept trial",
+                        "switched after an undone trial", "starved"}
+
+    @pytest.mark.parametrize("preset", ["M3", "M4", "M6"])
+    @pytest.mark.parametrize("kind", ["sram", "reram", "lut"])
+    def test_fast_against_dense(self, rng, monkeypatch, preset, kind):
+        factory = DeviceModel.reram1t1r if kind == "reram" else DeviceModel.sram8t
+        dev = factory()
+        if kind == "lut":
+            dev.lut_stored1 = make_lut_from_model(factory(), 1)
+            dev.lut_stored0 = make_lut_from_model(factory(), 0)
+        wire = WireModel.preset(preset)
+        stored, gates = _columns_with_on(rng, np.arange(0, 65, 4))
+        log = _record_trials(monkeypatch)
+        fast = solve_columns_fast(stored, gates, dev, wire, V, tol=1e-9, max_iter=2000)
+        assert fast.converged.all() and "S" in log
+        for b in range(len(stored)):
+            ref = solve_column_dense(_problem(stored[b], gates[b], dev, wire), tol=1e-9)
+            assert ref.converged
+            # the validation suite's budget is 0.005; both solves converge to 1e-9
+            assert abs(fast.i_out[b] - ref.i_out) / max(ref.i_out, dev.i_off * 64) < 1e-6
+
+    @pytest.mark.parametrize("case", ["starved", "linear"])
+    def test_skipping_columns_take_no_step(self, rng, monkeypatch, case):
+        if case == "starved":
+            dev, wire = DeviceModel.sram8t(), EXTREME
+            stored, gates = _columns_with_on(rng, np.arange(4, 65, 4))
+            v = _voltages(dev.currents(dev.cells(stored.T, gates.T), V), wire)
+            assert (v.min(axis=0) < 0).all()
+        else:
+            dev, wire = _clean_device(curve="linear"), WireModel.preset("M3")
+            stored, gates = rng.integers(0, 2, (2, 40, 64))
+        log = _record_trials(monkeypatch)
+        phased = solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000)
+        assert not log
+        monkeypatch.setattr(solver, "_fixed_point_columns",
+                            lambda device, starved: np.zeros_like(starved))
+        assert _same_result(phased, solve_columns_fast(stored, gates, dev, wire, V, max_iter=4000))
+
+    def test_column_in_the_phase_at_max_iter_is_flagged(self, monkeypatch):
+        # 8 ON cells at M6 contract by far more than 8x per step, so both
+        # trials keep the column in the phase, short of 1e-15
+        log = _record_trials(monkeypatch)
+        newton = []
+        monkeypatch.setattr(solver, "_newton_trial", lambda *args: newton.append(1))
+        col = (np.arange(64) < 8).astype(int)
+        res = solve_columns_fast(col, col, DeviceModel.sram8t(), WireModel.preset("M6"), V,
+                                 tol=1e-15, max_iter=3)
+        assert log == ["S", "S"] and not newton
+        assert not res.converged[0] and res.iterations[0] == 3 and res.residual[0] >= 1e-15
+
+
 class TestProblemValidation:
+    def test_zero_rows_are_refused(self):
+        # unchecked, the fast solver raised numpy's zero-size ValueError and
+        # the dense one an IndexError
+        dev, wire = DeviceModel.sram8t(), WireModel.preset("M3")
+        with pytest.raises(ShapeError, match=r"\(3, 0\)"):
+            solve_columns_fast(np.zeros((3, 0)), np.zeros((3, 0)), dev, wire, V)
+        with pytest.raises(ShapeError, match=r"\(0,\)"):
+            ColumnProblem(0, np.zeros(0), np.zeros(0), dev, wire, V)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ColumnProblem(4, np.ones(3, int), np.ones(4, int),
