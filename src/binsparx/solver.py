@@ -685,9 +685,9 @@ def solve_columns_fast(
     ws.give(tmp)
     # the fixed-point phase's columns are the first ``width`` active ones;
     # ``stay`` marks those of them that stay in it.  At the start every
-    # column is tried, and those that skip the phase leave it at once
+    # column counts as in the phase, and those that skip it leave at once
     stay[:] = _fixed_point_columns(device, starved)
-    width = B
+    width = B if stay.any() else 0
     while True:
         w = active.size
         done = np.less(res, tol, out=finished[:w])

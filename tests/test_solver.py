@@ -605,6 +605,27 @@ class TestFixedPointPhase:
         assert seen == {"converged in the phase", "switched after a kept trial",
                         "switched after an undone trial", "starved"}
 
+    def test_undone_trial_restores_the_column(self, rng, monkeypatch):
+        # a column whose first trial is undone goes on from its start point:
+        # the result of a run without the phase, one iteration later
+        dev = _plateau_device()
+        stored, gates = _columns_with_on(rng, np.arange(1, 65))
+        log = _record_trials(monkeypatch)
+        undone = []
+        for b in range(len(stored)):
+            log.clear()
+            res = solve_columns_fast(stored[b], gates[b], dev, MIXED, V, max_iter=4000)
+            if log == ["U"]:
+                undone.append((b, res))
+        assert undone
+        monkeypatch.setattr(solver, "_fixed_point_columns",
+                            lambda device, starved: np.zeros_like(starved))
+        for b, res in undone:
+            plain = solve_columns_fast(stored[b], gates[b], dev, MIXED, V, max_iter=4000)
+            plain = FastBatchResult(plain.i_out, plain.iterations + 1, plain.converged,
+                                    plain.residual)
+            assert _same_result(res, plain)
+
     @pytest.mark.parametrize("preset", ["M3", "M4", "M6"])
     @pytest.mark.parametrize("kind", ["sram", "reram", "lut"])
     def test_fast_against_dense(self, rng, monkeypatch, preset, kind):
