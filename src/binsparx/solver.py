@@ -408,7 +408,8 @@ def _residual(f: np.ndarray, i_cell: np.ndarray, i_on: float, tmp: np.ndarray,
     d = np.subtract(f, i_cell, out=tmp)
     np.abs(d, out=d)
     r = d.max(axis=0, out=out)
-    return np.divide(r, i_on, out=r if out is not None else None)
+    r /= i_on
+    return r
 
 
 def _ladder_sweep(g: np.ndarray, c: np.ndarray, ladder: _Ladder, v_drive: float,
